@@ -8,6 +8,7 @@ Layout:
     sde            pathwise Euler solvers, Lamperti transform, coupling bounds
     transport      path metrics, empirical Wasserstein, transportation constants
     concentration  Monte Carlo tail/moment verifiers with confidence bounds
+    verifiers      the verifier registry run by `fbmlab verify`
     calibration    frozen universal constants K_hat and kappa_hat
     pathio/config/cli   serialization, declarative configs, command line
 """

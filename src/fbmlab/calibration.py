@@ -23,17 +23,14 @@ with this provenance; verifiers read them from there.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize, special
 
-from .concentration import estimate_t1_constant, pair_distances
-from .fbm import HurstParam, sample_fbm_circulant_batch
-from .fractional import young_integral_rs
-from .grid import GridFunction, TimeGrid, holder_norm
-from .sde import euler_additive_ensemble
-from .transport import PathEnsemble, PathMetric
+from .concentration import estimate_t1_constant
+from .fbm import HurstParam
+from .grid import TimeGrid
+from .verifiers import esti_int_sweep, independent_pairs, stability_ratios
 
 REFERENCE_CONFIG = {
     "H": 0.75,
@@ -98,26 +95,10 @@ def kappa_empirical(n_pairs: int = 1000, seed: int = 0,
     """
     cfg = REFERENCE_CONFIG
     beta = cfg["beta"] if beta is None else beta
-    hp = HurstParam(cfg["H"])
-    grid = TimeGrid(T, cfg["n_steps"])
-    f_paths = sample_fbm_circulant_batch(grid, hp, n_pairs, seed)
-    g_paths = sample_fbm_circulant_batch(grid, hp, n_pairs, seed + 10**6)
-    rng = np.random.default_rng(seed + 2 * 10**6)
-    worst = 0.0
-    for i in range(n_pairs):
-        ia = int(rng.integers(0, grid.n_steps - 1))
-        ib = int(rng.integers(ia + 1, grid.n_steps + 1))
-        a, b = grid.points[ia], grid.points[ib]
-        f = GridFunction(grid, f_paths[i])
-        g = GridFunction(grid, g_paths[i])
-        lhs = abs(young_integral_rs(f, g, a, b))
-        hg = holder_norm(grid, g_paths[i], beta).seminorm_beta
-        hf = holder_norm(grid, f_paths[i], beta, window=(a, b))
-        rhs = hg * (hf.sup_norm * (b - a) ** beta
-                    + hf.seminorm_beta * (b - a) ** (2 * beta))
-        if rhs > 0:
-            worst = max(worst, (beta - 0.5) * lhs / rhs)
-    return worst
+    reports = esti_int_sweep(TimeGrid(T, cfg["n_steps"]), HurstParam(cfg["H"]),
+                             beta, n_pairs, seed)
+    return max([0.0] + [(beta - 0.5) * r.lhs / r.context["bracket"]
+                        for r in reports if r.context["bracket"] > 0])
 
 
 def calibrate_k_hat(n_pairs: int = 1000, seed: int = 0, k_max: int = 4,
@@ -134,23 +115,10 @@ def calibrate_k_hat(n_pairs: int = 1000, seed: int = 0, k_max: int = 4,
     recorded as a cross-check of the T1 usage K_hat T^{2H}.
     """
     cfg = REFERENCE_CONFIG
-    hp = HurstParam(cfg["H"])
     grid = TimeGrid(cfg["T"], cfg["n_steps"])
-    beta = cfg["beta"]
-    b = lambda x: -cfg["L_b"] * x
-    g1 = sample_fbm_circulant_batch(grid, hp, n_pairs, seed)
-    g2 = sample_fbm_circulant_batch(grid, hp, n_pairs, seed + 10**6)
-    x1 = euler_additive_ensemble(0.0, b, g1, grid.dt)
-    x2 = euler_additive_ensemble(0.0, b, g2, grid.dt)
-    sup_dist = np.abs(x1 - x2).max(axis=1)
-    ratios = np.empty(n_pairs)
-    for i in range(n_pairs):
-        hn = holder_norm(grid, g1[i] - g2[i], beta).seminorm_beta
-        ratios[i] = sup_dist[i] / (hn * cfg["T"] ** beta) if hn > 0 else 0.0
+    g1, g2 = independent_pairs(grid, HurstParam(cfg["H"]), n_pairs, seed)
+    ratios, dists = stability_ratios(grid, g1, g2, cfg["beta"], -cfg["L_b"])
     ratio_sup = float(ratios.max())
-    mu = PathEnsemble(grid, x1)
-    nu = PathEnsemble(grid, x2)
-    dists = pair_distances(mu, nu, PathMetric.d_infinity)
     c_hat, errs = estimate_t1_constant(dists, k_max=k_max, with_errors=True)
     return {
         "K_hat": float(margin * ratio_sup),
@@ -195,7 +163,6 @@ def run_calibration(out_path: str, n_pairs: int = 1000, seed: int = 0,
                           "cross-check",
                 **{k: v for k, v in k_info.items() if k != "K_hat"},
             },
-            "date": "2026-08-23",
         },
     }
     with open(out_path, "w") as fh:

@@ -17,19 +17,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from .concentration import (
-    estimate_t1_constant,
-    gaussian_tail_c_delta,
-    pair_distances,
-    phi_argmax,
-    phi_link,
-    tail_constant_scaling,
-    verify_fernique,
-    verify_hoeffding_large_time,
-    verify_hoeffding_small_time,
-)
 from .config import ConfigError, ExperimentConfig, load_config
 from .fbm import (
     HurstParam,
@@ -38,8 +25,7 @@ from .fbm import (
     sample_fbm_circulant_batch,
     sample_fbm_transfer,
 )
-from .fractional import lemma_esti_int_check
-from .grid import GridFunction, TimeGrid, holder_norm
+from .grid import TimeGrid
 from .pathio import (
     tail_report_csv,
     write_json_report,
@@ -47,7 +33,7 @@ from .pathio import (
     write_path_csv,
 )
 from .sde import euler_additive_ensemble
-from .transport import PathEnsemble, PathMetric
+from .verifiers import VERIFIERS
 
 EXIT_PASS = 0
 EXIT_VERIFY_FAIL = 1
@@ -108,181 +94,15 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: str) -> int:
     return EXIT_PASS
 
 
-# ---------------------------------------------------------------------------
-# verifiers
-# ---------------------------------------------------------------------------
-
-def _verify_stability(cfg: ExperimentConfig) -> dict:
-    from .fixtures import calibrated_constants
-    K_hat = calibrated_constants()["K_hat"]
-    H = cfg.get("fbm", "hurst")
-    beta = cfg.get("verify", "beta")
-    T = cfg.get("grid", "t_max")
-    L_b = 1.0
-    delta = min(1.0, 1.0 / (2 * L_b))
-    if T > delta:
-        raise ValueError(f"stability premise violated: T={T} > Delta={delta}")
-    grid = TimeGrid(T, cfg.get("grid", "n_steps"))
-    hp = HurstParam(H)
-    seed = cfg.get("experiment", "seed")
-    n_pairs = min(cfg.get("verify", "n_paths"), 1000)
-    g1 = sample_fbm_circulant_batch(grid, hp, n_pairs, seed)
-    g2 = sample_fbm_circulant_batch(grid, hp, n_pairs, seed + 10**6)
-    x1 = euler_additive_ensemble(0.0, lambda x: -L_b * x, g1, grid.dt)
-    x2 = euler_additive_ensemble(0.0, lambda x: -L_b * x, g2, grid.dt)
-    sup_dist = np.abs(x1 - x2).max(axis=1)
-    ratios = []
-    for i in range(n_pairs):
-        hn = holder_norm(grid, g1[i] - g2[i], beta).seminorm_beta
-        ratios.append(sup_dist[i] / (hn * T**beta) if hn > 0 else 0.0)
-    worst = float(max(ratios))
-    return {"verifier": "stability", "passed": worst <= K_hat,
-            "worst_ratio": worst, "K_hat": K_hat, "n_pairs": n_pairs}
-
-
-def _verify_esti_int(cfg: ExperimentConfig) -> dict:
-    H = cfg.get("fbm", "hurst")
-    beta = cfg.get("verify", "beta")
-    if not 0.5 < beta < H:
-        raise ValueError(f"esti-int premise violated: need 1/2 < beta < H, "
-                         f"got beta={beta}, H={H}")
-    grid = TimeGrid(cfg.get("grid", "t_max"), cfg.get("grid", "n_steps"))
-    hp = HurstParam(H)
-    seed = cfg.get("experiment", "seed")
-    n_pairs = min(cfg.get("verify", "n_paths"), 200)
-    f_paths = sample_fbm_circulant_batch(grid, hp, n_pairs, seed)
-    g_paths = sample_fbm_circulant_batch(grid, hp, n_pairs, seed + 10**6)
-    rng = np.random.default_rng(seed + 2 * 10**6)
-    worst = 0.0
-    all_ok = True
-    for i in range(n_pairs):
-        ia = int(rng.integers(0, grid.n_steps - 1))
-        ib = int(rng.integers(ia + 1, grid.n_steps + 1))
-        rep = lemma_esti_int_check(GridFunction(grid, f_paths[i]),
-                                   GridFunction(grid, g_paths[i]), beta,
-                                   grid.points[ia], grid.points[ib])
-        all_ok &= rep.passed
-        worst = max(worst, rep.ratio)
-    return {"verifier": "esti-int", "passed": bool(all_ok),
-            "worst_ratio": worst, "n_pairs": n_pairs}
-
-
-def _verify_fernique(cfg: ExperimentConfig) -> dict:
-    rep = verify_fernique(cfg.get("fbm", "hurst"), cfg.get("verify", "beta"),
-                          cfg.get("grid", "t_max"),
-                          min(cfg.get("verify", "n_paths"), 20000),
-                          n_steps=cfg.get("grid", "n_steps"),
-                          seed=cfg.get("experiment", "seed"))
-    return {"verifier": "fernique", "passed": rep.all_passed, **rep.to_dict()}
-
-
-def _verify_hoeffding_small(cfg: ExperimentConfig) -> dict:
-    rep_avg, rep_sup = verify_hoeffding_small_time(
-        H=cfg.get("fbm", "hurst"), T=cfg.get("grid", "t_max"),
-        n_paths=cfg.get("verify", "n_paths"),
-        n_steps=cfg.get("grid", "n_steps"), seed=cfg.get("experiment", "seed"))
-    return {"verifier": "hoeffding-small",
-            "passed": rep_avg.all_passed and rep_sup.all_passed,
-            "time_average": rep_avg.to_dict(), "sup_displacement": rep_sup.to_dict()}
-
-
-def _verify_hoeffding_large(cfg: ExperimentConfig) -> dict:
-    B = cfg.get("sde", "drift_b")
-    seed = cfg.get("experiment", "seed")
-    out: dict = {"verifier": "hoeffding-large", "horizons": {}}
-    d2_reports = {}
-    ok = True
-    for T in cfg.horizon_list:
-        ri, r2 = verify_hoeffding_large_time(
-            H=cfg.get("fbm", "hurst"), T=T,
-            n_paths=cfg.get("verify", "n_paths"),
-            n_steps=cfg.get("grid", "n_steps"), seed=seed + int(1000 * T), B=B)
-        ok &= ri.all_passed and r2.all_passed
-        out["horizons"][str(T)] = {"d_infinity": ri.to_dict(), "d_two": r2.to_dict()}
-        d2_reports[T] = r2
-    if len(d2_reports) >= 2:
-        expo = tail_constant_scaling(d2_reports)
-        target = 2.0 - 2.0 * cfg.get("fbm", "hurst")
-        out["scaling_exponent"] = expo
-        out["scaling_target"] = target
-        ok &= abs(expo - target) <= 0.15
-    out["passed"] = bool(ok)
-    return out
-
-
-def _solution_pair_distances(cfg: ExperimentConfig, seed: int) -> np.ndarray:
-    grid = TimeGrid(cfg.get("grid", "t_max"), cfg.get("grid", "n_steps"))
-    hp = HurstParam(cfg.get("fbm", "hurst"))
-    B = cfg.get("sde", "drift_b")
-    n_pairs = min(cfg.get("verify", "n_paths"), 2000)
-    d1 = sample_fbm_circulant_batch(grid, hp, n_pairs, seed)
-    d2 = sample_fbm_circulant_batch(grid, hp, n_pairs, seed + 10**6)
-    x1 = euler_additive_ensemble(0.0, lambda x: B * x, d1, grid.dt)
-    x2 = euler_additive_ensemble(0.0, lambda x: B * x, d2, grid.dt)
-    return pair_distances(PathEnsemble(grid, x1), PathEnsemble(grid, x2),
-                          PathMetric.d_infinity)
-
-
-def _verify_t1_moments(cfg: ExperimentConfig) -> dict:
-    seed = cfg.get("experiment", "seed")
-    delta = cfg.get("verify", "delta")
-    dists = _solution_pair_distances(cfg, seed)
-    c_hat, errs = estimate_t1_constant(dists, k_max=4, with_errors=True)
-    diag = gaussian_tail_c_delta(dists, delta)
-    passed = (not diag["unstable"]) and c_hat <= diag["c_over_delta"]
-    return {"verifier": "t1-moments", "passed": bool(passed),
-            "moment_constant": c_hat, "jackknife_se": errs,
-            "c_delta_over_delta": diag["c_over_delta"], "delta": delta}
-
-
-def _verify_gaussian_tail(cfg: ExperimentConfig) -> dict:
-    seed = cfg.get("experiment", "seed")
-    diag = gaussian_tail_c_delta(_solution_pair_distances(cfg, seed),
-                                 cfg.get("verify", "delta"))
-    return {"verifier": "gaussian-tail", "passed": not diag["unstable"], **diag}
-
-
-def _verify_phi_link(cfg: ExperimentConfig) -> dict:
-    from scipy.special import digamma
-    c_values = [float(v) for v in cfg.get("verify", "c_delta_values").split(",")]
-    argmax_ok = all(abs(phi_argmax(c) - 1.0) <= 1e-9 for c in c_values)
-    value_ok = all(abs(phi_link(1.0, c) - c / 2.0) <= 1e-12 * c for c in c_values)
-    digamma_ok = abs((digamma(2.0) - digamma(3.0)) - (-0.5)) <= 1e-12
-    return {"verifier": "phi-link",
-            "passed": argmax_ok and value_ok and digamma_ok,
-            "argmax_ok": argmax_ok, "value_ok": value_ok,
-            "digamma_ok": digamma_ok, "c_values": c_values}
-
-
-_VERIFIERS = {
-    "stability": _verify_stability,
-    "esti-int": _verify_esti_int,
-    "fernique": _verify_fernique,
-    "hoeffding-small": _verify_hoeffding_small,
-    "hoeffding-large": _verify_hoeffding_large,
-    "t1-moments": _verify_t1_moments,
-    "gaussian-tail": _verify_gaussian_tail,
-    "phi-link": _verify_phi_link,
-}
-
-
 def _dump_tail_tables(out_dir: str, name: str, result: dict) -> None:
     """Write r-grid CSV tables for any TailReport-shaped sub-results."""
-
-    class _Row:
-        def __init__(self, d):
-            self.r_grid = d["r_grid"]
-            self.empirical_tail = d["empirical_tail"]
-            self.upper_confidence = d["upper_confidence"]
-            self.paper_bound = d["bound"]
-            self.passed = d["passed"]
 
     def walk(node, label):
         if isinstance(node, dict):
             if "r_grid" in node:
                 path = os.path.join(out_dir, f"{name}_{label}.csv")
                 with open(path, "w") as fh:
-                    fh.write(tail_report_csv(_Row(node)))
+                    fh.write(tail_report_csv(node))
             else:
                 for k, v in node.items():
                     walk(v, f"{label}_{k}" if label else str(k))
@@ -297,10 +117,10 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str,
     all_ok = True
     summary = {}
     for name in names:
-        if name not in _VERIFIERS:
+        if name not in VERIFIERS:
             raise ConfigError(f"unknown verifier {name!r}")
         try:
-            result = _VERIFIERS[name](cfg)
+            result = VERIFIERS[name](cfg)
         except ValueError as exc:
             # premise guard tripped: the verifier rejects the configuration
             result = {"verifier": name, "passed": False,
@@ -347,9 +167,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="override the config seed")
     parser.add_argument("--out", default="fbmlab_out", metavar="DIR",
                         help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker hint (computations are vectorized; results "
-                             "are merged in deterministic order regardless)")
     parser.add_argument("--verifier", default=None, metavar="NAME[,NAME...]",
                         help="run only these verifiers (verify command)")
     args = parser.parse_args(argv)

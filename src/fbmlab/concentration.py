@@ -29,7 +29,7 @@ from scipy import special, stats
 from .fbm import HurstParam, sample_fbm_circulant_batch
 from .grid import TimeGrid, holder_seminorm_ensemble
 from .sde import euler_additive_ensemble
-from .transport import PathEnsemble, PathMetric, pairwise_cost_matrix
+from .transport import PathEnsemble, PathMetric, transport_constant
 
 
 @dataclass
@@ -303,7 +303,8 @@ def verify_hoeffding_large_time(H: float, T: float, n_paths: int,
     exponential factor of the constant is 1), under d_2 it is
     exp(-r^2 B^2 T^{2-2H} / (4 alpha^2 H sigma^2 (1 - e^{BT}))).  Passing
     scalar_sigma_bounds=(sigma1, sigma2) switches to the scalar-equation
-    constants with (1 - e^{BT/sigma1}).  Requires B < 0.
+    constants with (1 - e^{BT/sigma1}).  The constants are the T2 entries of
+    transport_constant.  Requires B < 0.
     """
     if B >= 0:
         raise ValueError(f"large-time bounds require B < 0, got B={B}")
@@ -317,16 +318,12 @@ def verify_hoeffding_large_time(H: float, T: float, n_paths: int,
                                v_fn=lambda x: np.clip(x, -clip, clip), alpha=alpha)
     samples = func.evaluate(paths, grid)
     if scalar_sigma_bounds is None:
-        c_inf = (2.0 / abs(B)) * H * T ** (2 * H - 1) * sigma_sup**2
-        c_two = (2.0 / B**2) * H * T ** (2 * H - 1) * sigma_sup**2 \
-            * (1.0 - np.exp(B * T))
-        variant = "additive"
+        variant, sigmas = "additive", {"sigma_sup": sigma_sup}
     else:
         s1, s2 = scalar_sigma_bounds
-        c_inf = (2.0 * s1 * s2**2 / abs(B)) * H * T ** (2 * H - 1)
-        c_two = (2.0 * s1**2 * s2**2 / B**2) * H * T ** (2 * H - 1) \
-            * (1.0 - np.exp(B * T / s1))
-        variant = "scalar"
+        variant, sigmas = "scalar", {"sigma1": s1, "sigma2": s2}
+    c_inf = transport_constant(f"T2_{variant}_dinf", H=H, T=T, B=B, **sigmas).value
+    c_two = transport_constant(f"T2_{variant}_d2", H=H, T=T, B=B, **sigmas).value
     lip_inf = func.lip_constant(PathMetric.d_infinity, T)
     lip_two = func.lip_constant(PathMetric.d_two, T)
     rep_inf = _tail_report(samples, 2.0 * c_inf * lip_inf**2, quantiles,

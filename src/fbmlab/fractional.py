@@ -229,7 +229,8 @@ def lemma_esti_int_check(f: GridFunction, g: GridFunction, beta: float,
           * [ ||f||_{a,b,inf} (b-a)^beta + ||f||_{a,b,beta} (b-a)^{2 beta} ].
 
     kappa_hat is a calibrated constant (the analytic constant is not numeric
-    here); the report carries lhs / bracket so it can be re-estimated.
+    here); the report carries ratio = lhs / bracket, and the bracket in its
+    context, so it can be re-estimated.
     """
     if not 0.5 < beta < 1.0:
         raise ValueError(f"need 1/2 < beta < 1, got {beta}")
@@ -245,7 +246,8 @@ def lemma_esti_int_check(f: GridFunction, g: GridFunction, beta: float,
     ratio = lhs / bracket if bracket > 0 else 0.0
     return BoundReport(
         lhs=lhs, rhs=rhs, ratio=ratio, passed=bool(lhs <= rhs or lhs == 0.0),
-        context={"beta": beta, "kappa_hat": kappa_hat, "window": (a, b)},
+        context={"beta": beta, "kappa_hat": kappa_hat, "window": (a, b),
+                 "bracket": bracket},
     )
 
 

@@ -104,14 +104,15 @@ def write_matrix_csv(path: str, matrix: np.ndarray) -> None:
     np.savetxt(path, np.asarray(matrix, dtype=float), delimiter=",")
 
 
-def tail_report_csv(report) -> str:
-    """r-grid table of a TailReport as a CSV string (for plots/audit)."""
+def tail_report_csv(report: dict) -> str:
+    """r-grid table of a TailReport.to_dict() record as a CSV string (for
+    plots/audit)."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["r", "empirical_tail", "upper_confidence", "bound", "passed"])
-    for r, e, u, b, p in zip(report.r_grid, report.empirical_tail,
-                             report.upper_confidence, report.paper_bound,
-                             report.passed):
+    for r, e, u, b, p in zip(report["r_grid"], report["empirical_tail"],
+                             report["upper_confidence"], report["bound"],
+                             report["passed"]):
         writer.writerow([repr(float(r)), repr(float(e)), repr(float(u)),
                          repr(float(b)), int(p)])
     return buf.getvalue()

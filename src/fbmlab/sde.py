@@ -182,11 +182,13 @@ def solve_additive(x0, drift: DriftSpec, sigma_t: TimeDiffusion, driver,
     vals = np.empty((n + 1, d))
     vals[0] = x0
     x = x0.copy()
-    for k in range(n):
-        x = x + np.atleast_1d(drift.fn(x)) * dt + sig[k] @ dg[k]
-        if not np.all(np.isfinite(x)):
-            raise BlowUpError(k + 1)
-        vals[k + 1] = x
+    # an overflowing step is reported by the finiteness guard, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            x = x + np.atleast_1d(drift.fn(x)) * dt + sig[k] @ dg[k]
+            if not np.all(np.isfinite(x)):
+                raise BlowUpError(k + 1)
+            vals[k + 1] = x
     return SolutionPath(grid=grid, values=vals, x0=x0,
                         driver_ref=driver_ref, scheme_tag="euler_additive")
 

@@ -182,6 +182,25 @@ def test_hoeffding_large_time_guards():
                                     seed=0, B=0.5)
 
 
+@pytest.mark.parametrize("H,T,B,sigmas", [(0.75, 2.0, -1.0, None),
+                                            (0.6, 4.0, -0.3, None),
+                                            (0.9, 1.0, -2.0, (0.8, 1.3))])
+def test_hoeffding_large_time_denominators_closed_form(H, T, B, sigmas):
+    # the T2 constants in closed form, written out apart from transport_constant
+    if sigmas is None:
+        c_inf = (2.0 / abs(B)) * H * T ** (2 * H - 1) * 1.0**2
+        c_two = (2.0 / B**2) * H * T ** (2 * H - 1) * 1.0**2 * (1.0 - np.exp(B * T))
+    else:
+        s1, s2 = sigmas
+        c_inf = (2.0 * s1 * s2**2 / abs(B)) * H * T ** (2 * H - 1)
+        c_two = (2.0 * s1**2 * s2**2 / B**2) * H * T ** (2 * H - 1) \
+            * (1.0 - np.exp(B * T / s1))
+    rep_inf, rep_two = verify_hoeffding_large_time(
+        H=H, T=T, n_paths=50, n_steps=8, seed=3, B=B, scalar_sigma_bounds=sigmas)
+    assert rep_inf.notes["denominator"] == 2.0 * c_inf * 1.0**2
+    assert rep_two.notes["denominator"] == 2.0 * c_two * (1.0 / np.sqrt(T))**2
+
+
 def test_tail_report_monotone_invariants():
     rep_avg, rep_sup = verify_hoeffding_small_time(
         H=0.75, T=0.5, n_paths=4000, n_steps=64, seed=77)

@@ -1,5 +1,6 @@
 """Serialization formats, config parsing and the CLI contract."""
 
+import hashlib
 import json
 import os
 import struct
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from fbmlab.cli import main
-from fbmlab.config import ConfigError, load_config
+from fbmlab.config import VERIFIER_NAMES, ConfigError, load_config
 from fbmlab.grid import TimeGrid
 from fbmlab.pathio import (
     FBMP_MAGIC,
@@ -179,6 +180,60 @@ def test_cli_verify_deterministic_reports(tmp_path):
     a = open(os.path.join(out1, "verify_summary.json"), "rb").read()
     b = open(os.path.join(out2, "verify_summary.json"), "rb").read()
     assert a == b
+
+
+# sha256 of every report file that an 8-verifier run writes for PIN_INI;
+# hoeffding-large fails its scaling gate at 200 paths, so the run exits 1
+PIN_INI = SMALL_INI.replace("verifiers = phi-link", "verifiers = " + ",".join(
+    VERIFIER_NAMES)).replace("n_paths = 100", "n_paths = 200\nhorizons = 1,2")
+PIN_DIGESTS = {
+    "verify_esti-int.json": "5cd59e3edd81ca4a0e01f081752a3b80e0a3f7a9bbbd131eba6355d89233509f",
+    "verify_fernique.json": "71a1d2871bf5c2625f38f2365beef01c97f856561380c7dfb1c42ddc57bc01d8",
+    "verify_gaussian-tail.json": "465c90824d05bc66472c537a8f6a6710ae29125cd56945f382be3ed0387b9a46",
+    "verify_hoeffding-large.json": "bb8d22d9e814c57be88f47a4c07dfa530c023193da7c2fe12fe0097723d9fd3f",
+    "verify_hoeffding-large_horizons_1.0_d_infinity.csv":
+        "d2fa0c0b9c850fcf084196673625e638127e5ab42eba0490c00c3fd23a4ca748",
+    "verify_hoeffding-large_horizons_1.0_d_two.csv":
+        "fd039f79f223a770f1f6a13d27822f7126ddefca866247c4015f7d33baa9dc34",
+    "verify_hoeffding-large_horizons_2.0_d_infinity.csv":
+        "f479ca1e7eac9c176c92680540df4150f16f0bcc5618fc1c0e1760c0dd3d4036",
+    "verify_hoeffding-large_horizons_2.0_d_two.csv":
+        "8455889628791a201079268e1e8bb56d583fc465fefa7ca557750c7aece9b529",
+    "verify_hoeffding-small.json": "30cb9a2fb96a5f6b9e14ec4c2534228285ff08f82ab848ba8f72cc8ce096052f",
+    "verify_hoeffding-small_sup_displacement.csv":
+        "fa1fc4de205d166c409deff544fc6205dce97c806807ec08db0874ab31772c6d",
+    "verify_hoeffding-small_time_average.csv":
+        "26b22c7ff61eb2d3ae248e71af93087d704cb6b1de41a4de63001cad66e55437",
+    "verify_phi-link.json": "a58c0c2b5148f6cb289ba1d01d7d91688f67b96270d2148c11db8c15e27a4f91",
+    "verify_stability.json": "5a083da796a2880b4ceae7e8a527b5cf2b77ce528ce5bff93a8aa9c24374eccb",
+    "verify_summary.json": "0d0d9ecbed64ae7dd80972e70e8776df371e45628825368dc5d3cb313ecfd963",
+    "verify_t1-moments.json": "cf82f4f955fe7b2d9af719e128475e1127b91ec46245c1e3e18353a75bb08045",
+}
+
+
+def test_cli_verify_all_reports_pinned(tmp_path):
+    ini = _write_ini(tmp_path, PIN_INI)
+    out = tmp_path / "pin"
+    assert main(["verify", "--config", ini, "--out", str(out)]) == 1
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == PIN_DIGESTS
+
+
+def test_cli_stability_uses_drift_b(tmp_path):
+    # L_b = |drift_b| = 4 gives Delta = 1/8 < t_max = 0.5
+    ini = _write_ini(tmp_path, SMALL_INI.replace("verifiers = phi-link", "verifiers = stability")
+                     + "\n[sde]\ndrift_b = -4\n")
+    out = str(tmp_path / "stab")
+    assert main(["verify", "--config", ini, "--out", out]) == 1
+    rep = json.load(open(os.path.join(out, "verify_stability.json")))
+    assert rep["rejected"] is True
+    assert "Delta=0.125" in rep["reason"]
+
+
+def test_cli_jobs_flag_removed():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_cli_negative_control_exit_1(tmp_path):
