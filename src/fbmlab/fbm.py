@@ -17,22 +17,19 @@ through the Gauss hypergeometric function.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy import integrate, special
 
-from .grid import TimeGrid
-
-log = logging.getLogger(__name__)
+from .grid import BLOCK_PATHS, TimeGrid
 
 #: Largest grid for the O(n^3) Cholesky sampler.
 CHOLESKY_MAX_STEPS = 4096
 
-#: Embedding eigenvalues below this are treated as a genuine failure of the
-#: circulant construction; values in [tol, 0) are roundoff and clipped.
+#: Embedding eigenvalues below this fail the circulant construction with
+#: ArithmeticError; values in [tol, 0) are roundoff and clipped.
 CIRCULANT_EIG_TOL = -1e-10
 
 
@@ -190,7 +187,12 @@ def kernel_kh_partial(u: float, s: float, h: HurstParam,
 # ---------------------------------------------------------------------------
 
 def _fgn_circulant_eigs(n: int, hurst: float, dt: float) -> np.ndarray:
-    """Eigenvalues of the circulant embedding of the fGn covariance."""
+    """Eigenvalues of the circulant embedding of the fGn covariance.
+
+    Nonnegative for 1/2 < H < 1: gamma(0..n) is nonnegative, nonincreasing
+    and convex, hence a constant plus a nonnegative sum of tents
+    (1 - |k|/m)_+, m <= n, whose DFTs on the 2n-cycle are Fejer kernels.
+    """
     k = np.arange(n + 1)
     gamma = 0.5 * dt ** (2 * hurst) * (
         np.abs(k + 1) ** (2 * hurst) + np.abs(k - 1) ** (2 * hurst)
@@ -198,6 +200,37 @@ def _fgn_circulant_eigs(n: int, hurst: float, dt: float) -> np.ndarray:
     )
     row = np.concatenate([gamma[:n], gamma[n:n + 1], gamma[n - 1:0:-1]])
     return np.fft.fft(row).real
+
+
+def _circulant_rows(grid: TimeGrid, h: HurstParam, seed: int,
+                    keys: list[tuple[int, int]]) -> np.ndarray:
+    """(len(keys), n_steps + 1) scalar fBm paths; row r uses the stream
+    component_rng(seed, *keys[r]), whose 2n normals are z_0, z_n and the
+    real, then imaginary parts of z_1..z_{n-1}.  Rows are assembled into
+    Hermitian vectors and transformed BLOCK_PATHS at a time.
+    """
+    n = grid.n_steps
+    eigs = _fgn_circulant_eigs(n, h.h, grid.dt)
+    if eigs.min() < CIRCULANT_EIG_TOL:
+        raise ArithmeticError(f"circulant embedding failed: eigenvalue "
+                              f"{eigs.min():.3e} < {CIRCULANT_EIG_TOL:g} (H={h.h}, n={n})")
+    lam = np.sqrt(np.clip(eigs, 0.0, None) / (2 * n))
+    out = np.zeros((len(keys), n + 1))
+    draws = np.empty((min(len(keys), BLOCK_PATHS), 2 * n))
+    z = np.empty(draws.shape, dtype=complex)
+    for lo in range(0, len(keys), BLOCK_PATHS):
+        block = keys[lo:lo + BLOCK_PATHS]
+        d, zb = draws[:len(block)], z[:len(block)]
+        for row, (path, component) in zip(d, block):
+            component_rng(seed, path, component).standard_normal(out=row)
+        zb[:, 0] = d[:, 0]
+        zb[:, n] = d[:, 1]
+        zb[:, 1:n] = (d[:, 2:n + 1] + 1j * d[:, n + 1:]) / np.sqrt(2.0)
+        zb[:, n + 1:] = np.conj(zb[:, n - 1:0:-1])
+        zb *= lam
+        np.cumsum(np.fft.fft(zb, axis=1).real[:, :n], axis=1,
+                  out=out[lo:lo + len(block), 1:])
+    return out
 
 
 def sample_fbm_cholesky(grid: TimeGrid, h: HurstParam, m: int, seed: int,
@@ -236,73 +269,20 @@ def _assemble_from_factor(chol, grid, h, m, seed, path_index) -> FbmPath:
 def sample_fbm_circulant(grid: TimeGrid, h: HurstParam, m: int, seed: int,
                          path_index: int = 0) -> FbmPath:
     """fBm by circulant embedding of the stationary increments (fGn)."""
-    n = grid.n_steps
-    eigs = _fgn_circulant_eigs(n, h.h, grid.dt)
-    if eigs.min() < CIRCULANT_EIG_TOL:
-        log.warning(
-            "circulant embedding eigenvalue %.3e below tolerance; "
-            "falling back to Cholesky sampler", eigs.min(),
-        )
-        path = sample_fbm_cholesky(grid, h, m, seed, path_index)
-        return FbmPath(grid=grid, values=path.values, hurst=h,
-                       generator_tag=GeneratorTag.circulant, seed=seed)
-    lam = np.sqrt(np.clip(eigs, 0.0, None) / (2 * n))
-    vals = np.zeros((n + 1, m))
-    for j in range(m):
-        rng = component_rng(seed, path_index, j)
-        fgn = _fgn_from_eigs(lam, n, rng)
-        vals[1:, j] = np.cumsum(fgn)
-    return FbmPath(grid=grid, values=vals, hurst=h,
+    rows = _circulant_rows(grid, h, seed, [(path_index, j) for j in range(m)])
+    return FbmPath(grid=grid, values=rows.T.copy(), hurst=h,
                    generator_tag=GeneratorTag.circulant, seed=seed)
-
-
-def _fgn_from_eigs(lam: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One exact fGn draw given sqrt-eigenvalues lam of the 2n embedding."""
-    two_n = 2 * n
-    z = np.empty(two_n, dtype=complex)
-    z[0] = rng.standard_normal()
-    z[n] = rng.standard_normal()
-    re = rng.standard_normal(n - 1)
-    im = rng.standard_normal(n - 1)
-    z[1:n] = (re + 1j * im) / np.sqrt(2.0)
-    z[n + 1:] = np.conj(z[n - 1:0:-1])
-    w = np.fft.fft(lam * z)
-    return w.real[:n]
 
 
 def sample_fbm_circulant_batch(grid: TimeGrid, h: HurstParam, n_paths: int,
                                seed: int, component: int = 0) -> np.ndarray:
-    """(n_paths, n_steps + 1) array of scalar fBm paths, one FFT batch.
+    """(n_paths, n_steps + 1) array of scalar fBm paths, BLOCK_PATHS at a time.
 
     Path i uses the same stream as sample_fbm_circulant(..., path_index=i)
     component `component`, so single-path and batch generation agree bit for
     bit.
     """
-    n = grid.n_steps
-    eigs = _fgn_circulant_eigs(n, h.h, grid.dt)
-    if eigs.min() < CIRCULANT_EIG_TOL:
-        out = np.zeros((n_paths, n + 1))
-        for i in range(n_paths):
-            out[i] = sample_fbm_cholesky(grid, h, 1, seed, path_index=i).values[:, 0]
-        return out
-    lam = np.sqrt(np.clip(eigs, 0.0, None) / (2 * n))
-    out = np.zeros((n_paths, n + 1))
-    chunk = max(1, 2**24 // (2 * n))
-    for lo in range(0, n_paths, chunk):
-        hi = min(lo + chunk, n_paths)
-        z = np.empty((hi - lo, 2 * n), dtype=complex)
-        for i in range(lo, hi):
-            rng = component_rng(seed, i, component)
-            zi = z[i - lo]
-            zi[0] = rng.standard_normal()
-            zi[n] = rng.standard_normal()
-            re = rng.standard_normal(n - 1)
-            im = rng.standard_normal(n - 1)
-            zi[1:n] = (re + 1j * im) / np.sqrt(2.0)
-            zi[n + 1:] = np.conj(zi[n - 1:0:-1])
-        w = np.fft.fft(lam[None, :] * z, axis=1)
-        out[lo:hi, 1:] = np.cumsum(w.real[:, :n], axis=1)
-    return out
+    return _circulant_rows(grid, h, seed, [(i, component) for i in range(n_paths)])
 
 
 def transfer_kernel_matrix(grid: TimeGrid, h: HurstParam) -> np.ndarray:

@@ -137,7 +137,7 @@ class StabilityReport:
     """Driver-perturbation experiment output.
 
     ratio = ||x - x~||_inf / (||sigma||_beta ||g - g~||_beta T^beta); the
-    small-horizon validity flag delta_ok records T <= (2 L_b)^{-1} and 1.
+    small-horizon validity flag delta_ok records T <= stability_horizon(L_b).
     """
 
     sup_dist: float
@@ -329,6 +329,12 @@ def lamperti_drift_lipschitz_bound(drift: DriftSpec, sigma_x: ScalarDiffusion) -
 # Stability and coupling experiments
 # ---------------------------------------------------------------------------
 
+def stability_horizon(L_b: float) -> float:
+    """Delta = min(1, 1/(2 L_b)) (1 for L_b = 0): the driver-stability
+    estimate for a drift of Lipschitz constant L_b holds for T <= Delta."""
+    return min(1.0, 1.0 / (2 * L_b)) if L_b > 0 else 1.0
+
+
 def coupled_stability(x0, drift: DriftSpec, sigma_t: TimeDiffusion,
                       g, g_tilde, beta: float, T: float | None = None) -> StabilityReport:
     """Solve with two drivers and report the normalized sup distance."""
@@ -344,10 +350,9 @@ def coupled_stability(x0, drift: DriftSpec, sigma_t: TimeDiffusion,
     sig_norm = sigma_t.holder_norm_on(grid, d, m, beta)
     denom = sig_norm * gap * T**beta
     ratio = sup_dist / denom if denom > 0 else 0.0
-    delta = min(1.0, 1.0 / (2 * drift.lipschitz)) if drift.lipschitz > 0 else 1.0
     return StabilityReport(sup_dist=sup_dist, driver_gap=gap, sigma_norm=sig_norm,
                            horizon=T, beta=beta, ratio=ratio,
-                           delta_ok=bool(T <= delta + 1e-12))
+                           delta_ok=bool(T <= stability_horizon(drift.lipschitz)))
 
 
 def drift_coupled_pair(x0, drift: DriftSpec, sigma_t: TimeDiffusion,

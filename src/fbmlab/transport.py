@@ -18,6 +18,7 @@ import numpy as np
 from scipy import optimize
 
 from .grid import TimeGrid
+from .sde import stability_horizon
 
 EXACT_ASSIGNMENT_CUTOFF = 512
 
@@ -259,7 +260,7 @@ def transport_constant(tag: TheoremTag | str, *, H: float, T: float,
         if tag == TheoremTag.T1_additive:
             if sigma_beta_norm is None or L_b is None:
                 raise ValueError("T1_additive needs sigma_beta_norm and L_b")
-            horizon = min(1.0, 1.0 / (2 * L_b)) if L_b > 0 else 1.0
+            horizon = stability_horizon(L_b)
             value = K * sigma_beta_norm * T ** (2 * H)
         else:
             if None in (sigma1, sigma2, L_b, L_sigma, B_sup):
@@ -268,7 +269,7 @@ def transport_constant(tag: TheoremTag | str, *, H: float, T: float,
             horizon = min(1.0, sigma1**2 / denom) if denom > 0 else 1.0
             value = K * sigma2**2 * T ** (2 * H)
         detail["horizon"] = horizon
-        return TransportConstants(tag, float(value), bool(T <= horizon + 1e-12), detail)
+        return TransportConstants(tag, float(value), bool(T <= horizon), detail)
 
     if B is None or B == 0.0:
         raise ValueError(f"{tag.value} requires a nonzero one-sided constant B")

@@ -30,7 +30,7 @@ from .fbm import HurstParam, sample_fbm_circulant_batch
 from .fixtures import calibrated_constants
 from .fractional import BoundReport, lemma_esti_int_check
 from .grid import GridFunction, TimeGrid, holder_seminorm_ensemble
-from .sde import euler_additive_ensemble
+from .sde import euler_additive_ensemble, stability_horizon
 
 
 def independent_pairs(grid: TimeGrid, hp: HurstParam, n_pairs: int,
@@ -87,9 +87,8 @@ def _grid(cfg: ExperimentConfig) -> TimeGrid:
 def _verify_stability(cfg: ExperimentConfig) -> dict:
     K_hat = calibrated_constants()["K_hat"]
     B = cfg.get("sde", "drift_b")
-    L_b = abs(B)
     T = cfg.get("grid", "t_max")
-    delta = min(1.0, 1.0 / (2 * L_b)) if L_b > 0 else 1.0
+    delta = stability_horizon(abs(B))
     if T > delta:
         raise ValueError(f"stability premise violated: T={T} > Delta={delta}")
     grid = _grid(cfg)

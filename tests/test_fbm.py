@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from fbmlab import fbm
 from fbmlab.fbm import (
+    CIRCULANT_EIG_TOL,
     HurstParam,
     covariance_matrix,
     covariance_rh,
@@ -119,6 +121,36 @@ def test_batch_matches_single_paths():
     for i in range(4):
         single = sample_fbm_circulant(grid, H75, 1, seed=11, path_index=i)
         assert np.array_equal(batch[i], single.values[:, 0])
+
+
+@pytest.mark.parametrize("n_paths", [1, 255, 256, 257, 600])
+def test_batch_bit_identical_to_single_across_block_seams(n_paths):
+    grid = TimeGrid(0.7, 24)
+    batch = sample_fbm_circulant_batch(grid, H75, n_paths, seed=5, component=1)
+    assert batch.shape == (n_paths, 25)
+    for i in range(n_paths):
+        single = sample_fbm_circulant(grid, H75, 2, seed=5, path_index=i)
+        assert np.array_equal(batch[i], single.values[:, 1])
+
+
+@pytest.mark.parametrize("h", [0.501, 0.6, 0.75, 0.9, 0.999])
+def test_circulant_embedding_nonnegative_for_h_above_half(h):
+    for n in (1, 2, 3, 17, 256, 4096):
+        assert fbm._fgn_circulant_eigs(n, h, 1.0 / n).min() > 0.0
+
+
+def test_circulant_embedding_failure_raises(monkeypatch):
+    def broken_eigs(n, hurst, dt):
+        eigs = np.ones(2 * n)
+        eigs[3] = 100 * CIRCULANT_EIG_TOL
+        return eigs
+
+    monkeypatch.setattr(fbm, "_fgn_circulant_eigs", broken_eigs)
+    grid = TimeGrid(1.0, 16)
+    with pytest.raises(ArithmeticError, match="circulant embedding"):
+        sample_fbm_circulant(grid, H75, 1, seed=0)
+    with pytest.raises(ArithmeticError, match="circulant embedding"):
+        sample_fbm_circulant_batch(grid, H75, 3, seed=0)
 
 
 def test_paths_start_at_zero_and_finite():

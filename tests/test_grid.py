@@ -81,5 +81,41 @@ def test_holder_ensemble_matches_per_path():
     paths = rng.standard_normal((5, 33))
     ens = holder_seminorm_ensemble(grid.points, paths, 0.6)
     for i in range(5):
-        assert ens[i] == pytest.approx(
-            holder_seminorm(grid.points, paths[i], 0.6))
+        # dyadic nodes: every t_j - t_i equals (j - i) dt exactly
+        assert ens[i] == holder_seminorm(grid.points, paths[i], 0.6)
+        assert ens[i] == holder_norm(grid, paths[i], 0.6).seminorm_beta
+
+
+def _ensemble_by_lag(times, paths, beta):
+    """The unblocked per-lag loop that the blocked kernel replaced."""
+    n_paths, n = paths.shape
+    dt = times[1] - times[0]
+    best = np.zeros(n_paths)
+    for lag in range(1, n):
+        dv = np.abs(paths[:, lag:] - paths[:, :-lag]).max(axis=1)
+        np.maximum(best, dv / (lag * dt) ** beta, out=best)
+    return best
+
+
+@pytest.mark.parametrize("n_paths", [1, 255, 256, 257, 600])
+def test_holder_ensemble_bit_identical_across_block_seams(n_paths):
+    grid = TimeGrid(0.7, 50)  # non-dyadic spacing
+    paths = np.cumsum(np.random.default_rng(n_paths).standard_normal((n_paths, 51)), axis=1)
+    ens = holder_seminorm_ensemble(grid.points, paths, 0.6)
+    assert np.array_equal(ens, _ensemble_by_lag(grid.points, paths, 0.6))
+    for i in (0, n_paths // 2, n_paths - 1):
+        assert ens[i] == holder_norm(grid, paths[i], 0.6).seminorm_beta
+
+
+def test_holder_norm_vector_values_match_per_lag_norm():
+    grid = TimeGrid(0.7, 40)
+    vals = np.cumsum(np.random.default_rng(3).standard_normal((41, 3)), axis=0)
+    a, b = grid.points[4], grid.points[33]
+    win = vals[4:34]
+    expect = max(np.linalg.norm(win[lag:] - win[:-lag], axis=1).max()
+                 / (lag * (grid.points[5] - grid.points[4])) ** 0.6
+                 for lag in range(1, len(win)))
+    hn = holder_norm(grid, vals, 0.6, window=(a, b))
+    assert hn.seminorm_beta == expect
+    assert hn.seminorm_beta == pytest.approx(
+        holder_seminorm(grid.points[4:34], win, 0.6), rel=1e-12)

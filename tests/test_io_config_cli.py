@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from fbmlab import fbm
 from fbmlab.cli import main
 from fbmlab.config import VERIFIER_NAMES, ConfigError, load_config
 from fbmlab.grid import TimeGrid
@@ -160,6 +161,14 @@ def test_cli_sample_and_solve(tmp_path):
     assert main(["solve", "--config", ini, "--out", out2]) == 0
     grid, vals = read_path_binary(os.path.join(out2, "solution_00000.fbmp"))
     assert np.all(np.isfinite(vals))
+
+
+def test_cli_sample_embedding_failure_exit_3(tmp_path, monkeypatch):
+    monkeypatch.setattr(fbm, "_fgn_circulant_eigs", lambda n, hurst, dt: -np.ones(2 * n))
+    ini = _write_ini(tmp_path, SMALL_INI)
+    out = tmp_path / "samp"
+    assert main(["sample", "--config", ini, "--out", str(out)]) == 3
+    assert not (out / "sample_manifest.json").exists()
 
 
 def test_cli_verify_pass_and_reports(tmp_path):
