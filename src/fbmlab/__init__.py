@@ -42,9 +42,7 @@ from .sde import (
     DriftSpec,
     ScalarDiffusion,
     SolutionPath,
-    StabilityReport,
     TimeDiffusion,
-    coupled_stability,
     drift_coupled_pair,
     gronwall_coupling_bound,
     solve_additive,
@@ -62,7 +60,6 @@ from .transport import (
     wasserstein_empirical,
 )
 from .concentration import (
-    LipschitzFunctional,
     MomentReport,
     TailReport,
     estimate_t1_constant,
@@ -83,10 +80,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BlowUpError", "BoundReport", "ConfigError", "DriftSpec", "ExperimentConfig",
     "FbmPath", "FracOrder", "GeneratorTag", "GridFunction", "HolderNorm",
-    "HurstParam", "LipschitzFunctional", "MomentReport", "PathEnsemble",
-    "PathMetric", "ScalarDiffusion", "SolutionPath", "StabilityReport",
-    "TailReport", "TheoremTag", "TimeDiffusion", "TimeGrid",
-    "TransportConstants", "calibrated_constants", "coupled_stability",
+    "HurstParam", "MomentReport", "PathEnsemble", "PathMetric",
+    "ScalarDiffusion", "SolutionPath", "TailReport", "TheoremTag",
+    "TimeDiffusion", "TimeGrid", "TransportConstants", "calibrated_constants",
     "covariance_rh", "drift_coupled_pair", "estimate_t1_constant",
     "frac_deriv_left", "frac_deriv_right", "gaussian_tail_c_delta",
     "gronwall_coupling_bound", "grr_modulus_holds", "grr_xi", "holder_norm",

@@ -69,40 +69,40 @@ def k_beta_optimal(beta: float) -> float:
 
 
 KAPPA_BETA_RANGE = (0.55, 0.95)
+KAPPA_MARGIN = 1.5   # kappa_hat = margin * empirical sup
+K_MARGIN = 1.25      # K_hat = margin * stability-ratio sup
 
 
-def kappa_analytic(beta_range: tuple[float, float] = KAPPA_BETA_RANGE,
-                   n_grid: int = 400) -> float:
-    """max over the stated beta range of (beta - 1/2) inf_alpha k(alpha, beta).
+def kappa_analytic() -> float:
+    """max over KAPPA_BETA_RANGE (400 grid points) of
+    (beta - 1/2) inf_alpha k(alpha, beta).
 
     The closed-form constant diverges like (beta - 1/2)^{-2} as beta drops
     to 1/2, so no beta-uniform value comes out of this decomposition; the
     frozen constant is valid on the declared range only, which covers every
     configuration the verifiers use.
     """
-    betas = np.linspace(beta_range[0], beta_range[1], n_grid)
+    betas = np.linspace(KAPPA_BETA_RANGE[0], KAPPA_BETA_RANGE[1], 400)
     vals = [(b - 0.5) * k_beta_optimal(b) for b in betas]
     return float(max(vals))
 
 
-def kappa_empirical(n_pairs: int = 1000, seed: int = 0,
-                    beta: float | None = None, T: float = 1.0) -> float:
+def kappa_empirical(n_pairs: int = 1000, seed: int = 0) -> float:
     """Monte Carlo sweep of (beta - 1/2) |int f dg| / (||g|| (...)).
 
     f and g are independent fBm paths (reference H and beta, horizon T = 1),
     the window [a, b] is drawn uniformly over grid-node pairs.  Returns the
-    observed supremum; kappa_hat is this supremum times the safety margin.
+    observed supremum; kappa_hat is this supremum times KAPPA_MARGIN.
     """
     cfg = REFERENCE_CONFIG
-    beta = cfg["beta"] if beta is None else beta
-    reports = esti_int_sweep(TimeGrid(T, cfg["n_steps"]), HurstParam(cfg["H"]),
+    beta = cfg["beta"]
+    reports = esti_int_sweep(TimeGrid(1.0, cfg["n_steps"]), HurstParam(cfg["H"]),
                              beta, n_pairs, seed)
     return max([0.0] + [(beta - 0.5) * r.lhs / r.context["bracket"]
                         for r in reports if r.context["bracket"] > 0])
 
 
-def calibrate_k_hat(n_pairs: int = 1000, seed: int = 0, k_max: int = 4,
-                    margin: float = 1.25) -> dict:
+def calibrate_k_hat(n_pairs: int = 1000, seed: int = 0) -> dict:
     """K_hat from the driver-stability ratio on the reference model.
 
     Independent driver pairs g, g~ feed dx = -x dt + dg on [0, T]; the
@@ -110,38 +110,36 @@ def calibrate_k_hat(n_pairs: int = 1000, seed: int = 0, k_max: int = 4,
 
         ||x - x~||_inf / (||sigma||_beta ||g - g~||_beta T^beta)
 
-    times the safety margin defines K_hat (||sigma||_beta = 1 here).  The
-    moment-based transportation constant over the same solution pairs is
-    recorded as a cross-check of the T1 usage K_hat T^{2H}.
+    times K_MARGIN defines K_hat (||sigma||_beta = 1 here).  The
+    moment-based transportation constant (k <= 4) over the same solution
+    pairs is recorded as a cross-check of the T1 usage K_hat T^{2H}.
     """
     cfg = REFERENCE_CONFIG
     grid = TimeGrid(cfg["T"], cfg["n_steps"])
     g1, g2 = independent_pairs(grid, HurstParam(cfg["H"]), n_pairs, seed)
     ratios, dists = stability_ratios(grid, g1, g2, cfg["beta"], -cfg["L_b"])
     ratio_sup = float(ratios.max())
-    c_hat, errs = estimate_t1_constant(dists, k_max=k_max, with_errors=True)
+    c_hat, errs = estimate_t1_constant(dists, k_max=4, with_errors=True)
     return {
-        "K_hat": float(margin * ratio_sup),
+        "K_hat": float(K_MARGIN * ratio_sup),
         "stability_ratio_sup": ratio_sup,
         "moment_constant": float(c_hat),
         "moment_implied_K": float(c_hat / cfg["T"] ** (2 * cfg["H"])),
         "jackknife_se": errs,
-        "margin": margin,
+        "margin": K_MARGIN,
         "n_pairs": n_pairs,
         "seed": seed,
     }
 
 
-def run_calibration(out_path: str, n_pairs: int = 1000, seed: int = 0,
-                    margin: float = 1.25) -> dict:
+def run_calibration(out_path: str, n_pairs: int = 1000, seed: int = 0) -> dict:
     """Full calibration; writes the frozen JSON and returns its contents."""
     kap_an = kappa_analytic()
     kap_emp = kappa_empirical(n_pairs=n_pairs, seed=seed)
-    kappa_margin = 1.5
-    k_info = calibrate_k_hat(n_pairs=n_pairs, seed=seed, margin=margin)
+    k_info = calibrate_k_hat(n_pairs=n_pairs, seed=seed)
     payload = {
         "K_hat": k_info["K_hat"],
-        "kappa_hat": kappa_margin * kap_emp,
+        "kappa_hat": KAPPA_MARGIN * kap_emp,
         "provenance": {
             "reference_config": REFERENCE_CONFIG,
             "kappa": {
@@ -150,7 +148,7 @@ def run_calibration(out_path: str, n_pairs: int = 1000, seed: int = 0,
                           "margin applied",
                 "empirical_sup": kap_emp,
                 "empirical_n_pairs": n_pairs,
-                "margin": kappa_margin,
+                "margin": KAPPA_MARGIN,
                 "analytic_ceiling": kap_an,
                 "analytic_ceiling_method": "max over beta range of (beta-1/2) "
                                            "inf_alpha k(alpha,beta), closed form",

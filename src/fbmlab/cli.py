@@ -71,6 +71,11 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 def cmd_solve(cfg: ExperimentConfig, out_dir: str) -> int:
+    # solve drives the scalar additive model with circulant fBm only
+    for key, supported in (("components", 1), ("generator", "circulant")):
+        if cfg.get("fbm", key) != supported:
+            raise ConfigError(f"solve supports [fbm] {key} = {supported} only, "
+                              f"got {cfg.get('fbm', key)!r}")
     grid = TimeGrid(cfg.get("grid", "t_max"), cfg.get("grid", "n_steps"))
     hp = HurstParam(cfg.get("fbm", "hurst"))
     seed = cfg.get("experiment", "seed")

@@ -3,9 +3,10 @@
 Everything here compares an empirical quantity carrying a one-sided
 confidence bound against a closed-form bound:
 
-* sub-Gaussian tails of Lipschitz path functionals (small- and large-time
-  regimes), with Clopper-Pearson 99% upper bounds so a failure is
-  statistically meaningful;
+* sub-Gaussian tails of two Lipschitz path functionals (the clipped time
+  average and the sup displacement) in the small- and large-time regimes,
+  against the T1/T2 constants of transport_constant, with Clopper-Pearson
+  99% upper bounds so a failure is statistically meaningful;
 * Fernique-type moment and exponential-moment estimates for the Holder
   seminorm of fBm;
 * the Garsia-Rodemich-Rumsey random Holder constant, whose modulus
@@ -30,39 +31,6 @@ from .fbm import HurstParam, sample_fbm_circulant_batch
 from .grid import TimeGrid, holder_norm, holder_seminorm_ensemble
 from .sde import euler_additive_ensemble
 from .transport import PathEnsemble, PathMetric, transport_constant
-
-
-@dataclass
-class LipschitzFunctional:
-    """A path functional with a declared Lipschitz constant per metric.
-
-    time_average: F(gamma) = (1/T) int V(gamma(t)) dt with ||V||_Lip <= alpha;
-    Lipschitz constant alpha under d_inf and alpha/sqrt(T) under d_2.
-    sup_displacement: F(gamma) = sup_t |gamma(t) - gamma(0)|; 1-Lipschitz
-    under d_inf.
-    """
-
-    variant: str                  # "time_average" | "sup_displacement"
-    v_fn: object | None = None
-    alpha: float = 1.0
-
-    def evaluate(self, paths: np.ndarray, grid: TimeGrid) -> np.ndarray:
-        """Vectorized evaluation on an (n_paths, n_nodes) scalar ensemble."""
-        if self.variant == "time_average":
-            vals = self.v_fn(paths) if self.v_fn is not None else paths
-            return np.trapezoid(vals, dx=grid.dt, axis=1) / grid.t_max
-        if self.variant == "sup_displacement":
-            return np.abs(paths - paths[:, :1]).max(axis=1)
-        raise ValueError(f"unknown functional variant {self.variant}")
-
-    def lip_constant(self, metric: PathMetric, T: float) -> float:
-        if self.variant == "time_average":
-            return self.alpha if metric == PathMetric.d_infinity else self.alpha / np.sqrt(T)
-        if self.variant == "sup_displacement":
-            if metric != PathMetric.d_infinity:
-                raise ValueError("sup_displacement is Lipschitz under d_inf only")
-            return 1.0
-        raise ValueError(self.variant)
 
 
 @dataclass
@@ -129,17 +97,20 @@ class MomentReport:
         }
 
 
+CONFIDENCE = 0.99  # one-sided level of every upper confidence bound here
+
+
 def clopper_pearson_upper(successes: np.ndarray, n: int,
-                          confidence: float = 0.99) -> np.ndarray:
+                          confidence: float = CONFIDENCE) -> np.ndarray:
     """Exact one-sided upper confidence bound for a binomial proportion."""
     k = np.asarray(successes)
     upper = stats.beta.ppf(confidence, k + 1, n - k)
     return np.where(k >= n, 1.0, upper)
 
 
-def mean_upper_confidence(x: np.ndarray, confidence: float = 0.99) -> float:
+def mean_upper_confidence(x: np.ndarray) -> float:
     """Normal-approximation one-sided upper bound for a mean."""
-    z = stats.norm.ppf(confidence)
+    z = stats.norm.ppf(CONFIDENCE)
     return float(x.mean() + z * x.std(ddof=1) / np.sqrt(len(x)))
 
 
@@ -225,9 +196,27 @@ def fernique_exponent_radius(H: float, beta: float, T: float) -> float:
 # Hoeffding-type tail verification
 # ---------------------------------------------------------------------------
 
-def _tail_report(samples: np.ndarray, denom: float, quantiles: np.ndarray,
-                 confidence: float = 0.99, notes: dict | None = None) -> TailReport:
-    """Compare P(F - mean(F) > r) with exp(-r^2 / denom) on a quantile r-grid.
+TAIL_QUANTILES = np.array([0.5, 0.75, 0.9, 0.95, 0.99, 0.995, 0.999])
+
+
+def time_average(paths: np.ndarray, grid: TimeGrid, clip: float) -> np.ndarray:
+    """F(gamma) = (1/T) int V(gamma(t)) dt with V(x) = x clipped to
+    [-clip, clip], per row of an (n_paths, n_nodes) ensemble.
+
+    V is 1-Lipschitz, so F is 1-Lipschitz under d_inf and
+    (1/sqrt(T))-Lipschitz under d_2.
+    """
+    return np.trapezoid(np.clip(paths, -clip, clip), dx=grid.dt, axis=1) / grid.t_max
+
+
+def sup_displacement(paths: np.ndarray) -> np.ndarray:
+    """F(gamma) = sup_t |gamma(t) - gamma(0)| per row; 1-Lipschitz under d_inf."""
+    return np.abs(paths - paths[:, :1]).max(axis=1)
+
+
+def _tail_report(samples: np.ndarray, denom: float, notes: dict) -> TailReport:
+    """Compare P(F - mean(F) > r) with exp(-r^2 / denom) on the
+    TAIL_QUANTILES r-grid.
 
     Centering uses the empirical mean; its one-standard-error uncertainty is
     absorbed by inflating r on the bound side (documented bias control).
@@ -235,103 +224,68 @@ def _tail_report(samples: np.ndarray, denom: float, quantiles: np.ndarray,
     n = len(samples)
     centered = samples - samples.mean()
     se_mean = samples.std(ddof=1) / np.sqrt(n)
-    r_grid = np.quantile(centered, quantiles)
+    r_grid = np.quantile(centered, TAIL_QUANTILES)
     r_grid = np.unique(r_grid[r_grid > 0])
     counts = np.array([(centered > r).sum() for r in r_grid])
     emp = counts / n
-    upper = clopper_pearson_upper(counts, n, confidence)
+    upper = clopper_pearson_upper(counts, n)
     bound = np.exp(-(r_grid + se_mean) ** 2 / denom)
     passed = upper <= bound
     return TailReport(r_grid=r_grid, empirical_tail=emp, upper_confidence=upper,
                       paper_bound=bound, passed=passed, n_samples=n,
-                      notes={"denominator": denom, "se_mean": float(se_mean),
-                             **(notes or {})})
+                      notes={"denominator": denom, "se_mean": float(se_mean), **notes})
 
 
 def verify_hoeffding_small_time(H: float, T: float, n_paths: int,
-                                n_steps: int, seed: int,
-                                K: float | None = None,
-                                alpha: float = 1.0,
-                                quantiles: np.ndarray | None = None,
-                                sigma_beta_norm: float = 1.0,
-                                clip: float = 10.0) -> tuple[TailReport, TailReport]:
+                                n_steps: int, seed: int) -> tuple[TailReport, TailReport]:
     """Small-horizon tails for the drift-free unit-diffusion model.
 
     With b = 0 and sigma = 1 the solution is x + B^H itself; the two
-    functionals are the time average of a clipped-identity V (Lipschitz
-    alpha) and the sup displacement.  Bound denominators are
-    2 C ||F||_Lip^2 with C = K sigma_beta T^{2H} (K the calibrated
-    fixture).  Refuses horizons beyond the small-time validity window.
+    functionals are the time average of x clipped to [-10, 10] and the sup
+    displacement, both 1-Lipschitz under d_inf.  Bound denominators are 2 C
+    with C = K_hat T^{2H}, the T1_additive constant of transport_constant
+    (||sigma||_beta = 1, L_b = 0).  Refuses horizons beyond its validity
+    window T <= stability_horizon(0) = 1.
     """
-    if K is None:
-        from .fixtures import calibrated_constants
-        K = calibrated_constants()["K_hat"]
-    if T > 1.0:
+    tc = transport_constant("T1_additive", H=H, T=T, sigma_beta_norm=1.0, L_b=0.0)
+    if not tc.horizon_ok:
         raise ValueError(f"small-time verifier requires T <= 1, got {T}")
-    if quantiles is None:
-        quantiles = np.array([0.5, 0.75, 0.9, 0.95, 0.99, 0.995, 0.999])
+    C, K = tc.value, tc.detail["K"]
     hp = HurstParam(H)
     grid = TimeGrid(T, n_steps)
     paths = sample_fbm_circulant_batch(grid, hp, n_paths, seed)
-    C = K * sigma_beta_norm * T ** (2 * H)
-
-    f_avg = LipschitzFunctional("time_average",
-                                v_fn=lambda x: np.clip(x, -clip, clip), alpha=alpha)
-    s_avg = f_avg.evaluate(paths, grid)
-    rep_avg = _tail_report(s_avg, 2.0 * C * alpha**2, quantiles,
-                           notes={"functional": "time_average", "C": C, "K": K})
-
-    f_sup = LipschitzFunctional("sup_displacement")
-    s_sup = f_sup.evaluate(paths, grid)
-    rep_sup = _tail_report(s_sup, 2.0 * C, quantiles,
-                           notes={"functional": "sup_displacement", "C": C, "K": K})
+    rep_avg = _tail_report(time_average(paths, grid, clip=10.0), 2.0 * C,
+                           {"functional": "time_average", "C": C, "K": K})
+    rep_sup = _tail_report(sup_displacement(paths), 2.0 * C,
+                           {"functional": "sup_displacement", "C": C, "K": K})
     return rep_avg, rep_sup
 
 
 def verify_hoeffding_large_time(H: float, T: float, n_paths: int,
                                 n_steps: int, seed: int,
-                                B: float = -1.0,
-                                sigma_sup: float = 1.0,
-                                alpha: float = 1.0,
-                                scalar_sigma_bounds: tuple[float, float] | None = None,
-                                quantiles: np.ndarray | None = None,
-                                clip: float = 50.0) -> tuple[TailReport, TailReport]:
+                                B: float = -1.0) -> tuple[TailReport, TailReport]:
     """Large-horizon tails for the dissipative model dX = B X dt + dB^H.
 
-    One time-average functional, two metrics: under d_inf the tail bound is
-    exp(-r^2 |B| / (4 alpha^2 H T^{2H-1} sigma^2)) (for B < 0 the
-    exponential factor of the constant is 1), under d_2 it is
-    exp(-r^2 B^2 T^{2-2H} / (4 alpha^2 H sigma^2 (1 - e^{BT}))).  Passing
-    scalar_sigma_bounds=(sigma1, sigma2) switches to the scalar-equation
-    constants with (1 - e^{BT/sigma1}).  The constants are the T2 entries of
-    transport_constant.  Requires B < 0.
+    One functional, the time average of X clipped to [-50, 50], two
+    metrics: under d_inf the tail bound is exp(-r^2 |B| / (4 H T^{2H-1}))
+    (for B < 0 the exponential factor of the constant is 1), under d_2 it is
+    exp(-r^2 B^2 T^{2-2H} / (4 H (1 - e^{BT}))).  The constants are the
+    T2_additive entries of transport_constant with sigma = 1.  Requires B < 0.
     """
     if B >= 0:
         raise ValueError(f"large-time bounds require B < 0, got B={B}")
-    if quantiles is None:
-        quantiles = np.array([0.5, 0.75, 0.9, 0.95, 0.99, 0.995, 0.999])
     hp = HurstParam(H)
     grid = TimeGrid(T, n_steps)
     drivers = sample_fbm_circulant_batch(grid, hp, n_paths, seed)
     paths = euler_additive_ensemble(0.0, lambda x: B * x, drivers, grid.dt)
-    func = LipschitzFunctional("time_average",
-                               v_fn=lambda x: np.clip(x, -clip, clip), alpha=alpha)
-    samples = func.evaluate(paths, grid)
-    if scalar_sigma_bounds is None:
-        variant, sigmas = "additive", {"sigma_sup": sigma_sup}
-    else:
-        s1, s2 = scalar_sigma_bounds
-        variant, sigmas = "scalar", {"sigma1": s1, "sigma2": s2}
-    c_inf = transport_constant(f"T2_{variant}_dinf", H=H, T=T, B=B, **sigmas).value
-    c_two = transport_constant(f"T2_{variant}_d2", H=H, T=T, B=B, **sigmas).value
-    lip_inf = func.lip_constant(PathMetric.d_infinity, T)
-    lip_two = func.lip_constant(PathMetric.d_two, T)
-    rep_inf = _tail_report(samples, 2.0 * c_inf * lip_inf**2, quantiles,
-                           notes={"functional": "time_average", "metric": "d_infinity",
-                                  "variant": variant, "B": B, "T": T})
-    rep_two = _tail_report(samples, 2.0 * c_two * lip_two**2, quantiles,
-                           notes={"functional": "time_average", "metric": "d_two",
-                                  "variant": variant, "B": B, "T": T})
+    samples = time_average(paths, grid, clip=50.0)
+    c_inf = transport_constant("T2_additive_dinf", H=H, T=T, B=B, sigma_sup=1.0).value
+    c_two = transport_constant("T2_additive_d2", H=H, T=T, B=B, sigma_sup=1.0).value
+    notes = {"functional": "time_average", "variant": "additive", "B": B, "T": T}
+    # denominators 2 c ||F||_Lip^2 with ||F||_Lip = 1 (d_inf), 1/sqrt(T) (d_2)
+    rep_inf = _tail_report(samples, 2.0 * c_inf, {"metric": "d_infinity", **notes})
+    rep_two = _tail_report(samples, 2.0 * c_two * (1.0 / np.sqrt(T)) ** 2,
+                           {"metric": "d_two", **notes})
     return rep_inf, rep_two
 
 
@@ -365,33 +319,30 @@ def fernique_moment_bound(k: int, H: float, beta: float, T: float) -> float:
         * special.factorial(2 * k) / special.factorial(k)
 
 
+FERNIQUE_K = (1, 2, 3)  # moment orders 2k checked against the bound
+
+
 def verify_fernique(H: float, beta: float, T: float, n_samples: int,
-                    n_steps: int = 256, seed: int = 0,
-                    alpha: float | None = None,
-                    k_list: tuple[int, ...] = (1, 2, 3)) -> MomentReport:
+                    n_steps: int = 256, seed: int = 0) -> MomentReport:
     """One-sided check of the Fernique moment and exponential estimates.
 
     Samples the discrete beta-Holder seminorm of scalar fBm paths (a lower
     bound for the continuum seminorm, so the check is a necessary
-    condition).  Premise guards: 1/2 < beta < H and alpha strictly inside
-    the admissible radius.
+    condition).  The exponential moment is taken at half the admissible
+    radius.  Premise guard: 1/2 < beta < H.
     """
     if not 0.5 < beta < H:
         raise ValueError(
             f"Fernique premise violated: need 1/2 < beta < H, got beta={beta}, H={H}"
         )
-    radius = fernique_exponent_radius(H, beta, T)
-    if alpha is None:
-        alpha = 0.5 * radius
-    if alpha >= radius:
-        raise ValueError(f"alpha={alpha} at or beyond the admissible radius {radius}")
+    alpha = 0.5 * fernique_exponent_radius(H, beta, T)
     hp = HurstParam(H)
     grid = TimeGrid(T, n_steps)
     paths = sample_fbm_circulant_batch(grid, hp, n_samples, seed)
     norms = holder_seminorm_ensemble(grid.points, paths, beta)
 
     moments, errs, uppers, bounds = [], [], [], []
-    for k in k_list:
+    for k in FERNIQUE_K:
         x = norms ** (2 * k)
         moments.append(float(x.mean()))
         errs.append(float(x.std(ddof=1) / np.sqrt(n_samples)))
@@ -400,7 +351,7 @@ def verify_fernique(H: float, beta: float, T: float, n_samples: int,
     ex = np.exp(alpha * norms**2)
     exp_bound = (1.0 - 128.0 * alpha * (2 * T) ** (2 * (H - beta))) ** -0.5
     return MomentReport(
-        k_list=list(k_list), empirical_moments=moments, standard_errors=errs,
+        k_list=list(FERNIQUE_K), empirical_moments=moments, standard_errors=errs,
         upper_confidence=uppers, bounds=bounds,
         exp_alpha=float(alpha), exp_empirical=float(ex.mean()),
         exp_upper_confidence=mean_upper_confidence(ex), exp_bound=float(exp_bound),
@@ -466,8 +417,8 @@ def phi_derivative_sign(x: float, c_delta: float) -> float:
     return float(-ln_val + 2.0 * x * (special.digamma(x + 1) - special.digamma(2 * x + 1)))
 
 
-def phi_argmax(c_delta: float, x_max: float = 64.0, tol: float = 1e-12) -> float:
-    """argmax of Phi on [1, x_max].
+def phi_argmax(c_delta: float) -> float:
+    """argmax of Phi on [1, 64].
 
     A sign sweep of h on a log grid detects the monotone-decreasing case
     (h < 0 everywhere), in which the maximum sits exactly at 1; otherwise a
@@ -475,14 +426,14 @@ def phi_argmax(c_delta: float, x_max: float = 64.0, tol: float = 1e-12) -> float
     """
     if c_delta < 1.0:
         raise ValueError(f"requires C(delta) >= 1, got {c_delta}")
+    x_max, tol = 64.0, 1e-12
     xs = np.geomspace(1.0, x_max, 200)
     hs = np.array([phi_derivative_sign(x, c_delta) for x in xs])
     if np.all(hs <= 0.0):
         return 1.0
     # interior maximum: golden-section on -Phi
-    lo, hi = 1.0, x_max
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = 1.0, x_max
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     while abs(b - a) > tol:

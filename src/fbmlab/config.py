@@ -62,7 +62,9 @@ _SCHEMA = {
 }
 
 _GENERATORS = ("cholesky", "circulant", "transfer")
-_MODELS = ("additive", "scalar")
+# no command simulates the scalar model; the [sde] model key stays because
+# it enters config_hash
+_MODELS = ("additive",)
 
 
 @dataclass

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .fbm import HurstParam, kernel_kh_fast
+from .fbm import HurstParam, kernel_kh_fast, transfer_kernel_matrix
+from .fixtures import calibrated_constants
 from .grid import GridFunction, TimeGrid, holder_norm
 
 
@@ -184,30 +185,16 @@ def young_integral_rs(f: GridFunction, g: GridFunction, a: float, b: float) -> f
 
 
 def young_integral_frac(f: GridFunction, g: GridFunction,
-                        alpha: FracOrder | None, a: float, b: float,
-                        holder_check: tuple[float, float] | None = None) -> float:
+                        alpha: FracOrder, a: float, b: float) -> float:
     """Young integral through fractional derivatives.
 
     int_a^b f dg = f(a) (g(b) - g(a))
                    - int_a^b D^alpha_{a+}(f - f(a))(t) D^{1-alpha}_{b-} g_{b-}(t) dt
 
     Centering by f(a) keeps the left-derivative integrand bounded at t = a.
-    If holder_check = (beta_f, beta_g) is given, the empirical grid Holder
-    exponent condition beta_f > alpha, beta_g > 1 - alpha is verified and a
-    warning attached on violation (non-fatal).
     """
-    if alpha is None:
-        alpha = default_frac_order(0.75)
     if f.grid.n_steps != g.grid.n_steps or f.grid.t_max != g.grid.t_max:
         raise ValueError("f and g must share one grid")
-    if holder_check is not None:
-        beta_f, beta_g = holder_check
-        if beta_f <= alpha.alpha or beta_g <= 1 - alpha.alpha:
-            import warnings
-            warnings.warn(
-                f"Holder precondition violated: beta_f={beta_f}, "
-                f"beta_g={beta_g}, alpha={alpha.alpha}", RuntimeWarning,
-            )
     ia, ib = _window(f, a, b)
     h = f.grid.dt
     fv = f.values[ia:ib + 1]
@@ -221,22 +208,19 @@ def young_integral_frac(f: GridFunction, g: GridFunction,
 
 
 def lemma_esti_int_check(f: GridFunction, g: GridFunction, beta: float,
-                         a: float, b: float,
-                         kappa_hat: float | None = None) -> BoundReport:
+                         a: float, b: float) -> BoundReport:
     """Check |int_a^b f dg| against the Holder-norm bracket bound.
 
     rhs = (kappa_hat / (beta - 1/2)) * ||g||_{0,T,beta}
           * [ ||f||_{a,b,inf} (b-a)^beta + ||f||_{a,b,beta} (b-a)^{2 beta} ].
 
-    kappa_hat is a calibrated constant (the analytic constant is not numeric
-    here); the report carries ratio = lhs / bracket, and the bracket in its
-    context, so it can be re-estimated.
+    kappa_hat is the calibrated fixture (the analytic constant is not
+    numeric here); the report carries ratio = lhs / bracket, and the bracket
+    in its context, so it can be re-estimated.
     """
     if not 0.5 < beta < 1.0:
         raise ValueError(f"need 1/2 < beta < 1, got {beta}")
-    if kappa_hat is None:
-        from .fixtures import calibrated_constants
-        kappa_hat = calibrated_constants()["kappa_hat"]
+    kappa_hat = calibrated_constants()["kappa_hat"]
     lhs = abs(young_integral_rs(f, g, a, b))
     g_norm = holder_norm(g.grid, g.values, beta).seminorm_beta
     fn = holder_norm(f.grid, f.values, beta, window=(a, b))
@@ -309,7 +293,6 @@ def operator_kh(rho: GridFunction, h: HurstParam,
     passed in to amortize it across many rho.  The output is Holder-H with
     seminorm bounded by a constant times ||rho||_{L2}.
     """
-    from .fbm import transfer_kernel_matrix
     grid = rho.grid
     if kernel is None:
         kernel = transfer_kernel_matrix(grid, h)

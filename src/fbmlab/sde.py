@@ -10,21 +10,21 @@ goes through the Lamperti change of variables F(y) = int_0^y dz / sigma(z),
 which turns the equation into one with unit diffusion; the two routes
 cross-validate each other.
 
-The module also hosts the driver-stability experiment (two solutions driven
-by different rough paths) and the drift-coupled pair used to probe the
-Girsanov-type coupling bound.
+The module also hosts the driver-stability horizon, the drift-coupled pair
+used to probe the Girsanov-type coupling bound and its Gronwall bound.  The
+driver-stability ratio itself is `verifiers.stability_ratios`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy import integrate, optimize
 
 from .fbm import FbmPath, HurstParam, sample_fbm_circulant, transfer_kernel_matrix
-from .grid import GridFunction, TimeGrid, holder_norm
+from .grid import GridFunction, TimeGrid
 from .fractional import operator_kh
 
 
@@ -32,9 +32,8 @@ from .fractional import operator_kh
 class DriftSpec:
     """Drift field with caller-declared regularity constants.
 
-    The constants enter bound computations as declarations; spot_check
-    verifies them empirically on random samples and reports violations
-    without failing (the theory treats them as given).
+    The constants enter bound computations as declarations (the theory
+    treats them as given).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -45,24 +44,6 @@ class DriftSpec:
 
     def __call__(self, x):
         return self.fn(x)
-
-    def spot_check(self, rng: np.random.Generator, n_pairs: int = 1000,
-                   scale: float = 2.0) -> dict:
-        """Empirically probe the declared constants on random point pairs."""
-        d = self.dimension
-        x = rng.normal(scale=scale, size=(n_pairs, d))
-        y = rng.normal(scale=scale, size=(n_pairs, d))
-        bx = np.array([np.atleast_1d(self.fn(xi)) for xi in x])
-        by = np.array([np.atleast_1d(self.fn(yi)) for yi in y])
-        gap = np.linalg.norm(x - y, axis=1)
-        lip = np.linalg.norm(bx - by, axis=1) / np.maximum(gap, 1e-12)
-        report = {"lipschitz_emp": float(lip.max()),
-                  "lipschitz_ok": bool(lip.max() <= self.lipschitz * (1 + 1e-9))}
-        if self.one_sided is not None:
-            one = np.sum((x - y) * (bx - by), axis=1) / np.maximum(gap**2, 1e-12)
-            report["one_sided_emp"] = float(one.max())
-            report["one_sided_ok"] = bool(one.max() <= self.one_sided + 1e-9)
-        return report
 
 
 @dataclass
@@ -77,12 +58,6 @@ class TimeDiffusion:
         if out.shape != (d, m):
             out = np.broadcast_to(out, (d, m))
         return out
-
-    def holder_norm_on(self, grid: TimeGrid, d: int, m: int, beta: float) -> float:
-        """||sigma||_beta = sup + beta-seminorm over the grid (Frobenius)."""
-        mats = np.array([self.matrix(t, d, m).ravel() for t in grid.points])
-        hn = holder_norm(grid, mats, beta)
-        return hn.total
 
 
 @dataclass
@@ -105,16 +80,6 @@ class ScalarDiffusion:
     def __call__(self, x):
         return self.fn(x)
 
-    def spot_check(self, rng: np.random.Generator, n_points: int = 1000,
-                   scale: float = 3.0) -> dict:
-        x = rng.normal(scale=scale, size=n_points)
-        vals = np.array([self.fn(v) for v in x])
-        return {
-            "bounds_ok": bool(np.all((vals >= self.sigma1 - 1e-12)
-                                     & (vals <= self.sigma2 + 1e-12))),
-            "min": float(vals.min()), "max": float(vals.max()),
-        }
-
 
 @dataclass(frozen=True)
 class SolutionPath:
@@ -132,30 +97,13 @@ class SolutionPath:
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
 
 
-@dataclass
-class StabilityReport:
-    """Driver-perturbation experiment output.
-
-    ratio = ||x - x~||_inf / (||sigma||_beta ||g - g~||_beta T^beta); the
-    small-horizon validity flag delta_ok records T <= stability_horizon(L_b).
-    """
-
-    sup_dist: float
-    driver_gap: float
-    sigma_norm: float
-    horizon: float
-    beta: float
-    ratio: float
-    delta_ok: bool
-
-
 class BlowUpError(RuntimeError):
     def __init__(self, step: int):
         super().__init__(f"non-finite state at Euler step {step}")
         self.step = step
 
 
-def _driver_array(driver, m: int | None = None) -> tuple[TimeGrid, np.ndarray]:
+def _driver_array(driver) -> tuple[TimeGrid, np.ndarray]:
     if isinstance(driver, FbmPath):
         return driver.grid, driver.values
     if isinstance(driver, GridFunction):
@@ -326,33 +274,13 @@ def lamperti_drift_lipschitz_bound(drift: DriftSpec, sigma_x: ScalarDiffusion) -
 
 
 # ---------------------------------------------------------------------------
-# Stability and coupling experiments
+# Stability horizon and coupling experiments
 # ---------------------------------------------------------------------------
 
 def stability_horizon(L_b: float) -> float:
     """Delta = min(1, 1/(2 L_b)) (1 for L_b = 0): the driver-stability
     estimate for a drift of Lipschitz constant L_b holds for T <= Delta."""
     return min(1.0, 1.0 / (2 * L_b)) if L_b > 0 else 1.0
-
-
-def coupled_stability(x0, drift: DriftSpec, sigma_t: TimeDiffusion,
-                      g, g_tilde, beta: float, T: float | None = None) -> StabilityReport:
-    """Solve with two drivers and report the normalized sup distance."""
-    grid, gv = _driver_array(g)
-    _, gtv = _driver_array(g_tilde)
-    if T is None:
-        T = grid.t_max
-    x = solve_additive(x0, drift, sigma_t, (grid, gv))
-    xt = solve_additive(x0, drift, sigma_t, (grid, gtv))
-    sup_dist = float(np.linalg.norm(x.values - xt.values, axis=1).max())
-    gap = holder_norm(grid, gv - gtv, beta).seminorm_beta
-    d, m = x.values.shape[1], gv.shape[1]
-    sig_norm = sigma_t.holder_norm_on(grid, d, m, beta)
-    denom = sig_norm * gap * T**beta
-    ratio = sup_dist / denom if denom > 0 else 0.0
-    return StabilityReport(sup_dist=sup_dist, driver_gap=gap, sigma_norm=sig_norm,
-                           horizon=T, beta=beta, ratio=ratio,
-                           delta_ok=bool(T <= stability_horizon(drift.lipschitz)))
 
 
 def drift_coupled_pair(x0, drift: DriftSpec, sigma_t: TimeDiffusion,

@@ -17,6 +17,7 @@ from enum import Enum
 import numpy as np
 from scipy import optimize
 
+from .fixtures import calibrated_constants
 from .grid import TimeGrid
 from .sde import stability_horizon
 
@@ -253,7 +254,6 @@ def transport_constant(tag: TheoremTag | str, *, H: float, T: float,
     detail: dict = {"H": H, "T": T}
     if tag in (TheoremTag.T1_additive, TheoremTag.T1_scalar):
         if K is None:
-            from .fixtures import calibrated_constants
             K = calibrated_constants()["K_hat"]
             detail["K_source"] = "calibrated fixture K_hat (not analytic ground truth)"
         detail["K"] = K

@@ -5,7 +5,6 @@ import pytest
 from scipy.special import digamma, factorial
 
 from fbmlab.concentration import (
-    LipschitzFunctional,
     clopper_pearson_upper,
     estimate_t1_constant,
     fernique_exponent_radius,
@@ -92,16 +91,6 @@ def test_pair_distances_requires_equal_sizes():
         pair_distances(mu, nu, PathMetric.d_infinity)
 
 
-def test_lipschitz_functional_constants():
-    f = LipschitzFunctional("time_average", alpha=2.0)
-    assert f.lip_constant(PathMetric.d_infinity, 4.0) == 2.0
-    assert f.lip_constant(PathMetric.d_two, 4.0) == 1.0
-    s = LipschitzFunctional("sup_displacement")
-    assert s.lip_constant(PathMetric.d_infinity, 4.0) == 1.0
-    with pytest.raises(ValueError):
-        s.lip_constant(PathMetric.d_two, 4.0)
-
-
 def test_fernique_bound_value_at_reference():
     # k = 1 at (H, beta, T) = (0.75, 0.6, 0.5): 32 * 1^{0.3} * 2 = 64
     assert fernique_moment_bound(1, 0.75, 0.6, 0.5) == pytest.approx(64.0)
@@ -112,14 +101,12 @@ def test_fernique_premise_guards():
         verify_fernique(0.6, 0.75, 1.0, 100)  # beta > H
     with pytest.raises(ValueError):
         verify_fernique(0.75, 0.4, 1.0, 100)  # beta <= 1/2
-    radius = fernique_exponent_radius(0.75, 0.6, 1.0)
-    with pytest.raises(ValueError):
-        verify_fernique(0.75, 0.6, 1.0, 100, alpha=radius)  # at the radius
 
 
 def test_fernique_small_run_passes():
     rep = verify_fernique(0.75, 0.6, 0.5, n_samples=2000, n_steps=128, seed=5)
     assert rep.all_passed
+    assert rep.exp_alpha == 0.5 * fernique_exponent_radius(0.75, 0.6, 0.5)
     assert rep.exp_bound == pytest.approx(
         (1.0 - 128.0 * rep.exp_alpha) ** -0.5)  # (2T)^{2(H-beta)} = 1 here
 
@@ -172,8 +159,11 @@ def test_digamma_identity():
 
 
 def test_hoeffding_small_time_guards():
-    with pytest.raises(ValueError):
-        verify_hoeffding_small_time(H=0.75, T=2.0, n_paths=10, n_steps=8, seed=0)
+    # the window is T <= stability_horizon(0) = 1, boundary included
+    verify_hoeffding_small_time(H=0.75, T=1.0, n_paths=10, n_steps=8, seed=0)
+    for T in (1.0 + 1e-9, 2.0):
+        with pytest.raises(ValueError):
+            verify_hoeffding_small_time(H=0.75, T=T, n_paths=10, n_steps=8, seed=0)
 
 
 def test_hoeffding_large_time_guards():
@@ -182,21 +172,14 @@ def test_hoeffding_large_time_guards():
                                     seed=0, B=0.5)
 
 
-@pytest.mark.parametrize("H,T,B,sigmas", [(0.75, 2.0, -1.0, None),
-                                            (0.6, 4.0, -0.3, None),
-                                            (0.9, 1.0, -2.0, (0.8, 1.3))])
-def test_hoeffding_large_time_denominators_closed_form(H, T, B, sigmas):
+@pytest.mark.parametrize("H,T,B", [(0.75, 2.0, -1.0), (0.6, 4.0, -0.3)],
+                         ids=["0.75-2.0--1.0-None", "0.6-4.0--0.3-None"])
+def test_hoeffding_large_time_denominators_closed_form(H, T, B):
     # the T2 constants in closed form, written out apart from transport_constant
-    if sigmas is None:
-        c_inf = (2.0 / abs(B)) * H * T ** (2 * H - 1) * 1.0**2
-        c_two = (2.0 / B**2) * H * T ** (2 * H - 1) * 1.0**2 * (1.0 - np.exp(B * T))
-    else:
-        s1, s2 = sigmas
-        c_inf = (2.0 * s1 * s2**2 / abs(B)) * H * T ** (2 * H - 1)
-        c_two = (2.0 * s1**2 * s2**2 / B**2) * H * T ** (2 * H - 1) \
-            * (1.0 - np.exp(B * T / s1))
+    c_inf = (2.0 / abs(B)) * H * T ** (2 * H - 1) * 1.0**2
+    c_two = (2.0 / B**2) * H * T ** (2 * H - 1) * 1.0**2 * (1.0 - np.exp(B * T))
     rep_inf, rep_two = verify_hoeffding_large_time(
-        H=H, T=T, n_paths=50, n_steps=8, seed=3, B=B, scalar_sigma_bounds=sigmas)
+        H=H, T=T, n_paths=50, n_steps=8, seed=3, B=B)
     assert rep_inf.notes["denominator"] == 2.0 * c_inf * 1.0**2
     assert rep_two.notes["denominator"] == 2.0 * c_two * (1.0 / np.sqrt(T))**2
 

@@ -121,6 +121,8 @@ def test_config_domain_validation(tmp_path):
         load_config(_write_ini(tmp_path, "[fbm]\ngenerator = wavelet\n"))
     with pytest.raises(ConfigError):
         load_config(_write_ini(tmp_path, "[verify]\nverifiers = nonsense\n"))
+    with pytest.raises(ConfigError):
+        load_config(_write_ini(tmp_path, "[sde]\nmodel = scalar\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +163,16 @@ def test_cli_sample_and_solve(tmp_path):
     assert main(["solve", "--config", ini, "--out", out2]) == 0
     grid, vals = read_path_binary(os.path.join(out2, "solution_00000.fbmp"))
     assert np.all(np.isfinite(vals))
+
+
+@pytest.mark.parametrize("key,value", [("components", "2"), ("generator", "cholesky")])
+def test_cli_solve_rejects_unsupported_drivers(tmp_path, key, value):
+    # sample honours the key; solve draws scalar circulant drivers only
+    ini = _write_ini(tmp_path, SMALL_INI.replace("[fbm]\n", f"[fbm]\n{key} = {value}\n"))
+    assert main(["sample", "--config", ini, "--out", str(tmp_path / "samp")]) == 0
+    out = tmp_path / "solv"
+    assert main(["solve", "--config", ini, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_cli_sample_embedding_failure_exit_3(tmp_path, monkeypatch):

@@ -10,7 +10,6 @@ from fbmlab.sde import (
     DriftSpec,
     ScalarDiffusion,
     TimeDiffusion,
-    coupled_stability,
     drift_coupled_pair,
     euler_additive_ensemble,
     gronwall_coupling_bound,
@@ -123,21 +122,6 @@ def test_lamperti_drift_lipschitz_bound_positive():
     bound = lamperti_drift_lipschitz_bound(bounded, SIGMA_X)
     expect = 1.3 / 1.0**2 * (1.0 * 1.3 + 0.6 * 1.0)
     assert bound == pytest.approx(expect)
-
-
-def test_coupled_stability_report():
-    grid = TimeGrid(0.5, 256)
-    g1 = sample_fbm_circulant(grid, H75, 1, seed=61)
-    g2 = sample_fbm_circulant(grid, H75, 1, seed=62)
-    rep = coupled_stability(0.0, DRIFT_OU, SIGMA_ID, g1, g2, beta=0.6)
-    assert rep.delta_ok  # T = 0.5 = Delta for L_b = 1
-    assert rep.sup_dist > 0
-    assert rep.ratio > 0
-    longer = TimeGrid(2.0, 256)
-    g3 = sample_fbm_circulant(longer, H75, 1, seed=61)
-    g4 = sample_fbm_circulant(longer, H75, 1, seed=62)
-    rep2 = coupled_stability(0.0, DRIFT_OU, SIGMA_ID, g3, g4, beta=0.6)
-    assert not rep2.delta_ok
 
 
 def test_drift_coupled_pair_under_gronwall_bound():

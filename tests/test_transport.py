@@ -140,6 +140,11 @@ def test_transport_constant_t2_scalar_dinf_dissipative():
                             B=-0.5, sigma1=1.0, sigma2=1.3)
     expect = 2.0 * 1.0 * 1.3**2 / 0.5 * 0.75 * 2.0**0.5
     assert tc.value == pytest.approx(expect)
+    # d_2: 2 s1^2 s2^2 / B^2 * H T^{2H-1} * (1 - e^{BT/s1})
+    tc = transport_constant("T2_scalar_d2", H=0.9, T=1.0,
+                            B=-2.0, sigma1=0.8, sigma2=1.3)
+    expect = 2.0 * 0.8**2 * 1.3**2 / 4.0 * 0.9 * 1.0**0.8 * (1.0 - np.exp(-2.0 / 0.8))
+    assert tc.value == pytest.approx(expect)
 
 
 def test_transport_constant_requires_parameters():

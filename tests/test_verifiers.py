@@ -8,13 +8,7 @@ from fbmlab.config import VERIFIER_NAMES, load_config
 from fbmlab.fbm import HurstParam
 from fbmlab.fixtures import calibrated_constants
 from fbmlab.grid import TimeGrid, holder_norm
-from fbmlab.sde import (
-    DriftSpec,
-    TimeDiffusion,
-    coupled_stability,
-    euler_additive_ensemble,
-    stability_horizon,
-)
+from fbmlab.sde import euler_additive_ensemble, stability_horizon
 from fbmlab.transport import transport_constant
 from fbmlab.verifiers import VERIFIERS, independent_pairs, stability_ratios
 
@@ -48,16 +42,9 @@ def test_stability_horizon_boundary_is_one_comparison(tmp_path):
     # drift b(x) = -2x: L_b = 2, Delta = 1/4
     delta = stability_horizon(2.0)
     assert delta == 0.25 and stability_horizon(0.0) == 1.0 and stability_horizon(0.1) == 1.0
-    drift = DriftSpec(fn=lambda x: -2.0 * x, dimension=1, lipschitz=2.0)
-    sigma = TimeDiffusion(fn=lambda t: np.ones((1, 1)), holder_beta=0.6)
     for T, inside in ((delta, True), (delta * (1 + 1e-9), False)):
         assert transport_constant("T1_additive", H=0.75, T=T, K=1.0,
                                   sigma_beta_norm=1.0, L_b=2.0).horizon_ok is inside
-        grid = TimeGrid(T, 16)
-        g1, g2 = independent_pairs(grid, HurstParam(0.75), 1, 3)
-        rep = coupled_stability(0.0, drift, sigma, (grid, g1[0][:, None]),
-                                (grid, g2[0][:, None]), beta=0.6)
-        assert rep.delta_ok is inside
         ini = tmp_path / "c.ini"
         ini.write_text(f"[grid]\nt_max = {T!r}\nn_steps = 16\n[sde]\ndrift_b = -2\n"
                        "[verify]\nn_paths = 8\n")
