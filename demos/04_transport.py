@@ -27,8 +27,8 @@ drv1 = sample_fbm_circulant_batch(grid, h, 256, seed=1)
 drv2 = sample_fbm_circulant_batch(grid, h, 256, seed=2)
 x1 = euler_additive_ensemble(0.0, lambda x: -x, drv1, grid.dt)
 x2 = euler_additive_ensemble(0.0, lambda x: -x, drv2, grid.dt)
-mu = PathEnsemble(grid, x1, seeds=(1,))
-nu = PathEnsemble(grid, x2, seeds=(2,))
+mu = PathEnsemble(grid, x1)
+nu = PathEnsemble(grid, x2)
 for metric in PathMetric:
     w2 = wasserstein_empirical(mu, nu, 2, metric)
     print(f"  {metric.value:12s} W2 = {w2:.4f} (same-law bias, shrinks with n)")

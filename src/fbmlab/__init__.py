@@ -2,9 +2,9 @@
 Young pathwise SDEs, path-space optimal transport and concentration checks.
 
 Layout:
-    grid           time grids, sampled functions, discrete Holder norms
+    grid           time grids, cell averages, sampled functions, Holder norms
     fbm            exact fBm samplers (Cholesky, circulant, Volterra transfer)
-    fractional     fractional derivatives, Young integrals, K_H operators
+    fractional     RL derivatives, Young integrals, the K_H operators K and K*
     sde            pathwise Euler solvers, Lamperti transform, coupling bounds
     transport      path metrics, empirical Wasserstein, transportation constants
     concentration  Monte Carlo tail/moment verifiers with confidence bounds
@@ -29,10 +29,8 @@ from .fractional import (
     BoundReport,
     FracOrder,
     frac_deriv_left,
-    frac_deriv_right,
     lemma_esti_int_check,
     operator_kh,
-    operator_kh_star,
     scalar_product_h,
     young_integral_frac,
     young_integral_rs,
@@ -84,10 +82,10 @@ __all__ = [
     "ScalarDiffusion", "SolutionPath", "TailReport", "TheoremTag",
     "TimeDiffusion", "TimeGrid", "TransportConstants", "calibrated_constants",
     "covariance_rh", "drift_coupled_pair", "estimate_t1_constant",
-    "frac_deriv_left", "frac_deriv_right", "gaussian_tail_c_delta",
+    "frac_deriv_left", "gaussian_tail_c_delta",
     "gronwall_coupling_bound", "grr_modulus_holds", "grr_xi", "holder_norm",
     "holder_seminorm", "kernel_kh", "kernel_kh_partial",
-    "lemma_esti_int_check", "load_config", "operator_kh", "operator_kh_star",
+    "lemma_esti_int_check", "load_config", "operator_kh",
     "path_distance", "phi_argmax", "phi_link", "relative_entropy_discrete",
     "sample_fbm_cholesky", "sample_fbm_circulant", "sample_fbm_transfer",
     "scalar_product_h", "solve_additive", "solve_scalar",

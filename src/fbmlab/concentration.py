@@ -30,7 +30,7 @@ from scipy import special, stats
 from .fbm import HurstParam, sample_fbm_circulant_batch
 from .grid import TimeGrid, holder_norm, holder_seminorm_ensemble
 from .sde import euler_additive_ensemble
-from .transport import PathEnsemble, PathMetric, transport_constant
+from .transport import PathEnsemble, PathMetric, metric_from_norms, transport_constant
 
 
 @dataclass
@@ -100,11 +100,10 @@ class MomentReport:
 CONFIDENCE = 0.99  # one-sided level of every upper confidence bound here
 
 
-def clopper_pearson_upper(successes: np.ndarray, n: int,
-                          confidence: float = CONFIDENCE) -> np.ndarray:
+def clopper_pearson_upper(successes: np.ndarray, n: int) -> np.ndarray:
     """Exact one-sided upper confidence bound for a binomial proportion."""
     k = np.asarray(successes)
-    upper = stats.beta.ppf(confidence, k + 1, n - k)
+    upper = stats.beta.ppf(CONFIDENCE, k + 1, n - k)
     return np.where(k >= n, 1.0, upper)
 
 
@@ -125,11 +124,8 @@ def pair_distances(mu: PathEnsemble, nu: PathEnsemble, metric: PathMetric) -> np
     """d(xi_i, xi'_i) for matched independent pairs (diagonal coupling)."""
     if mu.n != nu.n:
         raise ValueError("pair ensembles must have equal size")
-    a, b = mu.paths, nu.paths
-    dist = np.linalg.norm(a - b, axis=2)
-    if metric == PathMetric.d_infinity:
-        return dist.max(axis=1)
-    return np.sqrt(np.trapezoid(dist**2, dx=mu.grid.dt, axis=1))
+    return metric_from_norms(np.linalg.norm(mu.paths - nu.paths, axis=2),
+                             mu.grid.dt, metric)
 
 
 def estimate_t1_constant(distances: np.ndarray, k_max: int = 4,

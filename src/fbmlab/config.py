@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 
@@ -97,7 +98,23 @@ class ExperimentConfig:
 
     @property
     def horizon_list(self) -> list[float]:
-        return [float(v) for v in self.get("verify", "horizons").split(",") if v.strip()]
+        return self._positive_list("horizons")
+
+    @property
+    def c_delta_list(self) -> list[float]:
+        return self._positive_list("c_delta_values")
+
+    def _positive_list(self, key: str) -> list[float]:
+        """[verify] key as a non-empty list of positive finite numbers."""
+        raw = self.get("verify", key)
+        try:
+            values = [float(v) for v in raw.split(",") if v.strip()]
+        except ValueError:
+            values = []
+        if not values or not all(0.0 < v < math.inf for v in values):
+            raise ConfigError(f"[verify] {key} = {raw!r}: expected a non-empty "
+                              "list of positive finite numbers")
+        return values
 
 
 def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig:
@@ -158,4 +175,5 @@ def _validate(cfg: ExperimentConfig) -> None:
     beta = cfg.get("verify", "beta")
     if not 0.0 < beta < 1.0:
         raise ConfigError(f"[verify] beta must be in (0, 1), got {beta}")
-    cfg.verifier_list  # validates names
+    # parsing validates the verifier names and the number lists
+    cfg.verifier_list, cfg.horizon_list, cfg.c_delta_list

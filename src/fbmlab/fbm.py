@@ -12,7 +12,10 @@ grid:
 
 The module also evaluates the Volterra kernel K(t,s) and its t-derivative,
 both as careful single-point quadratures and as fast vectorized closed forms
-through the Gauss hypergeometric function.
+through the Gauss hypergeometric function.  `transfer_from_wiener_increments`
+is the one place the discretized kernel is applied to increments: the
+transfer sampler, `fractional.operator_kh` and `sde.drift_coupled_pair`
+all go through it.
 """
 
 from __future__ import annotations
@@ -52,13 +55,11 @@ class GeneratorTag(str, Enum):
 
 @dataclass(frozen=True)
 class FbmPath:
-    """Sampled m-component fBm trajectory with generation provenance."""
+    """Sampled m-component fBm trajectory and the generator that drew it."""
 
     grid: TimeGrid
     values: np.ndarray  # (n_steps + 1, m)
-    hurst: HurstParam
     generator_tag: GeneratorTag
-    seed: int
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -69,10 +70,6 @@ class FbmPath:
         if np.any(vals[0] != 0.0):
             raise ValueError("fBm paths must start at 0")
         object.__setattr__(self, "values", vals)
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[1]
 
 
 def component_rng(seed: int, path_index: int, component: int) -> np.random.Generator:
@@ -164,19 +161,18 @@ def kernel_kh_fast(t, s, h: HurstParam):
     return out if out.ndim else float(out)
 
 
-def kernel_kh_partial(u: float, s: float, h: HurstParam,
-                      min_gap: float = 1e-12):
+def kernel_kh_partial(u: float, s: float, h: HurstParam):
     """dK/du (u, s) = c_H (u/s)^{H-1/2} (u-s)^{H-3/2}, for 0 < s < u.
 
-    Diverges like (u-s)^{H-3/2} as u approaches s; gaps below min_gap are
+    Diverges like (u-s)^{H-3/2} as u approaches s; gaps below 1e-12 are
     refused rather than returning astronomically large values.
     """
     u = np.asarray(u, dtype=float)
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0) or np.any(u - s <= 0):
         raise ValueError("kernel_kh_partial requires 0 < s < u")
-    if np.any(u - s < min_gap):
-        raise ValueError(f"u - s below the documented floor {min_gap}")
+    if np.any(u - s < 1e-12):
+        raise ValueError("u - s below the documented floor 1e-12")
     hv = h.h
     out = kernel_normalization(h) * (u / s) ** (hv - 0.5) * (u - s) ** (hv - 1.5)
     return out if out.ndim else float(out)
@@ -242,7 +238,7 @@ def sample_fbm_cholesky(grid: TimeGrid, h: HurstParam, m: int, seed: int,
             f"(O(n^3) factorization); got {grid.n_steps}"
         )
     chol = cholesky_factor(grid, h)
-    return _assemble_from_factor(chol, grid, h, m, seed, path_index)
+    return _assemble_from_factor(chol, grid, m, seed, path_index)
 
 
 def cholesky_factor(grid: TimeGrid, h: HurstParam) -> np.ndarray:
@@ -256,22 +252,20 @@ def cholesky_factor(grid: TimeGrid, h: HurstParam) -> np.ndarray:
         ) from exc
 
 
-def _assemble_from_factor(chol, grid, h, m, seed, path_index) -> FbmPath:
+def _assemble_from_factor(chol, grid, m, seed, path_index) -> FbmPath:
     n = grid.n_steps
     vals = np.zeros((n + 1, m))
     for j in range(m):
         z = component_rng(seed, path_index, j).standard_normal(n)
         vals[1:, j] = chol @ z
-    return FbmPath(grid=grid, values=vals, hurst=h,
-                   generator_tag=GeneratorTag.cholesky, seed=seed)
+    return FbmPath(grid=grid, values=vals, generator_tag=GeneratorTag.cholesky)
 
 
 def sample_fbm_circulant(grid: TimeGrid, h: HurstParam, m: int, seed: int,
                          path_index: int = 0) -> FbmPath:
     """fBm by circulant embedding of the stationary increments (fGn)."""
     rows = _circulant_rows(grid, h, seed, [(path_index, j) for j in range(m)])
-    return FbmPath(grid=grid, values=rows.T.copy(), hurst=h,
-                   generator_tag=GeneratorTag.circulant, seed=seed)
+    return FbmPath(grid=grid, values=rows.T.copy(), generator_tag=GeneratorTag.circulant)
 
 
 def sample_fbm_circulant_batch(grid: TimeGrid, h: HurstParam, n_paths: int,
@@ -303,8 +297,7 @@ def transfer_kernel_matrix(grid: TimeGrid, h: HurstParam) -> np.ndarray:
 
 
 def sample_fbm_transfer(grid: TimeGrid, h: HurstParam, m: int, seed: int,
-                        path_index: int = 0,
-                        kernel: np.ndarray | None = None) -> tuple[FbmPath, np.ndarray]:
+                        path_index: int = 0) -> tuple[FbmPath, np.ndarray]:
     """fBm via B_t ~= sum_k K(t, mid_k) dW_k; also returns the Wiener path.
 
     The returned Wiener array has the same (n_steps + 1, m) layout and shares
@@ -314,23 +307,18 @@ def sample_fbm_transfer(grid: TimeGrid, h: HurstParam, m: int, seed: int,
     T is within ~5% of T^{2H} at 256 steps.
     """
     n = grid.n_steps
-    if kernel is None:
-        kernel = transfer_kernel_matrix(grid, h)
-    sqdt = np.sqrt(grid.dt)
+    dw = np.column_stack([component_rng(seed, path_index, j).standard_normal(n)
+                          for j in range(m)]) * np.sqrt(grid.dt)
     wiener = np.zeros((n + 1, m))
-    vals = np.zeros((n + 1, m))
-    for j in range(m):
-        dw = component_rng(seed, path_index, j).standard_normal(n) * sqdt
-        wiener[1:, j] = np.cumsum(dw)
-        vals[1:, j] = kernel @ dw
-    path = FbmPath(grid=grid, values=vals, hurst=h,
-                   generator_tag=GeneratorTag.transfer, seed=seed)
-    return path, wiener
+    np.cumsum(dw, axis=0, out=wiener[1:])
+    vals = transfer_from_wiener_increments(transfer_kernel_matrix(grid, h), dw)
+    return FbmPath(grid=grid, values=vals, generator_tag=GeneratorTag.transfer), wiener
 
 
 def transfer_from_wiener_increments(kernel: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """Map Wiener increments (n, m) to fBm node values (n+1, m)."""
-    n, m = dw.shape
-    vals = np.zeros((n + 1, m))
+    """Node values (n+1, ...) of sum_k K(t_i, mid_k) dw_k, 0 at t_0, for
+    increments dw of shape (n,) or (n, m): the one application of the
+    discretized Volterra kernel (transfer_kernel_matrix) to increments."""
+    vals = np.zeros((dw.shape[0] + 1,) + dw.shape[1:])
     vals[1:] = kernel @ dw
     return vals

@@ -1,7 +1,8 @@
 """Uniform time grids, sampled functions and discrete Holder norms.
 
 Everything downstream (fBm generation, pathwise solvers, transport metrics)
-indexes into one shared uniform grid on [0, T].  Holder quantities are
+indexes into one shared uniform grid on [0, T], and reads cell averages of
+node values from `cell_values`.  Holder quantities are
 computed over grid-point pairs only, so they are lower bounds for the
 continuum norms; inequality checks built on them are necessary-condition
 checks.
@@ -18,9 +19,15 @@ import numpy as np
 BLOCK_PATHS = 256
 
 
+def cell_values(v: np.ndarray) -> np.ndarray:
+    """Cell averages (v[k] + v[k+1]) / 2 of node values along the first axis."""
+    return 0.5 * (v[:-1] + v[1:])
+
+
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform discretization of [0, t_max] with n_steps cells."""
+    """Uniform discretization of [0, t_max] with n_steps cells; two grids
+    are equal when their (t_max, n_steps) are."""
 
     t_max: float
     n_steps: int
@@ -40,12 +47,12 @@ class TimeGrid:
 
     @property
     def midpoints(self) -> np.ndarray:
-        return 0.5 * (self.points[:-1] + self.points[1:])
+        return cell_values(self.points)
 
-    def index_of(self, t: float, tol: float = 1e-9) -> int:
-        """Index of the grid node equal to t (up to tol); raises otherwise."""
+    def index_of(self, t: float) -> int:
+        """Index of the grid node equal to t (up to 1e-9); raises otherwise."""
         idx = int(round(t / self.dt))
-        if idx < 0 or idx > self.n_steps or abs(self.points[idx] - t) > tol:
+        if idx < 0 or idx > self.n_steps or abs(self.points[idx] - t) > 1e-9:
             raise ValueError(f"t={t} is not a grid node of {self!r}")
         return idx
 
@@ -77,10 +84,8 @@ class GridFunction:
 class HolderNorm:
     """Sup norm and beta-Holder seminorm of a sampled path over a window."""
 
-    window: tuple[float, float]
     sup_norm: float
     seminorm_beta: float
-    beta: float
 
     @property
     def total(self) -> float:
@@ -91,7 +96,7 @@ def holder_seminorm(times: np.ndarray, values: np.ndarray, beta: float) -> float
     """max |f(t_j) - f(t_i)| / (t_j - t_i)^beta over all grid pairs i < j.
 
     values may be (n,) or (n, d); distances are Euclidean in the state
-    dimension.  O(n^2), chunked to bound memory.
+    dimension.  O(n^2) time, O(n) memory.
     """
     n = len(times)
     if n < 2:
@@ -100,17 +105,10 @@ def holder_seminorm(times: np.ndarray, values: np.ndarray, beta: float) -> float
     if vals.ndim == 1:
         vals = vals[:, None]
     best = 0.0
-    chunk = max(1, 2**22 // max(n, 1))
-    for lo in range(0, n - 1, chunk):
-        hi = min(lo + chunk, n - 1)
-        # pairs (i, j) with lo <= i < hi, j > i
-        for i in range(lo, hi):
-            dt = times[i + 1:] - times[i]
-            dv = np.linalg.norm(vals[i + 1:] - vals[i], axis=1)
-            ratio = dv / dt**beta
-            m = ratio.max(initial=0.0)
-            if m > best:
-                best = m
+    for i in range(n - 1):  # pairs (i, j), j > i
+        dt = times[i + 1:] - times[i]
+        dv = np.linalg.norm(vals[i + 1:] - vals[i], axis=1)
+        best = max(best, (dv / dt**beta).max(initial=0.0))
     return float(best)
 
 
@@ -140,7 +138,7 @@ def holder_norm(
     sup = float(np.linalg.norm(v2, axis=1).max())
     nodes_first = v2 if v2.shape[1] == 1 else v2[:, None, :]
     semi = float(_lag_seminorms(nodes_first, times[1] - times[0], beta)[0])
-    return HolderNorm(window=(a, b), sup_norm=sup, seminorm_beta=semi, beta=beta)
+    return HolderNorm(sup_norm=sup, seminorm_beta=semi)
 
 
 def _lag_seminorms(nodes_first: np.ndarray, dt: float, beta: float) -> np.ndarray:

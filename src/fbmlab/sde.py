@@ -12,7 +12,8 @@ cross-validate each other.
 
 The module also hosts the driver-stability horizon, the drift-coupled pair
 used to probe the Girsanov-type coupling bound and its Gronwall bound.  The
-driver-stability ratio itself is `verifiers.stability_ratios`.
+driver-stability ratio itself is `verifiers.stability_ratios`.  Every
+solver raises BlowUpError (an ArithmeticError) at its first non-finite step.
 """
 
 from __future__ import annotations
@@ -23,9 +24,14 @@ from typing import Callable
 import numpy as np
 from scipy import integrate, optimize
 
-from .fbm import FbmPath, HurstParam, sample_fbm_circulant, transfer_kernel_matrix
-from .grid import GridFunction, TimeGrid
-from .fractional import operator_kh
+from .fbm import (
+    FbmPath,
+    HurstParam,
+    sample_fbm_circulant,
+    transfer_from_wiener_increments,
+    transfer_kernel_matrix,
+)
+from .grid import TimeGrid, cell_values
 
 
 @dataclass
@@ -41,9 +47,6 @@ class DriftSpec:
     lipschitz: float = 0.0          # L_b
     sup_bound: float = np.inf       # sup |b|
     one_sided: float | None = None  # B with <x-y, b(x)-b(y)> <= B |x-y|^2
-
-    def __call__(self, x):
-        return self.fn(x)
 
 
 @dataclass
@@ -77,27 +80,22 @@ class ScalarDiffusion:
         if not 0 < self.sigma1 <= self.sigma2:
             raise ValueError("need 0 < sigma1 <= sigma2")
 
-    def __call__(self, x):
-        return self.fn(x)
-
 
 @dataclass(frozen=True)
 class SolutionPath:
     grid: TimeGrid
     values: np.ndarray          # (n_steps + 1, d)
-    x0: np.ndarray
-    driver_ref: str
-    scheme_tag: str
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError("solution path contains non-finite entries")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
 
 
-class BlowUpError(RuntimeError):
+class BlowUpError(ArithmeticError):
+    """A non-finite Euler state; a numerical failure (CLI exit 3)."""
+
     def __init__(self, step: int):
         super().__init__(f"non-finite state at Euler step {step}")
         self.step = step
@@ -106,8 +104,6 @@ class BlowUpError(RuntimeError):
 def _driver_array(driver) -> tuple[TimeGrid, np.ndarray]:
     if isinstance(driver, FbmPath):
         return driver.grid, driver.values
-    if isinstance(driver, GridFunction):
-        return driver.grid, driver.values[:, None]
     if isinstance(driver, tuple) and len(driver) == 2:
         grid, vals = driver
         vals = np.asarray(vals, dtype=float)
@@ -117,8 +113,7 @@ def _driver_array(driver) -> tuple[TimeGrid, np.ndarray]:
     raise TypeError(f"unsupported driver type {type(driver)}")
 
 
-def solve_additive(x0, drift: DriftSpec, sigma_t: TimeDiffusion, driver,
-                   driver_ref: str = "") -> SolutionPath:
+def solve_additive(x0, drift: DriftSpec, sigma_t: TimeDiffusion, driver) -> SolutionPath:
     """Euler solution of dX = b(X) dt + sigma(t) dg with time-only sigma."""
     grid, g = _driver_array(driver)
     n, m = grid.n_steps, g.shape[1]
@@ -137,12 +132,11 @@ def solve_additive(x0, drift: DriftSpec, sigma_t: TimeDiffusion, driver,
             if not np.all(np.isfinite(x)):
                 raise BlowUpError(k + 1)
             vals[k + 1] = x
-    return SolutionPath(grid=grid, values=vals, x0=x0,
-                        driver_ref=driver_ref, scheme_tag="euler_additive")
+    return SolutionPath(grid=grid, values=vals)
 
 
-def solve_scalar(x0: float, drift: DriftSpec, sigma_x: ScalarDiffusion, driver,
-                 driver_ref: str = "") -> SolutionPath:
+def solve_scalar(x0: float, drift: DriftSpec, sigma_x: ScalarDiffusion,
+                 driver) -> SolutionPath:
     """Euler solution of the scalar equation dX = b(X) dt + sigma(X) dg."""
     grid, g = _driver_array(driver)
     if g.shape[1] != 1:
@@ -158,26 +152,28 @@ def solve_scalar(x0: float, drift: DriftSpec, sigma_x: ScalarDiffusion, driver,
         if not np.isfinite(x):
             raise BlowUpError(k + 1)
         vals[k + 1] = x
-    return SolutionPath(grid=grid, values=vals[:, None], x0=[x0],
-                        driver_ref=driver_ref, scheme_tag="euler_scalar")
+    return SolutionPath(grid=grid, values=vals[:, None])
 
 
 def euler_additive_ensemble(x0: float, b: Callable[[np.ndarray], np.ndarray],
                             drivers: np.ndarray, dt: float) -> np.ndarray:
     """Vectorized scalar Euler over a whole ensemble, sigma = 1.
 
-    drivers has shape (n_paths, n_nodes); returns the same shape.
+    drivers has shape (n_paths, n_nodes); returns the same shape.  Raises
+    BlowUpError at the first step that leaves any path non-finite.
     """
     n_paths, n_nodes = drivers.shape
     out = np.empty_like(drivers)
     out[:, 0] = x0
     dg = np.diff(drivers, axis=1)
     x = np.full(n_paths, float(x0))
-    for k in range(n_nodes - 1):
-        x = x + b(x) * dt + dg[:, k]
-        out[:, k + 1] = x
+    # an overflowing step is reported by the finiteness guard, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_nodes - 1):
+            x = x + b(x) * dt + dg[:, k]
+            out[:, k + 1] = x
     if not np.all(np.isfinite(out)):
-        raise BlowUpError(-1)
+        raise BlowUpError(int(np.argmin(np.isfinite(out).all(axis=0))))
     return out
 
 
@@ -216,8 +212,7 @@ def lamperti_inverse(sigma_x: ScalarDiffusion, z: float) -> float:
 
 
 def solve_scalar_via_lamperti(x0: float, drift: DriftSpec,
-                              sigma_x: ScalarDiffusion, driver,
-                              driver_ref: str = "") -> SolutionPath:
+                              sigma_x: ScalarDiffusion, driver) -> SolutionPath:
     """Scalar equation through the unit-diffusion change of variables.
 
     Solves dY = b(F^{-1}(Y))/sigma(F^{-1}(Y)) dt + dg with Y_0 = F(x0) and
@@ -243,8 +238,7 @@ def solve_scalar_via_lamperti(x0: float, drift: DriftSpec,
         if not np.isfinite(x):
             raise BlowUpError(k + 1)
         vals[k + 1] = x
-    return SolutionPath(grid=grid, values=vals[:, None], x0=[x0],
-                        driver_ref=driver_ref, scheme_tag="euler_lamperti")
+    return SolutionPath(grid=grid, values=vals[:, None])
 
 
 def _invert_warm(sigma_x: ScalarDiffusion, z: float, x_guess: float,
@@ -297,18 +291,13 @@ def drift_coupled_pair(x0, drift: DriftSpec, sigma_t: TimeDiffusion,
     rho = np.asarray(rho, dtype=float)
     if rho.ndim == 1:
         rho = rho[:, None]
-    m = rho.shape[1]
     if kernel is None:
         kernel = transfer_kernel_matrix(grid, h)
-    b_path = sample_fbm_circulant(grid, h, m, seed, path_index=path_index)
-    k_rho = np.column_stack([
-        operator_kh(GridFunction(grid, rho[:, j]), h, kernel=kernel).values
-        for j in range(m)
-    ])
-    y = solve_additive(x0, drift, sigma_t, (grid, b_path.values), driver_ref="fbm")
-    x = solve_additive(x0, drift, sigma_t, (grid, b_path.values + k_rho),
-                       driver_ref="fbm+K_rho")
-    cells = 0.5 * (rho[:-1] + rho[1:])
+    b_path = sample_fbm_circulant(grid, h, rho.shape[1], seed, path_index=path_index)
+    cells = cell_values(rho)
+    k_rho = transfer_from_wiener_increments(kernel, cells * grid.dt)
+    y = solve_additive(x0, drift, sigma_t, (grid, b_path.values))
+    x = solve_additive(x0, drift, sigma_t, (grid, b_path.values + k_rho))
     rho_energy = 0.5 * float(np.sum(cells**2) * grid.dt)
     return x, y, rho_energy
 
@@ -327,8 +316,7 @@ def gronwall_coupling_bound(grid: TimeGrid, rho: np.ndarray, one_sided_b: float,
     rho = np.asarray(rho, dtype=float)
     if rho.ndim == 1:
         rho = rho[:, None]
-    cells = 0.5 * (rho[:-1] + rho[1:])
-    r2 = np.sum(cells**2, axis=1)
+    r2 = np.sum(cell_values(rho)**2, axis=1)
     c = 2 * B + abs(B)
     T = grid.t_max
     pts = grid.points

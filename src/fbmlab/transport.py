@@ -1,10 +1,13 @@
 """Path-space metrics, empirical Wasserstein distances and the closed-form
 transportation constants.
 
-The empirical Wasserstein distance between equal-size ensembles reduces to
-an optimal assignment (the optimum of the Birkhoff polytope sits on a
-permutation); above the exact-solver cutoff an entropically regularized
-solver takes over and reports its duality gap.  Empirical distances between
+Both path metrics reduce pointwise distances to one number in
+`metric_from_norms`, which every distance here and
+`concentration.pair_distances` call.  The empirical Wasserstein distance
+between equal-size ensembles reduces to an optimal assignment (the optimum
+of the Birkhoff polytope sits on a permutation); above the exact-solver
+cutoff an entropically regularized solver with a fixed epsilon schedule
+takes over and reports its duality gap.  Empirical distances between
 independent samples of one law are biased upward, so verification against
 the transportation constants is always one-sided.
 """
@@ -22,6 +25,10 @@ from .grid import TimeGrid
 from .sde import stability_horizon
 
 EXACT_ASSIGNMENT_CUTOFF = 512
+#: Target epsilon of the entropic solver, relative to the largest cost.
+SINKHORN_EPS_REL = 1e-4
+#: Sinkhorn iterations per epsilon level.
+SINKHORN_ITERS = 200
 
 
 class PathMetric(str, Enum):
@@ -31,12 +38,10 @@ class PathMetric(str, Enum):
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """i.i.d. collection of paths on one grid with provenance."""
+    """i.i.d. collection of paths on one grid."""
 
     grid: TimeGrid
     paths: np.ndarray           # (n_paths, n_nodes) or (n_paths, n_nodes, d)
-    seeds: tuple[int, ...] = ()
-    config_hash: str = ""
 
     def __post_init__(self):
         p = np.asarray(self.paths, dtype=float)
@@ -51,6 +56,14 @@ class PathEnsemble:
         return self.paths.shape[0]
 
 
+def metric_from_norms(dist: np.ndarray, dt: float, metric: PathMetric) -> np.ndarray:
+    """d_inf (max) or d_2 (trapezoid L2) over the last axis of pointwise
+    distances |gamma1(t) - gamma2(t)| sampled at the grid nodes."""
+    if metric == PathMetric.d_infinity:
+        return dist.max(axis=-1)
+    return np.sqrt(np.trapezoid(dist**2, dx=dt, axis=-1))
+
+
 def path_distance(gamma1: np.ndarray, gamma2: np.ndarray, grid: TimeGrid,
                   metric: PathMetric) -> float:
     """d_inf or d_2 between two paths sampled on the same grid."""
@@ -60,17 +73,13 @@ def path_distance(gamma1: np.ndarray, gamma2: np.ndarray, grid: TimeGrid,
         raise ValueError("paths must share the grid and shape")
     if g1.ndim == 1:
         g1, g2 = g1[:, None], g2[:, None]
-    dist = np.linalg.norm(g1 - g2, axis=1)
-    if metric == PathMetric.d_infinity:
-        return float(dist.max())
-    sq = dist**2
-    return float(np.sqrt(np.trapezoid(sq, dx=grid.dt)))
+    return float(metric_from_norms(np.linalg.norm(g1 - g2, axis=1), grid.dt, metric))
 
 
 def pairwise_cost_matrix(mu: PathEnsemble, nu: PathEnsemble,
                          metric: PathMetric, p: int) -> np.ndarray:
     """Cost matrix C[i, j] = d(path_i, path_j)^p, vectorized."""
-    if mu.grid.n_steps != nu.grid.n_steps or mu.grid.t_max != nu.grid.t_max:
+    if mu.grid != nu.grid:
         raise ValueError("ensembles must share one grid")
     a = mu.paths  # (n, T, d)
     b = nu.paths
@@ -81,19 +90,14 @@ def pairwise_cost_matrix(mu: PathEnsemble, nu: PathEnsemble,
         hi = min(lo + chunk, n)
         diff = a[lo:hi, None] - b[None]                  # (c, m, T, d)
         dist = np.linalg.norm(diff, axis=3)
-        if metric == PathMetric.d_infinity:
-            d = dist.max(axis=2)
-        else:
-            d = np.sqrt(np.trapezoid(dist**2, dx=mu.grid.dt, axis=2))
-        cost[lo:hi] = d**p
+        cost[lo:hi] = metric_from_norms(dist, mu.grid.dt, metric) ** p
     if not np.all(np.isfinite(cost)):
         raise ValueError("non-finite entries in the transport cost matrix")
     return cost
 
 
 def wasserstein_empirical(mu: PathEnsemble, nu: PathEnsemble, p: int,
-                          metric: PathMetric,
-                          epsilon: float | None = None) -> float:
+                          metric: PathMetric) -> float:
     """Empirical W_p between two ensembles under a path metric.
 
     Equal sample counts up to the cutoff: exact optimal assignment.  Unequal
@@ -112,7 +116,7 @@ def wasserstein_empirical(mu: PathEnsemble, nu: PathEnsemble, p: int,
         else:
             avg = _transport_lp(cost)
         return float(avg ** (1.0 / p))
-    avg, gap = _sinkhorn(cost, epsilon)
+    avg, gap = _sinkhorn(cost)
     if gap > 0.01 * max(avg, 1e-300):
         raise ArithmeticError(
             f"entropic solver duality gap {gap:.3e} exceeds 1% of value {avg:.3e}"
@@ -137,19 +141,18 @@ def _transport_lp(cost: np.ndarray) -> float:
     return float(res.fun)
 
 
-def _sinkhorn(cost: np.ndarray, epsilon: float | None,
-              n_iter: int = 200) -> tuple[float, float]:
+def _sinkhorn(cost: np.ndarray) -> tuple[float, float]:
     """Log-domain Sinkhorn with uniform marginals; returns (cost, gap).
 
-    Epsilon-scaling warm-starts the potentials down to the target epsilon.
+    Epsilon-scaling warm-starts the potentials down to the target epsilon
+    SINKHORN_EPS_REL * max(cost), SINKHORN_ITERS iterations per level.
     The reported value is the cost of a rounded, exactly feasible coupling;
     the gap subtracts a dual-feasible value obtained by a c-transform of
     the potentials, so (value - gap, value) brackets the true LP optimum.
     """
     n, m = cost.shape
     scale = max(cost.max(), 1e-12)
-    if epsilon is None:
-        epsilon = 1e-4 * scale
+    epsilon = SINKHORN_EPS_REL * scale
     log_a = -np.log(n) * np.ones(n)
     log_b = -np.log(m) * np.ones(m)
     f = np.zeros(n)
@@ -161,7 +164,7 @@ def _sinkhorn(cost: np.ndarray, epsilon: float | None,
         e /= 4.0
     eps_levels.append(epsilon)
     for eps in eps_levels:
-        for _ in range(n_iter):
+        for _ in range(SINKHORN_ITERS):
             f = -eps * _logsumexp((-cost + g[None, :]) / eps + log_b[None, :], axis=1)
             g = -eps * _logsumexp((-cost + f[:, None]) / eps + log_a[:, None], axis=0)
     log_pi = (-cost + f[:, None] + g[None, :]) / epsilon + log_a[:, None] + log_b[None, :]
@@ -218,7 +221,6 @@ class TheoremTag(str, Enum):
 
 @dataclass
 class TransportConstants:
-    theorem_tag: TheoremTag
     value: float
     horizon_ok: bool
     detail: dict
@@ -235,7 +237,6 @@ def c_bt(B: float, T: float, sigma1: float = 1.0) -> float:
 
 
 def transport_constant(tag: TheoremTag | str, *, H: float, T: float,
-                       K: float | None = None,
                        sigma_beta_norm: float | None = None,
                        sigma_sup: float | None = None,
                        sigma1: float | None = None,
@@ -247,15 +248,14 @@ def transport_constant(tag: TheoremTag | str, *, H: float, T: float,
     """Closed-form transportation constant for one theorem variant.
 
     The universal constant K of the small-horizon variants is not numeric in
-    the theory; it defaults to the calibrated fixture K_hat and is flagged
-    as such in the detail record.
+    the theory; it is the calibrated fixture K_hat, flagged as such in the
+    detail record.
     """
     tag = TheoremTag(tag)
     detail: dict = {"H": H, "T": T}
     if tag in (TheoremTag.T1_additive, TheoremTag.T1_scalar):
-        if K is None:
-            K = calibrated_constants()["K_hat"]
-            detail["K_source"] = "calibrated fixture K_hat (not analytic ground truth)"
+        K = calibrated_constants()["K_hat"]
+        detail["K_source"] = "calibrated fixture K_hat (not analytic ground truth)"
         detail["K"] = K
         if tag == TheoremTag.T1_additive:
             if sigma_beta_norm is None or L_b is None:
@@ -269,7 +269,7 @@ def transport_constant(tag: TheoremTag | str, *, H: float, T: float,
             horizon = min(1.0, sigma1**2 / denom) if denom > 0 else 1.0
             value = K * sigma2**2 * T ** (2 * H)
         detail["horizon"] = horizon
-        return TransportConstants(tag, float(value), bool(T <= horizon), detail)
+        return TransportConstants(float(value), bool(T <= horizon), detail)
 
     if B is None or B == 0.0:
         raise ValueError(f"{tag.value} requires a nonzero one-sided constant B")
@@ -295,4 +295,4 @@ def transport_constant(tag: TheoremTag | str, *, H: float, T: float,
             * c_bt(B, T, sigma1)
     else:  # pragma: no cover
         raise ValueError(tag)
-    return TransportConstants(tag, float(value), True, detail)
+    return TransportConstants(float(value), True, detail)

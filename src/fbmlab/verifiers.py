@@ -183,7 +183,7 @@ def _verify_gaussian_tail(cfg: ExperimentConfig) -> dict:
 
 
 def _verify_phi_link(cfg: ExperimentConfig) -> dict:
-    c_values = [float(v) for v in cfg.get("verify", "c_delta_values").split(",")]
+    c_values = cfg.c_delta_list
     argmax_ok = all(abs(phi_argmax(c) - 1.0) <= 1e-9 for c in c_values)
     value_ok = all(abs(phi_link(1.0, c) - c / 2.0) <= 1e-12 * c for c in c_values)
     digamma_ok = abs((digamma(2.0) - digamma(3.0)) - (-0.5)) <= 1e-12

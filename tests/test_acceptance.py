@@ -80,7 +80,7 @@ def test_acceptance_01_covariance_fidelity():
         n = 10_000
         vals = np.empty((n, 64))
         for i in range(n):
-            vals[i] = _assemble_from_factor(chol, grid, hp, 1, 7, i).values[1:, 0]
+            vals[i] = _assemble_from_factor(chol, grid, 1, 7, i).values[1:, 0]
         emp = (vals.T @ vals) / n
         exact = covariance_matrix(grid, hp)
         se = np.sqrt((np.outer(np.diag(exact), np.diag(exact)) + exact**2) / n)

@@ -57,7 +57,7 @@ def test_t1_jackknife_errors_positive():
 def test_clopper_pearson_known_values():
     # 0 successes of n: upper bound 1 - (1 - conf)^{1/n}
     n = 100
-    ub = clopper_pearson_upper(np.array([0]), n, 0.99)[0]
+    ub = clopper_pearson_upper(np.array([0]), n)[0]  # 0.99 confidence
     assert ub == pytest.approx(1.0 - 0.01 ** (1.0 / n), rel=1e-9)
     assert clopper_pearson_upper(np.array([n]), n)[0] == 1.0
     # monotone in the count

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
-from fbmlab.fbm import HurstParam, covariance_rh, kernel_kh, sample_fbm_circulant
+from fbmlab.fbm import (
+    HurstParam,
+    covariance_rh,
+    kernel_kh,
+    kernel_kh_fast,
+    sample_fbm_circulant,
+)
 from fbmlab.fractional import (
     FracOrder,
     default_frac_order,
@@ -67,6 +73,41 @@ def test_right_derivative_of_terminal_anchored_linear():
     np.testing.assert_allclose(d[:-1], exact, rtol=1e-6)
 
 
+def _mirrored_right_nodes(g, h, alpha):
+    """The right derivative by its own mirrored product-integration weights,
+    kept as the oracle of the reflected left kernel."""
+    n = len(g) - 1
+    m = np.diff(g) / h
+    v = np.arange(n + 1, dtype=float) * h
+    q1 = np.zeros(n + 1)
+    q1[1:] = (v[1:] ** -alpha - (v[1:] + h) ** -alpha) / alpha
+    q2 = np.zeros(n + 1)
+    q2[1:] = ((v[1:] + h) ** (1 - alpha) - v[1:] ** (1 - alpha)) / (1 - alpha)
+    sum_q1 = np.cumsum(q1)[::-1]
+    rev = np.convolve(g[::-1], q1)[: n + 1][::-1]
+    rev_m = np.zeros(n + 1)
+    rev_m[: n] = np.convolve(m[::-1], q2 - v * q1)[: n][::-1]
+    integral = g * sum_q1 - rev - rev_m
+    # the cumsum/convolution ranges include a phantom lag n - i past b
+    integral[: n] -= (g[: n] - g[n]) * q1[::-1][: n]
+    integral[: n] -= m * h ** (1 - alpha) / (1 - alpha)
+    out = np.zeros(n + 1)
+    bt = v[::-1]
+    out[: n] = ((g[: n] - g[n]) / bt[: n] ** alpha + alpha * integral[: n]) \
+        / gamma(1 - alpha)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 257, 2049])
+@pytest.mark.parametrize("alpha", [0.1, 0.45, 0.9])
+def test_right_derivative_matches_mirrored_weights(n, alpha):
+    g = np.random.default_rng(n).standard_normal(n + 1).cumsum()
+    oracle = _mirrored_right_nodes(g, 1.0 / n, alpha)
+    d = frac_deriv_right_nodes(g, 1.0 / n, alpha)
+    assert d[-1] == 0.0
+    np.testing.assert_allclose(d, oracle, rtol=0, atol=1e-12 * np.abs(oracle).max())
+
+
 def test_frac_deriv_left_wrapper():
     grid = TimeGrid(1.0, 512)
     f = GridFunction(grid, grid.points)
@@ -127,6 +168,20 @@ def test_operator_kh_star_indicator_is_kernel():
     s = 0.3
     assert operator_kh_star_at(phi_cells, grid, H75, s) == pytest.approx(
         kernel_kh(t, s, H75), rel=1e-12)
+
+
+def test_operator_kh_star_matches_per_cell_loop():
+    grid = TimeGrid(1.0, 64)
+    phi = np.random.default_rng(5).standard_normal(64)
+    phi[10:20] = 0.0
+    s = np.linspace(0.004, 0.996, 41)
+    loop = np.zeros(s.shape)
+    for k in range(grid.n_steps):
+        if phi[k] != 0.0:
+            loop += phi[k] * (kernel_kh_fast(grid.points[k + 1], s, H75)
+                              - kernel_kh_fast(grid.points[k], s, H75))
+    np.testing.assert_allclose(operator_kh_star_at(phi, grid, H75, s), loop,
+                               rtol=0, atol=1e-14 * np.abs(loop).max())
 
 
 def test_scalar_product_h_indicators_give_covariance():

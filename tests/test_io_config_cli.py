@@ -123,6 +123,12 @@ def test_config_domain_validation(tmp_path):
         load_config(_write_ini(tmp_path, "[verify]\nverifiers = nonsense\n"))
     with pytest.raises(ConfigError):
         load_config(_write_ini(tmp_path, "[sde]\nmodel = scalar\n"))
+    # number lists are parsed at load: non-numeric, non-positive, non-finite
+    # or empty
+    for key in ("horizons", "c_delta_values"):
+        for raw in ("1,two", "", " , ", "1,0", "-2", "1,nan", "inf"):
+            with pytest.raises(ConfigError, match=key):
+                load_config(_write_ini(tmp_path, f"[verify]\n{key} = {raw}\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +179,16 @@ def test_cli_solve_rejects_unsupported_drivers(tmp_path, key, value):
     out = tmp_path / "solv"
     assert main(["solve", "--config", ini, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_cli_solve_blow_up_exit_3(tmp_path, capsys):
+    # x_{k+1} = (1 + 5000 dt) x_k + dB overflows at step 236 of 256
+    ini = _write_ini(tmp_path, "[grid]\nn_steps = 256\n[fbm]\nn_paths = 2\n"
+                               "[sde]\ndrift_b = 5000\n")
+    out = tmp_path / "solv"
+    assert main(["solve", "--config", ini, "--out", str(out)]) == 3
+    assert not (out / "solve_manifest.json").exists()
+    assert "non-finite state at Euler step" in capsys.readouterr().err
 
 
 def test_cli_sample_embedding_failure_exit_3(tmp_path, monkeypatch):

@@ -72,6 +72,13 @@ def test_blow_up_guard_reports_step():
     assert exc.value.step >= 0
 
 
+def test_euler_ensemble_blow_up_reports_first_step():
+    # x_1 = 1e200 is finite, x_2 = 1e200 + 1e400 overflows; no RuntimeWarning
+    with pytest.raises(BlowUpError) as exc:
+        euler_additive_ensemble(1.0, lambda x: 1e200 * x, np.zeros((3, 9)), 1.0)
+    assert exc.value.step == 2
+
+
 def test_determinism():
     a = solve_additive(0.0, DRIFT_OU, SIGMA_ID, _driver(seed=13))
     b = solve_additive(0.0, DRIFT_OU, SIGMA_ID, _driver(seed=13))

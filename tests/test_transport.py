@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from fbmlab.fixtures import calibrated_constants
 from fbmlab.grid import TimeGrid
 from fbmlab.transport import (
     PathEnsemble,
@@ -118,13 +119,39 @@ def test_c_bt_both_signs():
 
 
 def test_transport_constant_t1_additive():
+    K = calibrated_constants()["K_hat"]
     tc = transport_constant("T1_additive", H=0.75, T=0.5,
-                            K=2.0, sigma_beta_norm=1.5, L_b=1.0)
-    assert tc.value == pytest.approx(2.0 * 1.5 * 0.5**1.5)
+                            sigma_beta_norm=1.5, L_b=1.0)
+    assert tc.value == pytest.approx(K * 1.5 * 0.5**1.5)
     assert tc.horizon_ok
     late = transport_constant("T1_additive", H=0.75, T=0.9,
-                              K=2.0, sigma_beta_norm=1.5, L_b=1.0)
+                              sigma_beta_norm=1.5, L_b=1.0)
     assert not late.horizon_ok  # Delta = 1/2 < 0.9
+
+
+def test_transport_constant_t1_scalar():
+    # K_hat sigma2^2 T^{2H} up to the horizon
+    # min(1, sigma1^2 / (2 sigma2 (L_b sigma2 + L_sigma B_sup)))
+    K = calibrated_constants()["K_hat"]
+    kw = dict(sigma1=1.0, sigma2=1.3, L_b=1.0, L_sigma=0.6, B_sup=1.0)
+    horizon = 1.0 / (2.0 * 1.3 * (1.0 * 1.3 + 0.6 * 1.0))  # 1/4.94 = 0.2024...
+    tc = transport_constant("T1_scalar", H=0.75, T=0.2, **kw)
+    assert tc.value == pytest.approx(K * 1.3**2 * 0.2**1.5, rel=1e-14)
+    assert tc.detail["horizon"] == pytest.approx(horizon, rel=1e-14)
+    assert tc.horizon_ok
+    assert not transport_constant("T1_scalar", H=0.75, T=0.21, **kw).horizon_ok
+    # no Lipschitz constants: the horizon is 1, boundary included
+    flat = dict(sigma1=0.5, sigma2=2.0, L_b=0.0, L_sigma=0.0, B_sup=3.0)
+    tc = transport_constant("T1_scalar", H=0.9, T=1.0, **flat)
+    assert tc.value == pytest.approx(K * 4.0, rel=1e-14)
+    assert tc.detail["horizon"] == 1.0 and tc.horizon_ok
+    assert not transport_constant("T1_scalar", H=0.9, T=1.5, **flat).horizon_ok
+    # a small sigma1 pulls the horizon below 1: 0.25 / (2 * 2 * (2 + 0)) = 1/32
+    tc = transport_constant("T1_scalar", H=0.6, T=1.0 / 32, sigma1=0.5, sigma2=2.0,
+                            L_b=1.0, L_sigma=0.0, B_sup=3.0)
+    assert tc.detail["horizon"] == 1.0 / 32 and tc.horizon_ok
+    with pytest.raises(ValueError):
+        transport_constant("T1_scalar", H=0.75, T=0.2, sigma1=1.0, sigma2=1.3)
 
 
 def test_transport_constant_t2_additive_d2():
@@ -151,4 +178,4 @@ def test_transport_constant_requires_parameters():
     with pytest.raises(ValueError):
         transport_constant("T2_additive_d2", H=0.75, T=1.0, sigma_sup=1.0)  # no B
     with pytest.raises(ValueError):
-        transport_constant("T1_additive", H=0.75, T=0.5, K=1.0)  # incomplete
+        transport_constant("T1_additive", H=0.75, T=0.5)  # incomplete
