@@ -119,7 +119,7 @@ def calibrate_k_hat(n_pairs: int = 1000, seed: int = 0) -> dict:
     g1, g2 = independent_pairs(grid, HurstParam(cfg["H"]), n_pairs, seed)
     ratios, dists = stability_ratios(grid, g1, g2, cfg["beta"], -cfg["L_b"])
     ratio_sup = float(ratios.max())
-    c_hat, errs = estimate_t1_constant(dists, k_max=4, with_errors=True)
+    c_hat, errs = estimate_t1_constant(dists)
     return {
         "K_hat": float(K_MARGIN * ratio_sup),
         "stability_ratio_sup": ratio_sup,

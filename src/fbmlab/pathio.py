@@ -14,7 +14,7 @@ FBMP layout (all little-endian):
     offset 10  u32       n_cols (1 time column + m components)
     offset 14  f64[...]  row-major payload, column 0 is time
 
-Cost matrices and tail-report tables export to CSV for audit.
+Tail-report tables export to CSV for audit.
 """
 
 from __future__ import annotations
@@ -97,11 +97,6 @@ def read_path_binary(path: str) -> tuple[TimeGrid, np.ndarray]:
     if not np.allclose(grid.points, t, atol=1e-9):
         raise ValueError(f"{path}: time column is not a uniform grid from 0")
     return grid, table[:, 1:].copy()
-
-
-def write_matrix_csv(path: str, matrix: np.ndarray) -> None:
-    """Dump a cost matrix (or coupling) as plain CSV, no header."""
-    np.savetxt(path, np.asarray(matrix, dtype=float), delimiter=",")
 
 
 def tail_report_csv(report: dict) -> str:

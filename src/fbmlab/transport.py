@@ -1,15 +1,18 @@
 """Path-space metrics, empirical Wasserstein distances and the closed-form
 transportation constants.
 
-Both path metrics reduce pointwise distances to one number in
-`metric_from_norms`, which every distance here and
-`concentration.pair_distances` call.  The empirical Wasserstein distance
-between equal-size ensembles reduces to an optimal assignment (the optimum
-of the Birkhoff polytope sits on a permutation); above the exact-solver
-cutoff an entropically regularized solver with a fixed epsilon schedule
-takes over and reports its duality gap.  Empirical distances between
-independent samples of one law are biased upward, so verification against
-the transportation constants is always one-sided.
+Both path metrics are `path_metric` of path differences, which every
+distance here, `concentration.pair_distances` and the verifiers' solution
+distances call.  Cost matrices are built one row at a time, so their
+working memory is O(m n_nodes d) beside the n x m result.  The empirical
+Wasserstein distance between equal-size ensembles reduces to an optimal
+assignment (the optimum of the Birkhoff polytope sits on a permutation);
+above the exact-solver cutoff an entropically regularized solver with a
+fixed epsilon schedule takes over and raises when its duality gap exceeds
+1% of the value, which its fixed iteration count does not always reach.
+Empirical distances between independent samples of one law are biased
+upward, so verification against the transportation constants is always
+one-sided.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, sparse
 
 from .fixtures import calibrated_constants
 from .grid import TimeGrid
@@ -56,9 +59,11 @@ class PathEnsemble:
         return self.paths.shape[0]
 
 
-def metric_from_norms(dist: np.ndarray, dt: float, metric: PathMetric) -> np.ndarray:
-    """d_inf (max) or d_2 (trapezoid L2) over the last axis of pointwise
-    distances |gamma1(t) - gamma2(t)| sampled at the grid nodes."""
+def path_metric(diff: np.ndarray, dt: float, metric: PathMetric) -> np.ndarray:
+    """d_inf (max) or d_2 (trapezoid L2) of path differences shaped
+    (..., n_nodes, d).  The state axis reduces first (abs when d = 1, the
+    Euclidean norm otherwise), then the time axis."""
+    dist = np.abs(diff[..., 0]) if diff.shape[-1] == 1 else np.linalg.norm(diff, axis=-1)
     if metric == PathMetric.d_infinity:
         return dist.max(axis=-1)
     return np.sqrt(np.trapezoid(dist**2, dx=dt, axis=-1))
@@ -71,26 +76,20 @@ def path_distance(gamma1: np.ndarray, gamma2: np.ndarray, grid: TimeGrid,
     g2 = np.asarray(gamma2, dtype=float)
     if g1.shape != g2.shape or g1.shape[0] != grid.n_steps + 1:
         raise ValueError("paths must share the grid and shape")
-    if g1.ndim == 1:
-        g1, g2 = g1[:, None], g2[:, None]
-    return float(metric_from_norms(np.linalg.norm(g1 - g2, axis=1), grid.dt, metric))
+    diff = g1 - g2
+    return float(path_metric(diff.reshape(len(diff), -1), grid.dt, metric))
 
 
 def pairwise_cost_matrix(mu: PathEnsemble, nu: PathEnsemble,
                          metric: PathMetric, p: int) -> np.ndarray:
-    """Cost matrix C[i, j] = d(path_i, path_j)^p, vectorized."""
+    """Cost matrix C[i, j] = d(path_i, path_j)^p, one row per path of mu;
+    working memory O(m n_nodes d) beside the n x m result."""
     if mu.grid != nu.grid:
         raise ValueError("ensembles must share one grid")
-    a = mu.paths  # (n, T, d)
     b = nu.paths
-    n, m = a.shape[0], b.shape[0]
-    cost = np.empty((n, m))
-    chunk = max(1, 2**24 // (b.size // max(m, 1) or 1))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        diff = a[lo:hi, None] - b[None]                  # (c, m, T, d)
-        dist = np.linalg.norm(diff, axis=3)
-        cost[lo:hi] = metric_from_norms(dist, mu.grid.dt, metric) ** p
+    cost = np.empty((mu.n, nu.n))
+    for i, row in enumerate(mu.paths):
+        cost[i] = path_metric(b - row, mu.grid.dt, metric) ** p
     if not np.all(np.isfinite(cost)):
         raise ValueError("non-finite entries in the transport cost matrix")
     return cost
@@ -127,14 +126,10 @@ def wasserstein_empirical(mu: PathEnsemble, nu: PathEnsemble, p: int,
 def _transport_lp(cost: np.ndarray) -> float:
     """Exact uniform-marginal optimal transport via the HiGHS LP solver."""
     n, m = cost.shape
-    from scipy.sparse import lil_matrix, csr_matrix
-    rows = lil_matrix((n + m, n * m))
-    for i in range(n):
-        rows[i, i * m:(i + 1) * m] = 1.0
-    for j in range(m):
-        rows[n + j, j::m] = 1.0
+    a_eq = sparse.vstack([sparse.kron(sparse.eye(n), np.ones((1, m))),
+                          sparse.kron(np.ones((1, n)), sparse.eye(m))], format="csr")
     b_eq = np.concatenate([np.full(n, 1.0 / n), np.full(m, 1.0 / m)])
-    res = optimize.linprog(cost.ravel(), A_eq=csr_matrix(rows), b_eq=b_eq,
+    res = optimize.linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq,
                            bounds=(0, None), method="highs")
     if not res.success:
         raise ArithmeticError(f"transport LP failed: {res.message}")

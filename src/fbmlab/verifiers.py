@@ -18,6 +18,7 @@ from scipy.special import digamma
 from .concentration import (
     estimate_t1_constant,
     gaussian_tail_c_delta,
+    pair_distances,
     phi_argmax,
     phi_link,
     tail_constant_scaling,
@@ -31,6 +32,7 @@ from .fixtures import calibrated_constants
 from .fractional import BoundReport, lemma_esti_int_check
 from .grid import GridFunction, TimeGrid, holder_seminorm_ensemble
 from .sde import euler_additive_ensemble, stability_horizon
+from .transport import PathEnsemble, PathMetric
 
 
 def independent_pairs(grid: TimeGrid, hp: HurstParam, n_pairs: int,
@@ -42,11 +44,12 @@ def independent_pairs(grid: TimeGrid, hp: HurstParam, n_pairs: int,
 
 def solution_distances(grid: TimeGrid, g1: np.ndarray, g2: np.ndarray,
                        drift_b: float) -> np.ndarray:
-    """||x - x~||_inf per row, where x and x~ solve dx = drift_b x dt + dg
+    """d_inf(x, x~) per row, where x and x~ solve dx = drift_b x dt + dg
     from x = 0 with the drivers g1[i] and g2[i]."""
     x1 = euler_additive_ensemble(0.0, lambda x: drift_b * x, g1, grid.dt)
     x2 = euler_additive_ensemble(0.0, lambda x: drift_b * x, g2, grid.dt)
-    return np.abs(x1 - x2).max(axis=1)
+    return pair_distances(PathEnsemble(grid, x1), PathEnsemble(grid, x2),
+                          PathMetric.d_infinity)
 
 
 def stability_ratios(grid: TimeGrid, g1: np.ndarray, g2: np.ndarray,
@@ -168,7 +171,7 @@ def _solution_pair_distances(cfg: ExperimentConfig) -> np.ndarray:
 def _verify_t1_moments(cfg: ExperimentConfig) -> dict:
     delta = cfg.get("verify", "delta")
     dists = _solution_pair_distances(cfg)
-    c_hat, errs = estimate_t1_constant(dists, k_max=4, with_errors=True)
+    c_hat, errs = estimate_t1_constant(dists)
     diag = gaussian_tail_c_delta(dists, delta)
     passed = (not diag["unstable"]) and c_hat <= diag["c_over_delta"]
     return {"verifier": "t1-moments", "passed": bool(passed),

@@ -323,7 +323,7 @@ def test_acceptance_12_transport_cross_check():
         x2 = euler_additive_ensemble(0.0, lambda x: -x, d2, grid.dt)
         dists = pair_distances(PathEnsemble(grid, x1), PathEnsemble(grid, x2),
                                PathMetric.d_infinity)
-        c_mom = estimate_t1_constant(dists, k_max=4)
+        c_mom = estimate_t1_constant(dists)[0]
         c_del = gaussian_tail_c_delta(dists, delta)["c_over_delta"]
         ok &= c_mom <= c_del
     # exact-OT oracle on n = 4 ensembles

@@ -30,27 +30,22 @@ def test_t1_constant_two_point_oracle():
     # so the estimate is exactly a^2
     for a in (0.5, 1.5, 3.0):
         d = np.full(100, a)
-        assert estimate_t1_constant(d) == pytest.approx(a**2)
-    # verify the k-term formula against a direct evaluation at k = 3
+        assert estimate_t1_constant(d)[0] == pytest.approx(a**2)
+    # verify the k-term formula against a direct evaluation at k = 1..4
     d = np.abs(np.random.default_rng(0).standard_normal(500))
-    est = estimate_t1_constant(d, k_max=3)
+    est = estimate_t1_constant(d)[0]
     terms = [
         (factorial(k) * np.mean(d ** (2 * k)) / factorial(2 * k)) ** (1.0 / k)
-        for k in (1, 2, 3)
+        for k in (1, 2, 3, 4)
     ]
     assert est == pytest.approx(2.0 * max(terms))
 
 
-def test_t1_constant_caps_k():
-    with pytest.raises(ValueError):
-        estimate_t1_constant(np.ones(10), k_max=12)
-
-
 def test_t1_jackknife_errors_positive():
     d = np.random.default_rng(1).rayleigh(1.0, 400)
-    est, errs = estimate_t1_constant(d, k_max=3, with_errors=True)
+    est, errs = estimate_t1_constant(d)
     assert est > 0
-    assert set(errs) == {1, 2, 3}
+    assert set(errs) == {1, 2, 3, 4}
     assert all(e > 0 for e in errs.values())
 
 

@@ -17,7 +17,6 @@ from fbmlab.pathio import (
     FBMP_VERSION,
     read_path_binary,
     read_path_csv,
-    write_matrix_csv,
     write_path_binary,
     write_path_csv,
 )
@@ -72,13 +71,6 @@ def test_binary_rejects_truncation(tmp_path, sample_path):
         fh.write(data[:-16])
     with pytest.raises(ValueError):
         read_path_binary(p)
-
-
-def test_matrix_csv(tmp_path):
-    p = str(tmp_path / "m.csv")
-    write_matrix_csv(p, np.array([[1.0, 2.0], [3.0, 4.0]]))
-    loaded = np.loadtxt(p, delimiter=",")
-    np.testing.assert_allclose(loaded, [[1, 2], [3, 4]])
 
 
 # ---------------------------------------------------------------------------

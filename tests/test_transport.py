@@ -1,9 +1,11 @@
 """Path metrics, empirical Wasserstein and transportation constants."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from fbmlab.fixtures import calibrated_constants
 from fbmlab.grid import TimeGrid
@@ -81,6 +83,71 @@ def test_wasserstein_sinkhorn_above_cutoff():
     nu = PathEnsemble(grid, base + 0.5)
     w = wasserstein_empirical(mu, nu, 2, PathMetric.d_two)
     assert w == pytest.approx(0.5, rel=1e-6)
+
+
+def _chunked_cost_matrix(mu, nu, metric, p):
+    """Oracle: the cost matrix as whole (chunk, m, n_nodes, d) difference
+    tensors reduced by the norm over d, then over time."""
+    a, b = mu.paths, nu.paths
+    n, m = a.shape[0], b.shape[0]
+    cost = np.empty((n, m))
+    chunk = max(1, 2**24 // (b.size // max(m, 1) or 1))
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        dist = np.linalg.norm(a[lo:hi, None] - b[None], axis=3)
+        if metric == PathMetric.d_infinity:
+            dist = dist.max(axis=-1)
+        else:
+            dist = np.sqrt(np.trapezoid(dist**2, dx=mu.grid.dt, axis=-1))
+        cost[lo:hi] = dist ** p
+    return cost
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_cost_matrix_equals_chunked_tensor_formula(d):
+    rng = np.random.default_rng(12 + d)
+    grid = TimeGrid(0.5, 64)
+    mu = PathEnsemble(grid, np.cumsum(rng.standard_normal((37, 65, d)), axis=1))
+    nu = PathEnsemble(grid, np.cumsum(rng.standard_normal((23, 65, d)), axis=1))
+    for metric in PathMetric:
+        for p in (1, 2):
+            assert np.array_equal(pairwise_cost_matrix(mu, nu, metric, p),
+                                  _chunked_cost_matrix(mu, nu, metric, p))
+
+
+def test_cost_matrix_memory_is_one_row():
+    # the whole (n, m, n_nodes) tensor at 512 x 512 x 129 would be 258 MiB
+    rng = np.random.default_rng(13)
+    grid = TimeGrid(0.5, 128)
+    mu = PathEnsemble(grid, rng.standard_normal((512, 129)))
+    nu = PathEnsemble(grid, rng.standard_normal((512, 129)))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        pairwise_cost_matrix(mu, nu, PathMetric.d_infinity, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("n,m", [(6, 4), (3, 7)])
+def test_wasserstein_unequal_counts_match_replicated_assignment(n, m):
+    # repeating each point lcm/n resp. lcm/m times turns the uniform-marginal
+    # LP into an assignment with the same optimum
+    rng = np.random.default_rng(14)
+    grid = TimeGrid(1.0, 8)
+    mu = PathEnsemble(grid, rng.standard_normal((n, 9)))
+    nu = PathEnsemble(grid, rng.standard_normal((m, 9)))
+    l = np.lcm(n, m)
+    for metric in PathMetric:
+        for p in (1, 2):
+            cost = pairwise_cost_matrix(mu, nu, metric, p)
+            cost = np.repeat(np.repeat(cost, l // n, axis=0), l // m, axis=1)
+            ri, ci = linear_sum_assignment(cost)
+            oracle = cost[ri, ci].mean() ** (1.0 / p)
+            w = wasserstein_empirical(mu, nu, p, metric)
+            assert w == pytest.approx(oracle, rel=1e-12)
 
 
 def test_cost_matrix_rejects_nonfinite():
