@@ -7,9 +7,14 @@ distances call.  Cost matrices are built one row at a time, so their
 working memory is O(m n_nodes d) beside the n x m result.  The empirical
 Wasserstein distance between equal-size ensembles reduces to an optimal
 assignment (the optimum of the Birkhoff polytope sits on a permutation);
-above the exact-solver cutoff an entropically regularized solver with a
-fixed epsilon schedule takes over and raises when its duality gap exceeds
-1% of the value, which its fixed iteration count does not always reach.
+unequal counts solve the transportation LP.  Above the exact-solver cutoff
+an entropic solver takes over: epsilon-scaling with matrix-vector Sinkhorn
+scalings absorbed into log-domain potentials, each level stopped on its
+marginal error, and a return at the first level whose certified primal-dual
+bracket is within ENTROPIC_GAP_REL (1%) of the value.  On 520 vs 520 d_inf
+Euler ensembles that takes about 1.3 s at a gap of 0.5-0.9% (2 vCPUs), or
+about 4.3 s when the gate needs the epsilon floor.  A per-level iteration
+cap or a gap left above the gate at the floor raises ArithmeticError.
 Empirical distances between independent samples of one law are biased
 upward, so verification against the transportation constants is always
 one-sided.
@@ -28,10 +33,15 @@ from .grid import TimeGrid
 from .sde import stability_horizon
 
 EXACT_ASSIGNMENT_CUTOFF = 512
-#: Target epsilon of the entropic solver, relative to the largest cost.
-SINKHORN_EPS_REL = 1e-4
-#: Sinkhorn iterations per epsilon level.
-SINKHORN_ITERS = 200
+#: Largest duality gap of the entropic solver, relative to its value.
+ENTROPIC_GAP_REL = 0.01
+#: Floor of the entropic solver's epsilon, relative to the largest cost.
+SINKHORN_EPS_REL = 2.5e-5
+#: L1 row-marginal error at which one epsilon level stops.
+SINKHORN_TOL = 1e-5
+#: Iterations allowed to one epsilon level; reaching the cap raises.
+SINKHORN_MAX_ITERS = 50_000
+_SINKHORN_CHECK = 10    # iterations between absorption / convergence checks
 
 
 class PathMetric(str, Enum):
@@ -100,9 +110,9 @@ def wasserstein_empirical(mu: PathEnsemble, nu: PathEnsemble, p: int,
     """Empirical W_p between two ensembles under a path metric.
 
     Equal sample counts up to the cutoff: exact optimal assignment.  Unequal
-    counts: exact uniform-marginal transportation LP.  Above the cutoff: an
-    entropically regularized solver with an a posteriori duality-gap check
-    (gap below 1% of the value).
+    counts: exact uniform-marginal transportation LP.  Above the cutoff: the
+    entropic solver, whose certified duality gap must be at most
+    ENTROPIC_GAP_REL of the value, or ArithmeticError is raised.
     """
     if p not in (1, 2):
         raise ValueError(f"p must be 1 or 2, got {p}")
@@ -116,10 +126,10 @@ def wasserstein_empirical(mu: PathEnsemble, nu: PathEnsemble, p: int,
             avg = _transport_lp(cost)
         return float(avg ** (1.0 / p))
     avg, gap = _sinkhorn(cost)
-    if gap > 0.01 * max(avg, 1e-300):
+    if gap > ENTROPIC_GAP_REL * max(avg, 1e-300):
         raise ArithmeticError(
-            f"entropic solver duality gap {gap:.3e} exceeds 1% of value {avg:.3e}"
-        )
+            f"entropic solver duality gap {gap:.3e} exceeds "
+            f"{ENTROPIC_GAP_REL:.0%} of value {avg:.3e}")
     return float(avg ** (1.0 / p))
 
 
@@ -137,19 +147,24 @@ def _transport_lp(cost: np.ndarray) -> float:
 
 
 def _sinkhorn(cost: np.ndarray) -> tuple[float, float]:
-    """Log-domain Sinkhorn with uniform marginals; returns (cost, gap).
+    """Entropic transport with uniform marginals; returns (value, gap).
 
-    Epsilon-scaling warm-starts the potentials down to the target epsilon
-    SINKHORN_EPS_REL * max(cost), SINKHORN_ITERS iterations per level.
-    The reported value is the cost of a rounded, exactly feasible coupling;
-    the gap subtracts a dual-feasible value obtained by a c-transform of
-    the potentials, so (value - gap, value) brackets the true LP optimum.
+    Epsilon-scaling (Schmitzer 2019) from max(cost) / 10 down by a factor 4
+    per level to the floor SINKHORN_EPS_REL * max(cost).  Each level runs
+    the matrix-vector Sinkhorn scalings u = m / (K v), v = n / (u K) of the
+    coupling n m diag(u) K diag(v), K = exp((f + g - C) / eps); every
+    _SINKHORN_CHECK iterations the scalings are absorbed into the
+    potentials (f, g) when they leave [1e-3, 1e3], or else the level stops
+    once the L1 row-marginal error is below SINKHORN_TOL.  After each level
+    the coupling is rounded to an exactly feasible one (Altschuler, Weed and
+    Rigollet 2017), whose cost is the value; the gap subtracts the dual value
+    of the c-transform of f, so (value - gap, value) brackets the LP optimum.
+    It returns at the first level whose gap is at most ENTROPIC_GAP_REL of
+    the value, or at the floor whatever the gap.
     """
     n, m = cost.shape
     scale = max(cost.max(), 1e-12)
     epsilon = SINKHORN_EPS_REL * scale
-    log_a = -np.log(n) * np.ones(n)
-    log_b = -np.log(m) * np.ones(m)
     f = np.zeros(n)
     g = np.zeros(m)
     eps_levels = []
@@ -158,32 +173,88 @@ def _sinkhorn(cost: np.ndarray) -> tuple[float, float]:
         eps_levels.append(e)
         e /= 4.0
     eps_levels.append(epsilon)
+    kernel = np.empty_like(cost)
     for eps in eps_levels:
-        for _ in range(SINKHORN_ITERS):
-            f = -eps * _logsumexp((-cost + g[None, :]) / eps + log_b[None, :], axis=1)
-            g = -eps * _logsumexp((-cost + f[:, None]) / eps + log_a[:, None], axis=0)
-    log_pi = (-cost + f[:, None] + g[None, :]) / epsilon + log_a[:, None] + log_b[None, :]
-    pi = np.exp(log_pi)
-    # round to an exactly feasible coupling (scale rows/columns, patch deficit)
+        _sinkhorn_level(cost, f, g, eps, kernel)
+        primal, gap = _certified_bracket(cost, f, g, eps, kernel)
+        if gap <= ENTROPIC_GAP_REL * primal:
+            break
+    return primal, gap
+
+
+def _gibbs_kernel(cost, f, g, eps, out):
+    """out = exp((f + g - cost) / eps) in place, entries below 1e-200 set to
+    0 (subnormal operands slow every BLAS product several times over)."""
+    np.subtract(f[:, None], cost, out=out)
+    out += g
+    out /= eps
+    np.exp(out, out=out)
+    out[out < 1e-200] = 0.0
+    return out
+
+
+def _sinkhorn_level(cost, f, g, eps, kernel):
+    """Sinkhorn scalings at one epsilon until the row marginals are within
+    SINKHORN_TOL (L1); the final scalings are absorbed into f and g in
+    place.  Raises ArithmeticError when SINKHORN_MAX_ITERS is reached."""
+    n, m = cost.shape
+    _gibbs_kernel(cost, f, g, eps, kernel)
+    u = np.ones(n)
+    v = np.ones(m)
+    err = np.inf
+    for it in range(1, SINKHORN_MAX_ITERS + 1):
+        kv = kernel @ v
+        if it % _SINKHORN_CHECK == 0:
+            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+                raise ArithmeticError(
+                    f"Sinkhorn scalings overflow at epsilon {eps:.3e}")
+            if min(u.min(), v.min()) < 1e-3 or max(u.max(), v.max()) > 1e3:
+                f += eps * np.log(u)
+                g += eps * np.log(v)
+                _gibbs_kernel(cost, f, g, eps, kernel)
+                u[:] = 1.0
+                v[:] = 1.0
+                continue
+            err = np.abs(u * kv - m).sum() / (n * m)
+            if err < SINKHORN_TOL:
+                f += eps * np.log(u)
+                g += eps * np.log(v)
+                return
+        u = m / kv
+        v = n / (u @ kernel)
+    raise ArithmeticError(
+        f"Sinkhorn level at epsilon {eps:.3e} did not converge in "
+        f"{SINKHORN_MAX_ITERS} iterations: L1 marginal error {err:.3e}")
+
+
+def _certified_bracket(cost, f, g, eps, kernel):
+    """(value, gap) of the coupling exp((f + g - cost) / eps) / (n m),
+    rounded to the uniform marginals, against the c-transform dual of f;
+    kernel is overwritten."""
+    n, m = cost.shape
     a = np.full(n, 1.0 / n)
     b = np.full(m, 1.0 / m)
+    pi = _gibbs_kernel(cost, f, g, eps, kernel)
+    pi /= n * m
     pi *= np.minimum(1.0, a / np.maximum(pi.sum(axis=1), 1e-300))[:, None]
     pi *= np.minimum(1.0, b / np.maximum(pi.sum(axis=0), 1e-300))[None, :]
     err_a = a - pi.sum(axis=1)
     err_b = b - pi.sum(axis=0)
     deficit = err_a.sum()
+    # the rounded coupling adds outer(err_a, err_b) / deficit to pi
+    primal = float(np.vdot(pi, cost))
     if deficit > 1e-300:
-        pi = pi + np.outer(err_a, err_b) / deficit
-    primal = float(np.sum(pi * cost))
+        primal += float(err_a @ cost @ err_b) / deficit
+    if n == m:
+        # the permutation of each row's largest entry, when it is one, is
+        # also feasible; it drops the entropic blur of a sharp optimum
+        perm = pi.argmax(axis=1)
+        if np.unique(perm).size == n:
+            primal = min(primal, float(cost[np.arange(n), perm].mean()))
     # c-transform makes (f, g_ct) feasible for the unregularized dual
-    g_ct = (cost - f[:, None]).min(axis=0)
+    g_ct = np.subtract(cost, f[:, None], out=kernel).min(axis=0)
     dual = float(f @ a + g_ct @ b)
     return primal, primal - dual
-
-
-def _logsumexp(x, axis):
-    m = np.max(x, axis=axis, keepdims=True)
-    return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(x - m), axis=axis))
 
 
 def relative_entropy_discrete(nu_weights: np.ndarray, mu_weights: np.ndarray) -> float:

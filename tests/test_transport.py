@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from fbmlab import transport
+from fbmlab.fbm import HurstParam, sample_fbm_circulant_batch
 from fbmlab.fixtures import calibrated_constants
 from fbmlab.grid import TimeGrid
+from fbmlab.sde import euler_additive_ensemble
 from fbmlab.transport import (
     PathEnsemble,
     PathMetric,
@@ -83,6 +86,52 @@ def test_wasserstein_sinkhorn_above_cutoff():
     nu = PathEnsemble(grid, base + 0.5)
     w = wasserstein_empirical(mu, nu, 2, PathMetric.d_two)
     assert w == pytest.approx(0.5, rel=1e-6)
+
+
+def _euler_ensemble(n, seed):
+    """dX = -X dt + dB^H, H = 0.75, on [0, 0.5] with 128 steps, X_0 = 0."""
+    grid = TimeGrid(0.5, 128)
+    drivers = sample_fbm_circulant_batch(grid, HurstParam(0.75), n, seed)
+    return PathEnsemble(grid, euler_additive_ensemble(0.0, lambda v: -v, drivers, grid.dt))
+
+
+@pytest.mark.parametrize("seed", [4, 2004])
+def test_wasserstein_entropic_within_gate_of_assignment(seed):
+    # the 520 vs 520 d_inf ensembles on which a fixed iteration count per
+    # epsilon level left the duality gap above 1% and raised
+    mu, nu = _euler_ensemble(520, seed), _euler_ensemble(520, seed + 1)
+    cost = pairwise_cost_matrix(mu, nu, PathMetric.d_infinity, 2)
+    ri, ci = linear_sum_assignment(cost)
+    oracle = cost[ri, ci].mean() ** 0.5
+    w = wasserstein_empirical(mu, nu, 2, PathMetric.d_infinity)
+    assert oracle <= w <= 1.01 * oracle
+
+
+def test_sinkhorn_brackets_lp_optimum_unequal_counts():
+    cost = pairwise_cost_matrix(_euler_ensemble(530, 7), _euler_ensemble(520, 8),
+                                PathMetric.d_infinity, 2)
+    primal, gap = transport._sinkhorn(cost)
+    assert 0.0 <= gap <= transport.ENTROPIC_GAP_REL * primal
+    assert primal - gap <= transport._transport_lp(cost) <= primal
+
+
+def test_wasserstein_entropic_fails_closed_above_gate(monkeypatch):
+    # a coarse epsilon floor cannot reach the 1% gap
+    monkeypatch.setattr(transport, "SINKHORN_EPS_REL", 1e-2)
+    rng = np.random.default_rng(15)
+    grid = TimeGrid(1.0, 8)
+    mu = PathEnsemble(grid, rng.standard_normal((520, 9)))
+    nu = PathEnsemble(grid, rng.standard_normal((520, 9)))
+    with pytest.raises(ArithmeticError, match="duality gap"):
+        wasserstein_empirical(mu, nu, 2, PathMetric.d_infinity)
+
+
+def test_sinkhorn_level_cap_raises(monkeypatch):
+    monkeypatch.setattr(transport, "SINKHORN_MAX_ITERS", 20)
+    rng = np.random.default_rng(16)
+    cost = rng.random((40, 30))
+    with pytest.raises(ArithmeticError, match=r"epsilon .* marginal error"):
+        transport._sinkhorn(cost)
 
 
 def _chunked_cost_matrix(mu, nu, metric, p):
