@@ -13,7 +13,9 @@ from fbmlab import (
     PathMetric,
     TimeGrid,
     relative_entropy_discrete,
-    transport_constant,
+    t1_constant,
+    t2_constant_d2,
+    t2_constant_dinf,
     wasserstein_empirical,
 )
 from fbmlab.fbm import sample_fbm_circulant_batch
@@ -42,11 +44,13 @@ uniform = np.full(n, 1.0 / n)
 print(f"  H(nu | mu) = {relative_entropy_discrete(w, uniform):.4f}")
 
 print("\nTransportation constants (closed form):")
-for tag, kw in [
-    ("T1_additive", dict(sigma_beta_norm=1.0, L_b=1.0)),
-    ("T2_additive_dinf", dict(B=-1.0, sigma_sup=1.0)),
-    ("T2_additive_d2", dict(B=-1.0, sigma_sup=1.0)),
-    ("T2_scalar_d2", dict(B=-1.0, sigma1=1.0, sigma2=1.3)),
+H, T = 0.75, 0.5
+c_t1, horizon = t1_constant(H, T, 1.0, 1.0)   # ||sigma||_beta = 1, L_b = 1
+# the dissipative T2 constants hold at every horizon; additive is sigma1 = 1
+for label, value, horizon_ok in [
+    ("T1_additive", c_t1, T <= horizon),
+    ("T2_additive_dinf", t2_constant_dinf(H, T, -1.0, 1.0, 1.0), True),
+    ("T2_additive_d2", t2_constant_d2(H, T, -1.0, 1.0, 1.0), True),
+    ("T2_scalar_d2", t2_constant_d2(H, T, -1.0, 1.0, 1.3), True),
 ]:
-    tc = transport_constant(tag, H=0.75, T=0.5, **kw)
-    print(f"  {tag:18s} C = {tc.value:.5f}  horizon_ok = {tc.horizon_ok}")
+    print(f"  {label:18s} C = {value:.5f}  horizon_ok = {horizon_ok}")

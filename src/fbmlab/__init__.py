@@ -50,11 +50,11 @@ from .sde import (
 from .transport import (
     PathEnsemble,
     PathMetric,
-    TheoremTag,
-    TransportConstants,
     path_distance,
     relative_entropy_discrete,
-    transport_constant,
+    t1_constant,
+    t2_constant_d2,
+    t2_constant_dinf,
     wasserstein_empirical,
 )
 from .concentration import (
@@ -79,8 +79,8 @@ __all__ = [
     "BlowUpError", "BoundReport", "ConfigError", "DriftSpec", "ExperimentConfig",
     "FbmPath", "FracOrder", "GeneratorTag", "GridFunction", "HolderNorm",
     "HurstParam", "MomentReport", "PathEnsemble", "PathMetric",
-    "ScalarDiffusion", "SolutionPath", "TailReport", "TheoremTag",
-    "TimeDiffusion", "TimeGrid", "TransportConstants", "calibrated_constants",
+    "ScalarDiffusion", "SolutionPath", "TailReport",
+    "TimeDiffusion", "TimeGrid", "calibrated_constants",
     "covariance_rh", "drift_coupled_pair", "estimate_t1_constant",
     "frac_deriv_left", "gaussian_tail_c_delta",
     "gronwall_coupling_bound", "grr_modulus_holds", "grr_xi", "holder_norm",
@@ -89,7 +89,8 @@ __all__ = [
     "path_distance", "phi_argmax", "phi_link", "relative_entropy_discrete",
     "sample_fbm_cholesky", "sample_fbm_circulant", "sample_fbm_transfer",
     "scalar_product_h", "solve_additive", "solve_scalar",
-    "solve_scalar_via_lamperti", "transport_constant", "verify_fernique",
+    "solve_scalar_via_lamperti", "t1_constant", "t2_constant_d2",
+    "t2_constant_dinf", "verify_fernique",
     "verify_hoeffding_large_time", "verify_hoeffding_small_time",
     "wasserstein_empirical", "young_integral_frac", "young_integral_rs",
 ]

@@ -49,6 +49,14 @@ def _sample_one(grid, hp, m, seed, generator, path_index=0):
     return sample_fbm_circulant(grid, hp, m, seed, path_index=path_index)
 
 
+def _require_fbm(cfg: ExperimentConfig, command: str, **supported) -> None:
+    """Reject [fbm] settings the command cannot honour (ConfigError, exit 2)."""
+    for key, value in supported.items():
+        if cfg.get("fbm", key) != value:
+            raise ConfigError(f"{command} supports [fbm] {key} = {value} only, "
+                              f"got {cfg.get('fbm', key)!r}")
+
+
 def cmd_sample(cfg: ExperimentConfig, out_dir: str) -> int:
     grid = TimeGrid(cfg.get("grid", "t_max"), cfg.get("grid", "n_steps"))
     hp = HurstParam(cfg.get("fbm", "hurst"))
@@ -63,7 +71,8 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: str) -> int:
         write_path_csv(stem + ".csv", grid, fp.values)
         write_path_binary(stem + ".fbmp", grid, fp.values)
     write_json_report(os.path.join(out_dir, "sample_manifest.json"), {
-        "command": "sample", "config_hash": cfg.config_hash, "seed": seed,
+        "command": "sample", "experiment": cfg.get("experiment", "name"),
+        "config_hash": cfg.config_hash, "seed": seed,
         "generator": gen, "hurst": hp.h, "t_max": grid.t_max,
         "n_steps": grid.n_steps, "n_paths": n_paths, "components": m,
     })
@@ -72,10 +81,7 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: str) -> int:
 
 def cmd_solve(cfg: ExperimentConfig, out_dir: str) -> int:
     # solve drives the scalar additive model with circulant fBm only
-    for key, supported in (("components", 1), ("generator", "circulant")):
-        if cfg.get("fbm", key) != supported:
-            raise ConfigError(f"solve supports [fbm] {key} = {supported} only, "
-                              f"got {cfg.get('fbm', key)!r}")
+    _require_fbm(cfg, "solve", components=1, generator="circulant")
     grid = TimeGrid(cfg.get("grid", "t_max"), cfg.get("grid", "n_steps"))
     hp = HurstParam(cfg.get("fbm", "hurst"))
     seed = cfg.get("experiment", "seed")
@@ -91,7 +97,8 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: str) -> int:
         write_path_csv(stem + ".csv", grid, paths[i])
         write_path_binary(stem + ".fbmp", grid, paths[i])
     write_json_report(os.path.join(out_dir, "solve_manifest.json"), {
-        "command": "solve", "config_hash": cfg.config_hash, "seed": seed,
+        "command": "solve", "experiment": cfg.get("experiment", "name"),
+        "config_hash": cfg.config_hash, "seed": seed,
         "model": "additive", "drift_b": B, "sigma": sigma, "x0": x0,
         "hurst": hp.h, "t_max": grid.t_max, "n_steps": grid.n_steps,
         "n_paths": n_paths,
@@ -117,6 +124,8 @@ def _dump_tail_tables(out_dir: str, name: str, result: dict) -> None:
 
 def cmd_verify(cfg: ExperimentConfig, out_dir: str,
                only: list[str] | None = None) -> int:
+    # every verifier draws its fBm with the circulant sampler
+    _require_fbm(cfg, "verify", generator="circulant")
     names = only if only else cfg.verifier_list
     os.makedirs(out_dir, exist_ok=True)
     all_ok = True

@@ -5,7 +5,7 @@ confidence bound against a closed-form bound:
 
 * sub-Gaussian tails of two Lipschitz path functionals (the clipped time
   average and the sup displacement) in the small- and large-time regimes,
-  against the T1/T2 constants of transport_constant, with Clopper-Pearson
+  against the T1/T2 constants of fbmlab.transport, with Clopper-Pearson
   99% upper bounds so a failure is statistically meaningful;
 * Fernique-type moment and exponential-moment estimates for the Holder
   seminorm of fBm;
@@ -28,9 +28,17 @@ import numpy as np
 from scipy import special, stats
 
 from .fbm import HurstParam, sample_fbm_circulant_batch
+from .fixtures import calibrated_constants
 from .grid import TimeGrid, holder_norm, holder_seminorm_ensemble
 from .sde import euler_additive_ensemble
-from .transport import PathEnsemble, PathMetric, path_metric, transport_constant
+from .transport import (
+    PathEnsemble,
+    PathMetric,
+    path_metric,
+    t1_constant,
+    t2_constant_d2,
+    t2_constant_dinf,
+)
 
 
 @dataclass
@@ -134,21 +142,19 @@ def estimate_t1_constant(distances: np.ndarray) -> tuple[float, dict[int, float]
     distances are i.i.d. draws of d(xi, xi') for independent xi, xi'.
     """
     d = np.asarray(distances, dtype=float)
-    ks = np.arange(1, T1_K_MAX + 1)
-    terms = []
-    for k in ks:
-        mk = np.mean(d ** (2 * k))
-        terms.append((special.factorial(k) * mk / special.factorial(2 * k)) ** (1.0 / k))
-    est = 2.0 * max(terms)
     n = len(d)
-    errs = []
-    for k in ks:
+
+    def root(m, k):  # (k! m / (2k)!)^{1/k}
+        return (special.factorial(k) * m / special.factorial(2 * k)) ** (1.0 / k)
+
+    terms, errs = [], {}
+    for k in np.arange(1, T1_K_MAX + 1):
         p = d ** (2 * k)
         m = p.mean()
-        loo = (m * n - p) / (n - 1)
-        jk = (special.factorial(k) * loo / special.factorial(2 * k)) ** (1.0 / k)
-        errs.append(float(np.sqrt((n - 1) * np.var(jk))))
-    return float(est), dict(zip((int(k) for k in ks), errs))
+        terms.append(root(m, k))
+        jk = root((m * n - p) / (n - 1), k)   # leave-one-out moments
+        errs[int(k)] = float(np.sqrt((n - 1) * np.var(jk)))
+    return float(2.0 * max(terms)), errs
 
 
 def gaussian_tail_c_delta(distances: np.ndarray, delta: float) -> dict:
@@ -234,14 +240,14 @@ def verify_hoeffding_small_time(H: float, T: float, n_paths: int,
     With b = 0 and sigma = 1 the solution is x + B^H itself; the two
     functionals are the time average of x clipped to [-10, 10] and the sup
     displacement, both 1-Lipschitz under d_inf.  Bound denominators are 2 C
-    with C = K_hat T^{2H}, the T1_additive constant of transport_constant
-    (||sigma||_beta = 1, L_b = 0).  Refuses horizons beyond its validity
-    window T <= stability_horizon(0) = 1.
+    with C = K_hat T^{2H}, the additive t1_constant (||sigma||_beta = 1,
+    L_b = 0).  Refuses horizons beyond its validity window
+    T <= stability_horizon(0) = 1.
     """
-    tc = transport_constant("T1_additive", H=H, T=T, sigma_beta_norm=1.0, L_b=0.0)
-    if not tc.horizon_ok:
+    C, horizon = t1_constant(H, T, 1.0, 0.0)
+    if T > horizon:
         raise ValueError(f"small-time verifier requires T <= 1, got {T}")
-    C, K = tc.value, tc.detail["K"]
+    K = calibrated_constants()["K_hat"]
     hp = HurstParam(H)
     grid = TimeGrid(T, n_steps)
     paths = sample_fbm_circulant_batch(grid, hp, n_paths, seed)
@@ -260,8 +266,9 @@ def verify_hoeffding_large_time(H: float, T: float, n_paths: int,
     One functional, the time average of X clipped to [-50, 50], two
     metrics: under d_inf the tail bound is exp(-r^2 |B| / (4 H T^{2H-1}))
     (for B < 0 the exponential factor of the constant is 1), under d_2 it is
-    exp(-r^2 B^2 T^{2-2H} / (4 H (1 - e^{BT}))).  The constants are the
-    T2_additive entries of transport_constant with sigma = 1.  Requires B < 0.
+    exp(-r^2 B^2 T^{2-2H} / (4 H (1 - e^{BT}))).  The constants are
+    t2_constant_dinf and t2_constant_d2 of the additive model with sigma = 1
+    (sigma1 = sigma2 = 1).  Requires B < 0.
     """
     if B >= 0:
         raise ValueError(f"large-time bounds require B < 0, got B={B}")
@@ -270,8 +277,8 @@ def verify_hoeffding_large_time(H: float, T: float, n_paths: int,
     drivers = sample_fbm_circulant_batch(grid, hp, n_paths, seed)
     paths = euler_additive_ensemble(0.0, lambda x: B * x, drivers, grid.dt)
     samples = time_average(paths, grid, clip=50.0)
-    c_inf = transport_constant("T2_additive_dinf", H=H, T=T, B=B, sigma_sup=1.0).value
-    c_two = transport_constant("T2_additive_d2", H=H, T=T, B=B, sigma_sup=1.0).value
+    c_inf = t2_constant_dinf(H, T, B, 1.0, 1.0)
+    c_two = t2_constant_d2(H, T, B, 1.0, 1.0)
     notes = {"functional": "time_average", "variant": "additive", "B": B, "T": T}
     # denominators 2 c ||F||_Lip^2 with ||F||_Lip = 1 (d_inf), 1/sqrt(T) (d_2)
     rep_inf = _tail_report(samples, 2.0 * c_inf, {"metric": "d_infinity", **notes})

@@ -18,6 +18,11 @@ cap or a gap left above the gate at the floor raises ArithmeticError.
 Empirical distances between independent samples of one law are biased
 upward, so verification against the transportation constants is always
 one-sided.
+
+The constants are three closed forms with required arguments:
+t1_constant (small horizon, returned with its stability horizon) and
+t2_constant_dinf / t2_constant_d2 (dissipative).  Each is written for the
+scalar model; the additive model is its case sigma1 = 1.
 """
 
 from __future__ import annotations
@@ -276,22 +281,6 @@ def relative_entropy_discrete(nu_weights: np.ndarray, mu_weights: np.ndarray) ->
 # Transportation constants
 # ---------------------------------------------------------------------------
 
-class TheoremTag(str, Enum):
-    T1_additive = "T1_additive"
-    T1_scalar = "T1_scalar"
-    T2_additive_dinf = "T2_additive_dinf"
-    T2_additive_d2 = "T2_additive_d2"
-    T2_scalar_dinf = "T2_scalar_dinf"
-    T2_scalar_d2 = "T2_scalar_d2"
-
-
-@dataclass
-class TransportConstants:
-    value: float
-    horizon_ok: bool
-    detail: dict
-
-
 def c_bt(B: float, T: float, sigma1: float = 1.0) -> float:
     """Time factor of the d_2 constants: (e^{3BT/s1} - 1)/3 for B > 0 and
     1 - e^{BT/s1} for B < 0."""
@@ -302,63 +291,39 @@ def c_bt(B: float, T: float, sigma1: float = 1.0) -> float:
     return 1.0 - np.exp(B * T / sigma1)
 
 
-def transport_constant(tag: TheoremTag | str, *, H: float, T: float,
-                       sigma_beta_norm: float | None = None,
-                       sigma_sup: float | None = None,
-                       sigma1: float | None = None,
-                       sigma2: float | None = None,
-                       L_b: float | None = None,
-                       L_sigma: float | None = None,
-                       B_sup: float | None = None,
-                       B: float | None = None) -> TransportConstants:
-    """Closed-form transportation constant for one theorem variant.
+def t1_constant(H: float, T: float, scale: float,
+                lipschitz: float) -> tuple[float, float]:
+    """Small-horizon constant K_hat scale T^{2H} and its horizon
+    stability_horizon(lipschitz); the constant holds for T <= horizon.
 
-    The universal constant K of the small-horizon variants is not numeric in
-    the theory; it is the calibrated fixture K_hat, flagged as such in the
-    detail record.
+    Additive model: scale = ||sigma||_beta, lipschitz = L_b.  Scalar model:
+    scale = sigma2^2, lipschitz = sde.lamperti_drift_lipschitz_bound.  The
+    universal K of the theory is not numeric; K_hat is the calibrated
+    fixture, not analytic ground truth.
     """
-    tag = TheoremTag(tag)
-    detail: dict = {"H": H, "T": T}
-    if tag in (TheoremTag.T1_additive, TheoremTag.T1_scalar):
-        K = calibrated_constants()["K_hat"]
-        detail["K_source"] = "calibrated fixture K_hat (not analytic ground truth)"
-        detail["K"] = K
-        if tag == TheoremTag.T1_additive:
-            if sigma_beta_norm is None or L_b is None:
-                raise ValueError("T1_additive needs sigma_beta_norm and L_b")
-            horizon = stability_horizon(L_b)
-            value = K * sigma_beta_norm * T ** (2 * H)
-        else:
-            if None in (sigma1, sigma2, L_b, L_sigma, B_sup):
-                raise ValueError("T1_scalar needs sigma1, sigma2, L_b, L_sigma, B_sup")
-            denom = 2 * sigma2 * (L_b * sigma2 + L_sigma * B_sup)
-            horizon = min(1.0, sigma1**2 / denom) if denom > 0 else 1.0
-            value = K * sigma2**2 * T ** (2 * H)
-        detail["horizon"] = horizon
-        return TransportConstants(float(value), bool(T <= horizon), detail)
+    K = calibrated_constants()["K_hat"]
+    return float(K * scale * T ** (2 * H)), stability_horizon(lipschitz)
 
-    if B is None or B == 0.0:
-        raise ValueError(f"{tag.value} requires a nonzero one-sided constant B")
-    detail["B"] = B
-    if tag == TheoremTag.T2_additive_dinf:
-        if sigma_sup is None:
-            raise ValueError("T2_additive_dinf needs sigma_sup")
-        value = (2.0 / abs(B)) * H * T ** (2 * H - 1) \
-            * max(1.0, np.exp((2 * B + abs(B)) * T)) * sigma_sup**2
-    elif tag == TheoremTag.T2_additive_d2:
-        if sigma_sup is None:
-            raise ValueError("T2_additive_d2 needs sigma_sup")
-        value = (2.0 / B**2) * H * T ** (2 * H - 1) * sigma_sup**2 * c_bt(B, T)
-    elif tag == TheoremTag.T2_scalar_dinf:
-        if None in (sigma1, sigma2):
-            raise ValueError("T2_scalar_dinf needs sigma1 and sigma2")
-        value = (2.0 * sigma1 * sigma2**2 / abs(B)) * H * T ** (2 * H - 1) \
-            * max(1.0, np.exp((2 * B + abs(B)) * T / sigma1))
-    elif tag == TheoremTag.T2_scalar_d2:
-        if None in (sigma1, sigma2):
-            raise ValueError("T2_scalar_d2 needs sigma1 and sigma2")
-        value = (2.0 * sigma1**2 * sigma2**2 / B**2) * H * T ** (2 * H - 1) \
-            * c_bt(B, T, sigma1)
-    else:  # pragma: no cover
-        raise ValueError(tag)
-    return TransportConstants(float(value), True, detail)
+
+def t2_constant_dinf(H: float, T: float, B: float, sigma1: float,
+                     sigma2: float) -> float:
+    """Dissipative constant under d_inf for the scalar model,
+    (2 / |B|) H T^{2H-1} max(1, e^{(2B + |B|) T / s1}) s2^2 s1; the
+    additive model is s1 = 1, s2 = sup |sigma|.  B is the one-sided drift
+    constant, nonzero."""
+    if B == 0.0:
+        raise ValueError("B must be nonzero")
+    return float((2.0 / abs(B)) * H * T ** (2 * H - 1)
+                 * max(1.0, np.exp((2 * B + abs(B)) * T / sigma1))
+                 * sigma2**2 * sigma1)
+
+
+def t2_constant_d2(H: float, T: float, B: float, sigma1: float,
+                   sigma2: float) -> float:
+    """Dissipative constant under d_2 for the scalar model,
+    (2 / B^2) H T^{2H-1} s2^2 c_bt(B, T, s1) s1^2; the additive model is
+    s1 = 1, s2 = sup |sigma|.  B is the one-sided drift constant, nonzero."""
+    if B == 0.0:
+        raise ValueError("B must be nonzero")
+    return float((2.0 / B**2) * H * T ** (2 * H - 1)
+                 * sigma2**2 * c_bt(B, T, sigma1) * sigma1**2)

@@ -170,7 +170,7 @@ def test_hoeffding_large_time_guards():
 @pytest.mark.parametrize("H,T,B", [(0.75, 2.0, -1.0), (0.6, 4.0, -0.3)],
                          ids=["0.75-2.0--1.0-None", "0.6-4.0--0.3-None"])
 def test_hoeffding_large_time_denominators_closed_form(H, T, B):
-    # the T2 constants in closed form, written out apart from transport_constant
+    # the T2 constants in closed form, written out apart from fbmlab.transport
     c_inf = (2.0 / abs(B)) * H * T ** (2 * H - 1) * 1.0**2
     c_two = (2.0 / B**2) * H * T ** (2 * H - 1) * 1.0**2 * (1.0 - np.exp(B * T))
     rep_inf, rep_two = verify_hoeffding_large_time(

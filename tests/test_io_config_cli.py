@@ -150,17 +150,21 @@ def test_cli_config_error_exit_2(tmp_path):
 
 
 def test_cli_sample_and_solve(tmp_path):
-    ini = _write_ini(tmp_path, SMALL_INI)
+    ini = _write_ini(tmp_path, SMALL_INI.replace("[experiment]\n",
+                                                 "[experiment]\nname = smoke\n"))
     out = str(tmp_path / "samp")
     assert main(["sample", "--config", ini, "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "path_00001.fbmp"))
     manifest = json.load(open(os.path.join(out, "sample_manifest.json")))
     assert manifest["seed"] == 42
+    assert manifest["experiment"] == "smoke"
     assert "config_hash" in manifest
     out2 = str(tmp_path / "solv")
     assert main(["solve", "--config", ini, "--out", out2]) == 0
     grid, vals = read_path_binary(os.path.join(out2, "solution_00000.fbmp"))
     assert np.all(np.isfinite(vals))
+    manifest = json.load(open(os.path.join(out2, "solve_manifest.json")))
+    assert manifest["experiment"] == "smoke"
 
 
 @pytest.mark.parametrize("key,value", [("components", "2"), ("generator", "cholesky")])
@@ -171,6 +175,16 @@ def test_cli_solve_rejects_unsupported_drivers(tmp_path, key, value):
     out = tmp_path / "solv"
     assert main(["solve", "--config", ini, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_cli_verify_rejects_non_circulant_generator(tmp_path, capsys):
+    # the verifiers draw circulant fBm only; the key is rejected before any report
+    ini = _write_ini(tmp_path, SMALL_INI.replace("[fbm]\n", "[fbm]\ngenerator = cholesky\n"))
+    out = tmp_path / "vrf"
+    out.mkdir()
+    assert main(["verify", "--config", ini, "--out", str(out)]) == 2
+    assert list(out.iterdir()) == []
+    assert "verify supports [fbm] generator = circulant only" in capsys.readouterr().err
 
 
 def test_cli_solve_blow_up_exit_3(tmp_path, capsys):

@@ -11,16 +11,22 @@ from fbmlab import transport
 from fbmlab.fbm import HurstParam, sample_fbm_circulant_batch
 from fbmlab.fixtures import calibrated_constants
 from fbmlab.grid import TimeGrid
-from fbmlab.sde import euler_additive_ensemble
+from fbmlab.sde import (
+    DriftSpec,
+    ScalarDiffusion,
+    euler_additive_ensemble,
+    lamperti_drift_lipschitz_bound,
+)
 from fbmlab.transport import (
     PathEnsemble,
     PathMetric,
-    TheoremTag,
     c_bt,
     pairwise_cost_matrix,
     path_distance,
     relative_entropy_discrete,
-    transport_constant,
+    t1_constant,
+    t2_constant_d2,
+    t2_constant_dinf,
     wasserstein_empirical,
 )
 
@@ -234,64 +240,66 @@ def test_c_bt_both_signs():
         c_bt(0.0, 1.0)
 
 
-def test_transport_constant_t1_additive():
+def test_t1_constant_additive():
     K = calibrated_constants()["K_hat"]
-    tc = transport_constant("T1_additive", H=0.75, T=0.5,
-                            sigma_beta_norm=1.5, L_b=1.0)
-    assert tc.value == pytest.approx(K * 1.5 * 0.5**1.5)
-    assert tc.horizon_ok
-    late = transport_constant("T1_additive", H=0.75, T=0.9,
-                              sigma_beta_norm=1.5, L_b=1.0)
-    assert not late.horizon_ok  # Delta = 1/2 < 0.9
+    value, horizon = t1_constant(0.75, 0.5, 1.5, 1.0)  # ||sigma||_beta, L_b
+    assert value == pytest.approx(K * 1.5 * 0.5**1.5)
+    assert horizon == 0.5  # Delta = min(1, 1/(2 L_b)), boundary included
+    assert 0.9 > t1_constant(0.75, 0.9, 1.5, 1.0)[1]
 
 
-def test_transport_constant_t1_scalar():
+def _t1_scalar(H, T, sigma1, sigma2, L_b, L_sigma, B_sup):
+    """t1_constant as the scalar model calls it."""
+    drift = DriftSpec(lambda x: x, lipschitz=L_b, sup_bound=B_sup)
+    sigma_x = ScalarDiffusion(lambda x: sigma2, sigma1, sigma2, lipschitz=L_sigma)
+    return t1_constant(H, T, sigma2**2, lamperti_drift_lipschitz_bound(drift, sigma_x))
+
+
+def test_t1_constant_scalar():
     # K_hat sigma2^2 T^{2H} up to the horizon
     # min(1, sigma1^2 / (2 sigma2 (L_b sigma2 + L_sigma B_sup)))
     K = calibrated_constants()["K_hat"]
     kw = dict(sigma1=1.0, sigma2=1.3, L_b=1.0, L_sigma=0.6, B_sup=1.0)
-    horizon = 1.0 / (2.0 * 1.3 * (1.0 * 1.3 + 0.6 * 1.0))  # 1/4.94 = 0.2024...
-    tc = transport_constant("T1_scalar", H=0.75, T=0.2, **kw)
-    assert tc.value == pytest.approx(K * 1.3**2 * 0.2**1.5, rel=1e-14)
-    assert tc.detail["horizon"] == pytest.approx(horizon, rel=1e-14)
-    assert tc.horizon_ok
-    assert not transport_constant("T1_scalar", H=0.75, T=0.21, **kw).horizon_ok
+    expect = 1.0 / (2.0 * 1.3 * (1.0 * 1.3 + 0.6 * 1.0))  # 1/4.94 = 0.2024...
+    value, horizon = _t1_scalar(0.75, 0.2, **kw)
+    assert value == pytest.approx(K * 1.3**2 * 0.2**1.5, rel=1e-14)
+    assert horizon == pytest.approx(expect, rel=1e-14)
+    assert 0.2 <= horizon < 0.21
     # no Lipschitz constants: the horizon is 1, boundary included
     flat = dict(sigma1=0.5, sigma2=2.0, L_b=0.0, L_sigma=0.0, B_sup=3.0)
-    tc = transport_constant("T1_scalar", H=0.9, T=1.0, **flat)
-    assert tc.value == pytest.approx(K * 4.0, rel=1e-14)
-    assert tc.detail["horizon"] == 1.0 and tc.horizon_ok
-    assert not transport_constant("T1_scalar", H=0.9, T=1.5, **flat).horizon_ok
+    value, horizon = _t1_scalar(0.9, 1.0, **flat)
+    assert value == pytest.approx(K * 4.0, rel=1e-14)
+    assert horizon == 1.0
     # a small sigma1 pulls the horizon below 1: 0.25 / (2 * 2 * (2 + 0)) = 1/32
-    tc = transport_constant("T1_scalar", H=0.6, T=1.0 / 32, sigma1=0.5, sigma2=2.0,
+    _, horizon = _t1_scalar(0.6, 1.0 / 32, sigma1=0.5, sigma2=2.0,
                             L_b=1.0, L_sigma=0.0, B_sup=3.0)
-    assert tc.detail["horizon"] == 1.0 / 32 and tc.horizon_ok
-    with pytest.raises(ValueError):
-        transport_constant("T1_scalar", H=0.75, T=0.2, sigma1=1.0, sigma2=1.3)
+    assert horizon == 1.0 / 32
 
 
-def test_transport_constant_t2_additive_d2():
-    tc = transport_constant(TheoremTag.T2_additive_d2, H=0.75, T=1.0,
-                            B=-1.0, sigma_sup=2.0)
+def test_t2_constant_d2_additive():
+    # the additive model is sigma1 = 1, sigma2 = sup |sigma|, bit for bit
+    value = t2_constant_d2(0.75, 1.0, -1.0, 1.0, 2.0)
     expect = 2.0 * 0.75 * 4.0 * (1.0 - np.exp(-1.0))
-    assert tc.value == pytest.approx(expect)
+    assert value == pytest.approx(expect)
+    assert value == (2.0 / (-1.0) ** 2) * 0.75 * 1.0 ** 0.5 * 2.0**2 * c_bt(-1.0, 1.0)
 
 
-def test_transport_constant_t2_scalar_dinf_dissipative():
+def test_t2_constant_scalar_dissipative():
     # for B < 0 the exponential factor saturates at 1
-    tc = transport_constant("T2_scalar_dinf", H=0.75, T=2.0,
-                            B=-0.5, sigma1=1.0, sigma2=1.3)
+    value = t2_constant_dinf(0.75, 2.0, -0.5, 1.0, 1.3)
     expect = 2.0 * 1.0 * 1.3**2 / 0.5 * 0.75 * 2.0**0.5
-    assert tc.value == pytest.approx(expect)
+    assert value == pytest.approx(expect)
     # d_2: 2 s1^2 s2^2 / B^2 * H T^{2H-1} * (1 - e^{BT/s1})
-    tc = transport_constant("T2_scalar_d2", H=0.9, T=1.0,
-                            B=-2.0, sigma1=0.8, sigma2=1.3)
+    value = t2_constant_d2(0.9, 1.0, -2.0, 0.8, 1.3)
     expect = 2.0 * 0.8**2 * 1.3**2 / 4.0 * 0.9 * 1.0**0.8 * (1.0 - np.exp(-2.0 / 0.8))
-    assert tc.value == pytest.approx(expect)
+    assert value == pytest.approx(expect)
 
 
-def test_transport_constant_requires_parameters():
-    with pytest.raises(ValueError):
-        transport_constant("T2_additive_d2", H=0.75, T=1.0, sigma_sup=1.0)  # no B
-    with pytest.raises(ValueError):
-        transport_constant("T1_additive", H=0.75, T=0.5)  # incomplete
+def test_constant_forms_require_parameters():
+    for t2 in (t2_constant_dinf, t2_constant_d2):
+        with pytest.raises(ValueError, match="B must be nonzero"):
+            t2(0.75, 1.0, 0.0, 1.0, 1.0)
+        with pytest.raises(TypeError):
+            t2(0.75, 1.0, -1.0, 1.0)  # no sigma2
+    with pytest.raises(TypeError):
+        t1_constant(0.75, 0.5, 1.0)  # no lipschitz

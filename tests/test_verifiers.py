@@ -9,7 +9,7 @@ from fbmlab.fbm import HurstParam
 from fbmlab.fixtures import calibrated_constants
 from fbmlab.grid import TimeGrid, holder_norm
 from fbmlab.sde import euler_additive_ensemble, stability_horizon
-from fbmlab.transport import transport_constant
+from fbmlab.transport import t1_constant
 from fbmlab.verifiers import VERIFIERS, independent_pairs, stability_ratios
 
 
@@ -43,8 +43,7 @@ def test_stability_horizon_boundary_is_one_comparison(tmp_path):
     delta = stability_horizon(2.0)
     assert delta == 0.25 and stability_horizon(0.0) == 1.0 and stability_horizon(0.1) == 1.0
     for T, inside in ((delta, True), (delta * (1 + 1e-9), False)):
-        assert transport_constant("T1_additive", H=0.75, T=T,
-                                  sigma_beta_norm=1.0, L_b=2.0).horizon_ok is inside
+        assert (T <= t1_constant(0.75, T, 1.0, 2.0)[1]) is inside
         ini = tmp_path / "c.ini"
         ini.write_text(f"[grid]\nt_max = {T!r}\nn_steps = 16\n[sde]\ndrift_b = -2\n"
                        "[verify]\nn_paths = 8\n")
