@@ -19,6 +19,7 @@ import sys
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .fbm import (
+    STREAM_LAYOUT,
     HurstParam,
     sample_fbm_cholesky,
     sample_fbm_circulant,
@@ -49,12 +50,14 @@ def _sample_one(grid, hp, m, seed, generator, path_index=0):
     return sample_fbm_circulant(grid, hp, m, seed, path_index=path_index)
 
 
-def _require_fbm(cfg: ExperimentConfig, command: str, **supported) -> None:
-    """Reject [fbm] settings the command cannot honour (ConfigError, exit 2)."""
-    for key, value in supported.items():
-        if cfg.get("fbm", key) != value:
-            raise ConfigError(f"{command} supports [fbm] {key} = {value} only, "
-                              f"got {cfg.get('fbm', key)!r}")
+def _require(cfg: ExperimentConfig, command: str, **supported: dict) -> None:
+    """Reject settings the command cannot honour (ConfigError, exit 2);
+    `supported` maps a section to {key: the one value the command honours}."""
+    for section, keys in supported.items():
+        for key, value in keys.items():
+            if cfg.get(section, key) != value:
+                raise ConfigError(f"{command} supports [{section}] {key} = {value} only, "
+                                  f"got {cfg.get(section, key)!r}")
 
 
 def cmd_sample(cfg: ExperimentConfig, out_dir: str) -> int:
@@ -75,13 +78,14 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: str) -> int:
         "config_hash": cfg.config_hash, "seed": seed,
         "generator": gen, "hurst": hp.h, "t_max": grid.t_max,
         "n_steps": grid.n_steps, "n_paths": n_paths, "components": m,
+        "stream_layout": STREAM_LAYOUT,
     })
     return EXIT_PASS
 
 
 def cmd_solve(cfg: ExperimentConfig, out_dir: str) -> int:
     # solve drives the scalar additive model with circulant fBm only
-    _require_fbm(cfg, "solve", components=1, generator="circulant")
+    _require(cfg, "solve", fbm={"components": 1, "generator": "circulant"})
     grid = TimeGrid(cfg.get("grid", "t_max"), cfg.get("grid", "n_steps"))
     hp = HurstParam(cfg.get("fbm", "hurst"))
     seed = cfg.get("experiment", "seed")
@@ -101,7 +105,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: str) -> int:
         "config_hash": cfg.config_hash, "seed": seed,
         "model": "additive", "drift_b": B, "sigma": sigma, "x0": x0,
         "hurst": hp.h, "t_max": grid.t_max, "n_steps": grid.n_steps,
-        "n_paths": n_paths,
+        "n_paths": n_paths, "stream_layout": STREAM_LAYOUT,
     })
     return EXIT_PASS
 
@@ -124,8 +128,10 @@ def _dump_tail_tables(out_dir: str, name: str, result: dict) -> None:
 
 def cmd_verify(cfg: ExperimentConfig, out_dir: str,
                only: list[str] | None = None) -> int:
-    # every verifier draws its fBm with the circulant sampler
-    _require_fbm(cfg, "verify", generator="circulant")
+    # the verifiers solve dx = drift_b x dt + dB from x = 0 with scalar
+    # circulant fBm; [fbm] n_paths is for sample and solve
+    _require(cfg, "verify", fbm={"generator": "circulant", "components": 1},
+             sde={"sigma": 1.0, "x0": 0.0})
     names = only if only else cfg.verifier_list
     os.makedirs(out_dir, exist_ok=True)
     all_ok = True

@@ -156,6 +156,9 @@ def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    seed = cfg.get("experiment", "seed")
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"[experiment] seed must be in [0, 2**64), got {seed}")
     h = cfg.get("fbm", "hurst")
     if not 0.5 < h < 1.0:
         raise ConfigError(f"[fbm] hurst must be in (1/2, 1), got {h}")

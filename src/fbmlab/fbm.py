@@ -16,12 +16,23 @@ through the Gauss hypergeometric function.  `transfer_from_wiener_increments`
 is the one place the discretized kernel is applied to increments: the
 transfer sampler, `fractional.operator_kh` and `sde.drift_coupled_pair`
 all go through it.
+
+Random streams (layout 2).  Every normal a sampler draws comes from one
+Philox per (seed, component), keyed by `SeedSequence(seed, spawn_key=(0,
+component))`.  Path i is the counter block (0, 0, i, 0) of that Philox
+(`component_rng`), so each path is addressable on its own and the single-path
+and batch samplers agree bit for bit.  Ensembles other than the primary one
+of a seed -- the independent partner, the esti-int window draw, one ensemble
+per large-time horizon index -- use the u64 seed `role_seed(seed, role,
+index)`, derived through the same SeedSequence under a different spawn key,
+so their independence comes from how the streams are built rather than from
+seed offsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 
 import numpy as np
 from scipy import integrate, special
@@ -72,15 +83,59 @@ class FbmPath:
         object.__setattr__(self, "values", vals)
 
 
+#: Layout of the random streams the samplers draw, recorded in manifests.
+STREAM_LAYOUT = 2
+
+
+class Role(IntEnum):
+    """Ensembles derived from a seed by role_seed; the primary ensemble of a
+    seed is drawn from the seed itself.  The values enter the spawn key, so
+    they are part of STREAM_LAYOUT."""
+
+    partner = 1   # the independent partner of the primary ensemble
+    windows = 2   # the esti-int window draw
+    horizon = 3   # one large-time ensemble per horizon index
+
+
+#: Spawn-key tag of the Philox key of one (seed, component); Role tags start
+#: at 1, so a role seed and a key never come from the same spawn key.
+_KEY = 0
+
+
+def _seed_sequence(seed: int, tag: int, index: int) -> np.random.SeedSequence:
+    """The one stream derivation: SeedSequence(seed) under spawn key (tag, index)."""
+    return np.random.SeedSequence(int(seed), spawn_key=(int(tag), int(index)))
+
+
+def role_seed(seed: int, role: Role, index: int = 0) -> int:
+    """u64 seed of the ensemble `role` (number `index` of it) of `seed`."""
+    return int(_seed_sequence(seed, role, index).generate_state(1, np.uint64)[0])
+
+
+def _path_streams(seed: int, component: int):
+    """Path selector of the (seed, component) Philox: the returned function
+    maps a path index i to the generator with its counter at the block
+    (0, 0, i, 0) and its buffer empty."""
+    bits = np.random.Philox(_seed_sequence(seed, _KEY, component))
+    gen = np.random.Generator(bits)
+    state = bits.state  # counter 0, empty buffer
+
+    def at(path_index: int) -> np.random.Generator:
+        state["state"]["counter"][2] = path_index
+        bits.state = state
+        return gen
+
+    return at
+
+
 def component_rng(seed: int, path_index: int, component: int) -> np.random.Generator:
-    """Counter-based stream keyed by (seed, path, component).
+    """The stream of path `path_index`, component `component` of `seed`.
 
     Philox is a counter-based generator, so ensembles are reproducible under
-    any parallel schedule as long as each (path, component) keeps its key.
+    any schedule: a sampler keys one Philox per component and moves its
+    counter from path to path.
     """
-    ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1),
-                                spawn_key=(int(path_index), int(component)))
-    return np.random.Generator(np.random.Philox(ss))
+    return _path_streams(seed, component)(path_index)
 
 
 def covariance_rh(s: float, t: float, h: HurstParam) -> float:
@@ -205,6 +260,7 @@ def _circulant_rows(grid: TimeGrid, h: HurstParam, seed: int,
     real, then imaginary parts of z_1..z_{n-1}.  Rows are assembled into
     Hermitian vectors and transformed BLOCK_PATHS at a time.
     """
+    streams = {c: _path_streams(seed, c) for c in {c for _, c in keys}}
     n = grid.n_steps
     eigs = _fgn_circulant_eigs(n, h.h, grid.dt)
     if eigs.min() < CIRCULANT_EIG_TOL:
@@ -218,7 +274,7 @@ def _circulant_rows(grid: TimeGrid, h: HurstParam, seed: int,
         block = keys[lo:lo + BLOCK_PATHS]
         d, zb = draws[:len(block)], z[:len(block)]
         for row, (path, component) in zip(d, block):
-            component_rng(seed, path, component).standard_normal(out=row)
+            streams[component](path).standard_normal(out=row)
         zb[:, 0] = d[:, 0]
         zb[:, n] = d[:, 1]
         zb[:, 1:n] = (d[:, 2:n + 1] + 1j * d[:, n + 1:]) / np.sqrt(2.0)

@@ -8,6 +8,10 @@ raises ValueError, which the command line records as a rejection.
 Two kernels here are also the Monte Carlo oracles of the calibration: the
 driver-stability ratio behind K_hat (`stability_ratios`) and the sweep of
 the Young-integral estimate behind kappa_hat (`esti_int_sweep`).
+
+Every ensemble other than the primary one of the config seed is drawn from
+`fbm.role_seed`: the independent partner (`independent_pairs`), the esti-int
+windows and each large-time horizon, by its index in `[verify] horizons`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .concentration import (
     verify_hoeffding_small_time,
 )
 from .config import ExperimentConfig
-from .fbm import HurstParam, sample_fbm_circulant_batch
+from .fbm import HurstParam, Role, component_rng, role_seed, sample_fbm_circulant_batch
 from .fixtures import calibrated_constants
 from .fractional import BoundReport, lemma_esti_int_check
 from .grid import GridFunction, TimeGrid, holder_seminorm_ensemble
@@ -39,7 +43,7 @@ def independent_pairs(grid: TimeGrid, hp: HurstParam, n_pairs: int,
                       seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Two independent (n_pairs, n_nodes) fBm ensembles, matched by row."""
     return (sample_fbm_circulant_batch(grid, hp, n_pairs, seed),
-            sample_fbm_circulant_batch(grid, hp, n_pairs, seed + 10**6))
+            sample_fbm_circulant_batch(grid, hp, n_pairs, role_seed(seed, Role.partner)))
 
 
 def solution_distances(grid: TimeGrid, g1: np.ndarray, g2: np.ndarray,
@@ -73,7 +77,7 @@ def esti_int_sweep(grid: TimeGrid, hp: HurstParam, beta: float,
     """lemma_esti_int_check over independent fBm pairs (f, g), each on a
     window [a, b] whose grid nodes a < b are drawn at random."""
     f_paths, g_paths = independent_pairs(grid, hp, n_pairs, seed)
-    rng = np.random.default_rng(seed + 2 * 10**6)
+    rng = component_rng(role_seed(seed, Role.windows), 0, 0)
     reports = []
     for f, g in zip(f_paths, g_paths):
         ia = int(rng.integers(0, grid.n_steps - 1))
@@ -141,11 +145,11 @@ def _verify_hoeffding_large(cfg: ExperimentConfig) -> dict:
     out: dict = {"verifier": "hoeffding-large", "horizons": {}}
     d2_reports = {}
     ok = True
-    for T in cfg.horizon_list:
+    for k, T in enumerate(cfg.horizon_list):
         ri, r2 = verify_hoeffding_large_time(
             H=cfg.get("fbm", "hurst"), T=T,
             n_paths=cfg.get("verify", "n_paths"),
-            n_steps=cfg.get("grid", "n_steps"), seed=seed + int(1000 * T),
+            n_steps=cfg.get("grid", "n_steps"), seed=role_seed(seed, Role.horizon, k),
             B=cfg.get("sde", "drift_b"))
         ok &= ri.all_passed and r2.all_passed
         out["horizons"][str(T)] = {"d_infinity": ri.to_dict(), "d_two": r2.to_dict()}
@@ -176,13 +180,15 @@ def _verify_t1_moments(cfg: ExperimentConfig) -> dict:
     passed = (not diag["unstable"]) and c_hat <= diag["c_over_delta"]
     return {"verifier": "t1-moments", "passed": bool(passed),
             "moment_constant": c_hat, "jackknife_se": errs,
-            "c_delta_over_delta": diag["c_over_delta"], "delta": delta}
+            "c_delta_over_delta": diag["c_over_delta"], "delta": delta,
+            "n_pairs": len(dists)}
 
 
 def _verify_gaussian_tail(cfg: ExperimentConfig) -> dict:
-    diag = gaussian_tail_c_delta(_solution_pair_distances(cfg),
-                                 cfg.get("verify", "delta"))
-    return {"verifier": "gaussian-tail", "passed": not diag["unstable"], **diag}
+    dists = _solution_pair_distances(cfg)
+    diag = gaussian_tail_c_delta(dists, cfg.get("verify", "delta"))
+    return {"verifier": "gaussian-tail", "passed": not diag["unstable"], **diag,
+            "n_pairs": len(dists)}
 
 
 def _verify_phi_link(cfg: ExperimentConfig) -> dict:

@@ -63,6 +63,7 @@ from fbmlab.transport import (
     pairwise_cost_matrix,
     wasserstein_empirical,
 )
+from fbmlab.verifiers import independent_pairs
 
 
 def _report(num: int, ok: bool, label: str) -> None:
@@ -115,7 +116,7 @@ def test_acceptance_02_kernel_isometry():
 
 
 SMOOTH_KS = [0, 2, 3, 4, 6, 7, 9, 10, 12, 14, 16, 19, 20, 21, 23, 25, 27, 28, 29, 30]
-FBM_SEED_OFFSETS = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16, 17, 19, 20, 21]
+FBM_PATHS = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16, 17, 19, 20, 21]
 
 
 def test_acceptance_03_young_equivalence():
@@ -140,11 +141,11 @@ def test_acceptance_03_young_equivalence():
     hp = HurstParam(0.75)
     alpha = default_frac_order(0.7)
     worst_f = 0.0
-    for k in FBM_SEED_OFFSETS:
-        f = GridFunction(grid, sample_fbm_circulant(grid, hp, 1,
-                                                    seed=100 + k).values[:, 0])
-        g = GridFunction(grid, sample_fbm_circulant(grid, hp, 1,
-                                                    seed=200 + k).values[:, 0])
+    for k in FBM_PATHS:
+        f = GridFunction(grid, sample_fbm_circulant(grid, hp, 1, seed=100,
+                                                    path_index=k).values[:, 0])
+        g = GridFunction(grid, sample_fbm_circulant(grid, hp, 1, seed=200,
+                                                    path_index=k).values[:, 0])
         rs = young_integral_rs(f, g, 0.0, 1.0)
         fr = young_integral_frac(f, g, alpha, 0.0, 1.0)
         worst_f = max(worst_f, abs(rs - fr) / abs(rs))
@@ -161,8 +162,7 @@ def test_acceptance_04_stability_ratio_under_k_hat():
     grid = TimeGrid(T, 256)
     hp = HurstParam(H)
     seed = 31337  # disjoint from the calibration seed
-    g1 = sample_fbm_circulant_batch(grid, hp, n_pairs, seed)
-    g2 = sample_fbm_circulant_batch(grid, hp, n_pairs, seed + 10**6)
+    g1, g2 = independent_pairs(grid, hp, n_pairs, seed)
     x1 = euler_additive_ensemble(0.0, lambda x: -x, g1, grid.dt)
     x2 = euler_additive_ensemble(0.0, lambda x: -x, g2, grid.dt)
     sup_dist = np.abs(x1 - x2).max(axis=1)
@@ -317,8 +317,7 @@ def test_acceptance_12_transport_cross_check():
     delta = 0.5
     for s in range(10):
         seed = 5000 + 97 * s
-        d1 = sample_fbm_circulant_batch(grid, hp, 500, seed)
-        d2 = sample_fbm_circulant_batch(grid, hp, 500, seed + 10**6)
+        d1, d2 = independent_pairs(grid, hp, 500, seed)
         x1 = euler_additive_ensemble(0.0, lambda x: -x, d1, grid.dt)
         x2 = euler_additive_ensemble(0.0, lambda x: -x, d2, grid.dt)
         dists = pair_distances(PathEnsemble(grid, x1), PathEnsemble(grid, x2),

@@ -123,6 +123,20 @@ def test_config_domain_validation(tmp_path):
                 load_config(_write_ini(tmp_path, f"[verify]\n{key} = {raw}\n"))
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_u64_rejected(tmp_path, seed):
+    # seeds are u64 and never reduced modulo 2**64
+    with pytest.raises(ConfigError, match="seed"):
+        load_config(_write_ini(tmp_path, f"[experiment]\nseed = {seed}\n"))
+    ok = _write_ini(tmp_path, "[fbm]\nn_paths = 1\n")
+    with pytest.raises(ConfigError, match="seed"):
+        load_config(ok, seed_override=int(seed))
+    out = tmp_path / "samp"
+    assert main(["sample", "--config", ok, "--seed", seed, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert load_config(ok, seed_override=2**64 - 1).get("experiment", "seed") == 2**64 - 1
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -158,6 +172,7 @@ def test_cli_sample_and_solve(tmp_path):
     manifest = json.load(open(os.path.join(out, "sample_manifest.json")))
     assert manifest["seed"] == 42
     assert manifest["experiment"] == "smoke"
+    assert manifest["stream_layout"] == fbm.STREAM_LAYOUT
     assert "config_hash" in manifest
     out2 = str(tmp_path / "solv")
     assert main(["solve", "--config", ini, "--out", out2]) == 0
@@ -165,6 +180,7 @@ def test_cli_sample_and_solve(tmp_path):
     assert np.all(np.isfinite(vals))
     manifest = json.load(open(os.path.join(out2, "solve_manifest.json")))
     assert manifest["experiment"] == "smoke"
+    assert manifest["stream_layout"] == fbm.STREAM_LAYOUT == 2
 
 
 @pytest.mark.parametrize("key,value", [("components", "2"), ("generator", "cholesky")])
@@ -185,6 +201,22 @@ def test_cli_verify_rejects_non_circulant_generator(tmp_path, capsys):
     assert main(["verify", "--config", ini, "--out", str(out)]) == 2
     assert list(out.iterdir()) == []
     assert "verify supports [fbm] generator = circulant only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key,value", [("sde", "sigma", "2"), ("sde", "x0", "0.5"),
+                                               ("fbm", "components", "2")])
+def test_cli_verify_rejects_unused_model_keys(tmp_path, capsys, section, key, value):
+    # the verifiers solve dx = drift_b x dt + dB from 0 with scalar drivers
+    if section == "fbm":
+        text = SMALL_INI.replace("[fbm]\n", f"[fbm]\n{key} = {value}\n")
+    else:
+        text = SMALL_INI + f"\n[sde]\n{key} = {value}\n"
+    ini = _write_ini(tmp_path, text)
+    out = tmp_path / "vrf"
+    out.mkdir()
+    assert main(["verify", "--config", ini, "--out", str(out)]) == 2
+    assert list(out.iterdir()) == []
+    assert f"verify supports [{section}] {key} = " in capsys.readouterr().err
 
 
 def test_cli_solve_blow_up_exit_3(tmp_path, capsys):
@@ -230,27 +262,27 @@ def test_cli_verify_deterministic_reports(tmp_path):
 PIN_INI = SMALL_INI.replace("verifiers = phi-link", "verifiers = " + ",".join(
     VERIFIER_NAMES)).replace("n_paths = 100", "n_paths = 200\nhorizons = 1,2")
 PIN_DIGESTS = {
-    "verify_esti-int.json": "5cd59e3edd81ca4a0e01f081752a3b80e0a3f7a9bbbd131eba6355d89233509f",
-    "verify_fernique.json": "71a1d2871bf5c2625f38f2365beef01c97f856561380c7dfb1c42ddc57bc01d8",
-    "verify_gaussian-tail.json": "465c90824d05bc66472c537a8f6a6710ae29125cd56945f382be3ed0387b9a46",
-    "verify_hoeffding-large.json": "bb8d22d9e814c57be88f47a4c07dfa530c023193da7c2fe12fe0097723d9fd3f",
+    "verify_esti-int.json": "c92c9c17648dbfcd4db62d8ecf5e1f3738d95afe972335080f77ee1541a58e8d",
+    "verify_fernique.json": "bfed2f047bfbf8fa3d85d98ad4cb112769383fe9dea276dc92084317812d709a",
+    "verify_gaussian-tail.json": "00e81ed794b4f24657eae1f40e7398137ae5780e7ff079f213f51909c4cebff8",
+    "verify_hoeffding-large.json": "b00d710454a7000b2b763af113f74e51dd626694e571a204cbfc6980a901c86a",
     "verify_hoeffding-large_horizons_1.0_d_infinity.csv":
-        "d2fa0c0b9c850fcf084196673625e638127e5ab42eba0490c00c3fd23a4ca748",
+        "f2b31b6153d9a4fb0d2de697e19fa2c3255a26c34bb50736e188d569ae255a7e",
     "verify_hoeffding-large_horizons_1.0_d_two.csv":
-        "fd039f79f223a770f1f6a13d27822f7126ddefca866247c4015f7d33baa9dc34",
+        "9c16cb0a098e0a6fe30d8adfc6018e987f878a77fa3302295545808c9aeef225",
     "verify_hoeffding-large_horizons_2.0_d_infinity.csv":
-        "f479ca1e7eac9c176c92680540df4150f16f0bcc5618fc1c0e1760c0dd3d4036",
+        "89f275931cb4797479ea7821847c200e286fae7f180b333dae94bf177f8d70df",
     "verify_hoeffding-large_horizons_2.0_d_two.csv":
-        "8455889628791a201079268e1e8bb56d583fc465fefa7ca557750c7aece9b529",
-    "verify_hoeffding-small.json": "30cb9a2fb96a5f6b9e14ec4c2534228285ff08f82ab848ba8f72cc8ce096052f",
+        "bd2f9b682bcdf0b36f8baa4d68b2f96dc6e1f731d5261cb56c422d338d2b71b3",
+    "verify_hoeffding-small.json": "f7ef0ce482f9ff44ee72b112e89981d0dd74bdd64d896897bb90657a72c83bc1",
     "verify_hoeffding-small_sup_displacement.csv":
-        "fa1fc4de205d166c409deff544fc6205dce97c806807ec08db0874ab31772c6d",
+        "7b2ab86f69e349408a45eaa268bc2117715099639ea6014245dc9645a494dcc6",
     "verify_hoeffding-small_time_average.csv":
-        "26b22c7ff61eb2d3ae248e71af93087d704cb6b1de41a4de63001cad66e55437",
+        "df75f429497ab89abc7ac86d6c47be58e40f0e049492add470ac35c99799f2fa",
     "verify_phi-link.json": "a58c0c2b5148f6cb289ba1d01d7d91688f67b96270d2148c11db8c15e27a4f91",
-    "verify_stability.json": "5a083da796a2880b4ceae7e8a527b5cf2b77ce528ce5bff93a8aa9c24374eccb",
+    "verify_stability.json": "652d4097adff877e0202b98305b143ef5b01c55954d7d6d940d99f740fc678a0",
     "verify_summary.json": "0d0d9ecbed64ae7dd80972e70e8776df371e45628825368dc5d3cb313ecfd963",
-    "verify_t1-moments.json": "cf82f4f955fe7b2d9af719e128475e1127b91ec46245c1e3e18353a75bb08045",
+    "verify_t1-moments.json": "bb3364bf3868c0efb7c4670ca528bb3a7c7cfb8f0c339d2c8d2a284d62ebb3dc",
 }
 
 

@@ -37,6 +37,12 @@ def test_wrapped_names_exist():
     assert callable(importlib.import_module("fbmlab.transport").optimize.linear_sum_assignment)
 
 
+def test_component_rng_signature():
+    # bench/run.py times the per-path stream setup through this accessor
+    fn = importlib.import_module("fbmlab.fbm").component_rng
+    assert tuple(inspect.signature(fn).parameters) == ("seed", "path_index", "component")
+
+
 def test_hook_parameters_in_signatures():
     tracing = _load_tracing()
     assert set(tracing.HOOKS) == set(HOOK_PARAMS)

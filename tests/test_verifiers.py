@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from fbmlab import verifiers
 from fbmlab.calibration import calibrate_k_hat, kappa_empirical
 from fbmlab.config import VERIFIER_NAMES, load_config
-from fbmlab.fbm import HurstParam
+from fbmlab.fbm import HurstParam, sample_fbm_circulant_batch
 from fbmlab.fixtures import calibrated_constants
 from fbmlab.grid import TimeGrid, holder_norm
 from fbmlab.sde import euler_additive_ensemble, stability_horizon
@@ -30,6 +31,35 @@ def test_stability_ratios_match_per_pair_holder_norm():
         assert sup_dist[i] == d
         assert ratios[i] == (d / (hn * grid.t_max**beta) if hn > 0 else 0.0)
     assert ratios[0] == 0.0
+
+
+def test_partner_is_not_an_offset_seed():
+    # the partner comes from the stream layout, not from an offset seed such as 7 + 10**6
+    grid, hp = TimeGrid(0.5, 32), HurstParam(0.75)
+    primary, partner = independent_pairs(grid, hp, 8, 7)
+    assert not np.allclose(partner, sample_fbm_circulant_batch(grid, hp, 8, 1_000_007))
+    assert not np.allclose(partner, primary)
+
+
+def test_close_horizons_draw_independent_drivers(tmp_path, monkeypatch):
+    # horizons are keyed by index, so the drivers of T = 1 and T = 1.0004
+    # are not rescaled copies of each other
+    seeds = {}
+    real = verifiers.verify_hoeffding_large_time
+
+    def record(**kw):
+        seeds[kw["T"]] = kw["seed"]
+        return real(**kw)
+
+    monkeypatch.setattr(verifiers, "verify_hoeffding_large_time", record)
+    ini = tmp_path / "h.ini"
+    ini.write_text("[grid]\nn_steps = 16\n[verify]\nn_paths = 20\nhorizons = 1,1.0004\n")
+    VERIFIERS["hoeffding-large"](load_config(str(ini)))
+    hp = HurstParam(0.75)
+    drivers = [sample_fbm_circulant_batch(TimeGrid(T, 16), hp, 20, s) / T**hp.h
+               for T, s in seeds.items()]
+    assert len(drivers) == 2
+    assert not np.allclose(*drivers)
 
 
 def test_calibration_reproduces_frozen_constants():
