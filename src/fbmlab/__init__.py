@@ -59,6 +59,7 @@ from .transport import (
 )
 from .concentration import (
     MomentReport,
+    PremiseError,
     TailReport,
     estimate_t1_constant,
     gaussian_tail_c_delta,
@@ -78,7 +79,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BlowUpError", "BoundReport", "ConfigError", "DriftSpec", "ExperimentConfig",
     "FbmPath", "FracOrder", "GeneratorTag", "GridFunction", "HolderNorm",
-    "HurstParam", "MomentReport", "PathEnsemble", "PathMetric",
+    "HurstParam", "MomentReport", "PathEnsemble", "PathMetric", "PremiseError",
     "ScalarDiffusion", "SolutionPath", "TailReport",
     "TimeDiffusion", "TimeGrid", "calibrated_constants",
     "covariance_rh", "drift_coupled_pair", "estimate_t1_constant",

@@ -17,6 +17,7 @@ import argparse
 import os
 import sys
 
+from .concentration import PremiseError
 from .config import ConfigError, ExperimentConfig, load_config
 from .fbm import (
     STREAM_LAYOUT,
@@ -141,7 +142,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str,
             raise ConfigError(f"unknown verifier {name!r}")
         try:
             result = VERIFIERS[name](cfg)
-        except ValueError as exc:
+        except PremiseError as exc:
             # premise guard tripped: the verifier rejects the configuration
             result = {"verifier": name, "passed": False,
                       "rejected": True, "reason": str(exc)}

@@ -41,6 +41,11 @@ from .transport import (
 )
 
 
+class PremiseError(ValueError):
+    """A configuration outside a verifier's premises (CLI: a "rejected"
+    report, exit 1); raised only by the premise guards."""
+
+
 @dataclass
 class TailReport:
     """Empirical tail vs closed-form bound on a grid of thresholds."""
@@ -246,7 +251,7 @@ def verify_hoeffding_small_time(H: float, T: float, n_paths: int,
     """
     C, horizon = t1_constant(H, T, 1.0, 0.0)
     if T > horizon:
-        raise ValueError(f"small-time verifier requires T <= 1, got {T}")
+        raise PremiseError(f"small-time verifier requires T <= 1, got {T}")
     K = calibrated_constants()["K_hat"]
     hp = HurstParam(H)
     grid = TimeGrid(T, n_steps)
@@ -271,7 +276,7 @@ def verify_hoeffding_large_time(H: float, T: float, n_paths: int,
     (sigma1 = sigma2 = 1).  Requires B < 0.
     """
     if B >= 0:
-        raise ValueError(f"large-time bounds require B < 0, got B={B}")
+        raise PremiseError(f"large-time bounds require B < 0, got B={B}")
     hp = HurstParam(H)
     grid = TimeGrid(T, n_steps)
     drivers = sample_fbm_circulant_batch(grid, hp, n_paths, seed)
@@ -330,7 +335,7 @@ def verify_fernique(H: float, beta: float, T: float, n_samples: int,
     radius.  Premise guard: 1/2 < beta < H.
     """
     if not 0.5 < beta < H:
-        raise ValueError(
+        raise PremiseError(
             f"Fernique premise violated: need 1/2 < beta < H, got beta={beta}, H={H}"
         )
     alpha = 0.5 * fernique_exponent_radius(H, beta, T)
@@ -401,7 +406,7 @@ def phi_link(x: float, c_delta: float) -> float:
     Evaluated through log-gamma for stability.
     """
     if c_delta < 1.0:
-        raise ValueError(f"requires C(delta) >= 1, got {c_delta}")
+        raise PremiseError(f"requires C(delta) >= 1, got {c_delta}")
     if x < 1.0:
         raise ValueError(f"Phi is defined for x >= 1, got {x}")
     ln_val = np.log(c_delta) + 2.0 * special.gammaln(x + 1) - special.gammaln(2 * x + 1)
@@ -416,29 +421,19 @@ def phi_derivative_sign(x: float, c_delta: float) -> float:
 
 
 def phi_argmax(c_delta: float) -> float:
-    """argmax of Phi on [1, 64].
+    """argmax of Phi on [1, 64], which is 1 for every C(delta) >= 1.
 
-    A sign sweep of h on a log grid detects the monotone-decreasing case
-    (h < 0 everywhere), in which the maximum sits exactly at 1; otherwise a
-    golden-section search localizes the interior maximum.
+    With L(x) = ln Gamma(2x+1) - 2 ln Gamma(x+1) the sign function is
+    h = -ln C + L - x L'.  By the duplication formula
+    psi'(2z) = (psi'(z) + psi'(z+1/2)) / 4, L'' = psi'(x+1/2) - psi'(x+1) > 0,
+    so L - x L', which is 0 at x = 0 and has derivative -x L'', is negative
+    for x > 0.  Hence h < -ln C <= 0 and Phi is strictly decreasing.  A sign
+    sweep of h on a log grid checks this numerically; should it ever find
+    h > 0, the swept maximiser of Phi is returned.
     """
     if c_delta < 1.0:
-        raise ValueError(f"requires C(delta) >= 1, got {c_delta}")
-    x_max, tol = 64.0, 1e-12
-    xs = np.geomspace(1.0, x_max, 200)
-    hs = np.array([phi_derivative_sign(x, c_delta) for x in xs])
-    if np.all(hs <= 0.0):
+        raise PremiseError(f"requires C(delta) >= 1, got {c_delta}")
+    xs = np.geomspace(1.0, 64.0, 200)
+    if all(phi_derivative_sign(x, c_delta) <= 0.0 for x in xs):
         return 1.0
-    # interior maximum: golden-section on -Phi
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = 1.0, x_max
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    while abs(b - a) > tol:
-        if phi_link(c, c_delta) > phi_link(d, c_delta):
-            b = d
-        else:
-            a = c
-        c = b - inv_phi * (b - a)
-        d = a + inv_phi * (b - a)
-    return float(0.5 * (a + b))
+    return float(xs[np.argmax([phi_link(x, c_delta) for x in xs])])

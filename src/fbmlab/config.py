@@ -156,6 +156,11 @@ def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    for sec, keys in _SCHEMA.items():
+        for key, (typ, _default) in keys.items():
+            value = cfg.get(sec, key)
+            if typ is float and not math.isfinite(value):
+                raise ConfigError(f"[{sec}] {key} must be finite, got {value}")
     seed = cfg.get("experiment", "seed")
     if not 0 <= seed < 2**64:
         raise ConfigError(f"[experiment] seed must be in [0, 2**64), got {seed}")
@@ -178,5 +183,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     beta = cfg.get("verify", "beta")
     if not 0.0 < beta < 1.0:
         raise ConfigError(f"[verify] beta must be in (0, 1), got {beta}")
+    delta = cfg.get("verify", "delta")
+    if delta <= 0:
+        raise ConfigError(f"[verify] delta must be positive, got {delta}")
     # parsing validates the verifier names and the number lists
     cfg.verifier_list, cfg.horizon_list, cfg.c_delta_list

@@ -5,15 +5,17 @@ recursion is its canonical discretization:
 
     X_{k+1} = X_k + b(X_k) dt + sigma(t_k) (g_{k+1} - g_k).
 
-For scalar state-dependent diffusion a second, independent discretization
-goes through the Lamperti change of variables F(y) = int_0^y dz / sigma(z),
-which turns the equation into one with unit diffusion; the two routes
+One private recursion, `_euler`, is the Euler loop of solve_additive,
+solve_scalar and euler_additive_ensemble; it raises BlowUpError (an
+ArithmeticError) at the first non-finite state.  For scalar state-dependent
+diffusion a second, independent discretization goes through the Lamperti
+change of variables F(y) = int_0^y dz / sigma(z), which turns the equation
+into one with unit diffusion; it keeps its own loop, so the two routes
 cross-validate each other.
 
 The module also hosts the driver-stability horizon, the drift-coupled pair
 used to probe the Girsanov-type coupling bound and its Gronwall bound.  The
-driver-stability ratio itself is `verifiers.stability_ratios`.  Every
-solver raises BlowUpError (an ArithmeticError) at its first non-finite step.
+driver-stability ratio itself is `verifiers.stability_ratios`.
 """
 
 from __future__ import annotations
@@ -113,26 +115,37 @@ def _driver_array(driver) -> tuple[TimeGrid, np.ndarray]:
     raise TypeError(f"unsupported driver type {type(driver)}")
 
 
+def _euler(x0, b: Callable, dt: float, noise: np.ndarray,
+           scale: Callable | None = None) -> np.ndarray:
+    """x_{k+1} = x_k + b(x_k) dt + noise_k, with noise_k multiplied by
+    scale(x_k) for a state-dependent diffusion.  x0 is a float or an array;
+    noise and the returned states carry time on their last axis.  One check
+    after the loop raises BlowUpError at the first state with a non-finite
+    component.
+    """
+    out = np.empty(np.shape(x0) + (noise.shape[-1] + 1,))
+    out[..., 0] = x0
+    x = x0
+    # an overflowing step is reported by the finiteness check, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, w in enumerate(np.moveaxis(noise, -1, 0), start=1):
+            x = x + b(x) * dt + (w if scale is None else scale(x) * w)
+            out[..., k] = x
+    finite = np.isfinite(out).reshape(-1, out.shape[-1]).all(axis=0)
+    if not finite.all():
+        raise BlowUpError(int(np.argmin(finite)))
+    return out
+
+
 def solve_additive(x0, drift: DriftSpec, sigma_t: TimeDiffusion, driver) -> SolutionPath:
     """Euler solution of dX = b(X) dt + sigma(t) dg with time-only sigma."""
     grid, g = _driver_array(driver)
-    n, m = grid.n_steps, g.shape[1]
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    d = len(x0)
-    dt = grid.dt
-    sig = np.array([sigma_t.matrix(t, d, m) for t in grid.points[:-1]])
-    dg = np.diff(g, axis=0)
-    vals = np.empty((n + 1, d))
-    vals[0] = x0
-    x = x0.copy()
-    # an overflowing step is reported by the finiteness guard, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            x = x + np.atleast_1d(drift.fn(x)) * dt + sig[k] @ dg[k]
-            if not np.all(np.isfinite(x)):
-                raise BlowUpError(k + 1)
-            vals[k + 1] = x
-    return SolutionPath(grid=grid, values=vals)
+    sig = np.array([sigma_t.matrix(t, len(x0), g.shape[1]) for t in grid.points[:-1]])
+    # sigma(t_k) (g_{k+1} - g_k) for every k; a batched matmul sums each
+    # product in the order of sig[k] @ dg[k], einsum does not
+    noise = np.matmul(sig, np.diff(g, axis=0)[..., None])[..., 0]
+    return SolutionPath(grid=grid, values=_euler(x0, drift.fn, grid.dt, noise.T).T)
 
 
 def solve_scalar(x0: float, drift: DriftSpec, sigma_x: ScalarDiffusion,
@@ -141,17 +154,8 @@ def solve_scalar(x0: float, drift: DriftSpec, sigma_x: ScalarDiffusion,
     grid, g = _driver_array(driver)
     if g.shape[1] != 1:
         raise ValueError("scalar equation needs a one-component driver")
-    n = grid.n_steps
-    dt = grid.dt
-    dg = np.diff(g[:, 0])
-    vals = np.empty(n + 1)
-    vals[0] = x0
-    x = float(x0)
-    for k in range(n):
-        x = x + float(np.atleast_1d(drift.fn(x))[0]) * dt + sigma_x.fn(x) * dg[k]
-        if not np.isfinite(x):
-            raise BlowUpError(k + 1)
-        vals[k + 1] = x
+    vals = _euler(float(x0), lambda x: float(np.atleast_1d(drift.fn(x))[0]), grid.dt,
+                  np.diff(g[:, 0]), sigma_x.fn)
     return SolutionPath(grid=grid, values=vals[:, None])
 
 
@@ -162,19 +166,7 @@ def euler_additive_ensemble(x0: float, b: Callable[[np.ndarray], np.ndarray],
     drivers has shape (n_paths, n_nodes); returns the same shape.  Raises
     BlowUpError at the first step that leaves any path non-finite.
     """
-    n_paths, n_nodes = drivers.shape
-    out = np.empty_like(drivers)
-    out[:, 0] = x0
-    dg = np.diff(drivers, axis=1)
-    x = np.full(n_paths, float(x0))
-    # an overflowing step is reported by the finiteness guard, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_nodes - 1):
-            x = x + b(x) * dt + dg[:, k]
-            out[:, k + 1] = x
-    if not np.all(np.isfinite(out)):
-        raise BlowUpError(int(np.argmin(np.isfinite(out).all(axis=0))))
-    return out
+    return _euler(np.full(len(drivers), float(x0)), b, dt, np.diff(drivers, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +300,9 @@ def gronwall_coupling_bound(grid: TimeGrid, rho: np.ndarray, one_sided_b: float,
 
         (2/|B|) H T^{2H-1} ||sigma||_inf^2 int_0^t e^{(2B+|B|)(t-s)} |rho(s)|^2 ds,
 
-    evaluated exactly for piecewise-constant |rho|^2 on the grid cells.
+    evaluated exactly for piecewise-constant |rho|^2 on the grid cells by
+    the recursion I_i = e^{c dt} I_{i-1} + |rho|^2_{i-1} (e^{c dt} - 1) / c
+    (dt for the last factor when c = 2B + |B| vanishes) of the integral to t_i.
     """
     B = one_sided_b
     if B == 0.0:
@@ -318,16 +312,10 @@ def gronwall_coupling_bound(grid: TimeGrid, rho: np.ndarray, one_sided_b: float,
         rho = rho[:, None]
     r2 = np.sum(cell_values(rho)**2, axis=1)
     c = 2 * B + abs(B)
-    T = grid.t_max
-    pts = grid.points
-    n = grid.n_steps
-    out = np.zeros(n + 1)
-    for i in range(1, n + 1):
-        t = pts[i]
-        s0, s1 = pts[:i], pts[1:i + 1]
-        if abs(c) < 1e-14:
-            seg = s1 - s0
-        else:
-            seg = (np.exp(c * (t - s0)) - np.exp(c * (t - s1))) / c
-        out[i] = np.sum(r2[:i] * seg)
-    return (2.0 / abs(B)) * h.h * T ** (2 * h.h - 1) * sigma_sup**2 * out
+    dt = grid.dt
+    growth = np.exp(c * dt)
+    cell = dt if abs(c) < 1e-14 else np.expm1(c * dt) / c
+    out = np.zeros(grid.n_steps + 1)
+    for i in range(1, grid.n_steps + 1):
+        out[i] = growth * out[i - 1] + r2[i - 1] * cell
+    return (2.0 / abs(B)) * h.h * grid.t_max ** (2 * h.h - 1) * sigma_sup**2 * out

@@ -2,7 +2,7 @@
 
 Each verifier maps an ExperimentConfig to a JSON-ready report dict with a
 boolean "passed".  A verifier whose premises the configuration violates
-raises ValueError, which the command line records as a rejection.
+raises PremiseError, which the command line records as a rejection.
 `VERIFIERS` holds them in config.VERIFIER_NAMES order.
 
 Two kernels here are also the Monte Carlo oracles of the calibration: the
@@ -20,6 +20,7 @@ import numpy as np
 from scipy.special import digamma
 
 from .concentration import (
+    PremiseError,
     estimate_t1_constant,
     gaussian_tail_c_delta,
     pair_distances,
@@ -97,7 +98,7 @@ def _verify_stability(cfg: ExperimentConfig) -> dict:
     T = cfg.get("grid", "t_max")
     delta = stability_horizon(abs(B))
     if T > delta:
-        raise ValueError(f"stability premise violated: T={T} > Delta={delta}")
+        raise PremiseError(f"stability premise violated: T={T} > Delta={delta}")
     grid = _grid(cfg)
     n_pairs = min(cfg.get("verify", "n_paths"), 1000)
     g1, g2 = independent_pairs(grid, HurstParam(cfg.get("fbm", "hurst")), n_pairs,
@@ -112,8 +113,8 @@ def _verify_esti_int(cfg: ExperimentConfig) -> dict:
     H = cfg.get("fbm", "hurst")
     beta = cfg.get("verify", "beta")
     if not 0.5 < beta < H:
-        raise ValueError(f"esti-int premise violated: need 1/2 < beta < H, "
-                         f"got beta={beta}, H={H}")
+        raise PremiseError(f"esti-int premise violated: need 1/2 < beta < H, "
+                           f"got beta={beta}, H={H}")
     n_pairs = min(cfg.get("verify", "n_paths"), 200)
     reports = esti_int_sweep(_grid(cfg), HurstParam(H), beta, n_pairs,
                              cfg.get("experiment", "seed"))

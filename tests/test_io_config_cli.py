@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from fbmlab import fbm
+from fbmlab import fbm, verifiers
 from fbmlab.cli import main
 from fbmlab.config import VERIFIER_NAMES, ConfigError, load_config
 from fbmlab.grid import TimeGrid
@@ -121,6 +121,24 @@ def test_config_domain_validation(tmp_path):
         for raw in ("1,two", "", " , ", "1,0", "-2", "1,nan", "inf"):
             with pytest.raises(ConfigError, match=key):
                 load_config(_write_ini(tmp_path, f"[verify]\n{key} = {raw}\n"))
+
+
+FLOAT_KEYS = [("grid", "t_max"), ("fbm", "hurst"), ("sde", "drift_b"), ("sde", "sigma"),
+              ("sde", "x0"), ("verify", "beta"), ("verify", "delta")]
+
+
+@pytest.mark.parametrize("section,key,raw",
+                         [(sec, key, raw) for sec, key in FLOAT_KEYS
+                          for raw in ("nan", "inf", "-inf")]
+                         + [("verify", "delta", "0"), ("verify", "delta", "-1")])
+def test_config_rejects_non_finite_floats_and_non_positive_delta(tmp_path, section, key, raw):
+    # every float key is checked at load: exit 2 and nothing written
+    ini = _write_ini(tmp_path, f"[{section}]\n{key} = {raw}\n")
+    with pytest.raises(ConfigError, match=key):
+        load_config(ini)
+    out = tmp_path / "vrf"
+    assert main(["verify", "--config", ini, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -303,6 +321,18 @@ def test_cli_stability_uses_drift_b(tmp_path):
     rep = json.load(open(os.path.join(out, "verify_stability.json")))
     assert rep["rejected"] is True
     assert "Delta=0.125" in rep["reason"]
+
+
+def test_cli_verify_plain_value_error_is_not_a_rejection(tmp_path, monkeypatch):
+    # only PremiseError is a rejection; any other ValueError is a fault
+    def broken(cfg):
+        raise ValueError("not a premise")
+
+    monkeypatch.setitem(verifiers.VERIFIERS, "phi-link", broken)
+    out = tmp_path / "vrf"
+    with pytest.raises(ValueError, match="not a premise"):
+        main(["verify", "--config", _write_ini(tmp_path, SMALL_INI), "--out", str(out)])
+    assert not (out / "verify_phi-link.json").exists()
 
 
 def test_cli_jobs_flag_removed():

@@ -1,10 +1,12 @@
 """Pathwise SDE solvers: Euler, Lamperti, coupling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from fbmlab.fbm import HurstParam, sample_fbm_circulant, transfer_kernel_matrix
-from fbmlab.grid import TimeGrid
+from fbmlab.grid import TimeGrid, cell_values
 from fbmlab.sde import (
     BlowUpError,
     DriftSpec,
@@ -86,20 +88,49 @@ def test_determinism():
 
 
 def test_euler_ensemble_matches_single():
+    # one recursion: the ensemble, the additive and the unit-sigma scalar
+    # solvers agree bit for bit
     grid = TimeGrid(1.0, 128)
     drv = np.vstack([
         sample_fbm_circulant(grid, H75, 1, seed=21, path_index=i).values[:, 0]
         for i in range(3)
     ])
     ens = euler_additive_ensemble(0.2, lambda x: -x, drv, grid.dt)
+    unit = ScalarDiffusion(fn=lambda x: 1.0, sigma1=1.0, sigma2=1.0)
     for i in range(3):
-        single = solve_additive(0.2, DRIFT_OU, SIGMA_ID,
-                                (grid, drv[i][:, None]))
-        np.testing.assert_allclose(ens[i], single.values[:, 0], atol=1e-12)
+        single = solve_additive(0.2, DRIFT_OU, SIGMA_ID, (grid, drv[i][:, None]))
+        scalar = solve_scalar(0.2, DRIFT_OU, unit, (grid, drv[i]))
+        assert np.array_equal(ens[i], single.values[:, 0])
+        assert np.array_equal(ens[i], scalar.values[:, 0])
+
+
+def test_solve_additive_matches_per_step_matmul():
+    # d = 2, m = 3, time-dependent sigma: the noise term sigma(t_k) dg_k
+    # equals a per-step sig[k] @ dg[k] loop bit for bit
+    grid = TimeGrid(1.0, 256)
+    g = sample_fbm_circulant(grid, H75, 3, seed=5).values
+    sigma = TimeDiffusion(fn=lambda t: np.array([[1.0, t, -0.5], [0.3 * t, 2.0, np.sin(t)]]))
+    drift = DriftSpec(fn=lambda x: np.array([-x[0] + 0.5 * x[1], -np.tanh(x[1])]))
+    sol = solve_additive([0.1, -0.2], drift, sigma, (grid, g))
+    x = np.array([0.1, -0.2])
+    loop = [x]
+    for k, t in enumerate(grid.points[:-1]):
+        x = x + drift.fn(x) * grid.dt + sigma.matrix(t, 2, 3) @ (g[k + 1] - g[k])
+        loop.append(x)
+    assert np.array_equal(sol.values, np.array(loop))
 
 
 SIGMA_X = ScalarDiffusion(fn=lambda x: 1.0 + 0.3 / (1.0 + x**2),
                           sigma1=1.0, sigma2=1.3, lipschitz=0.6)
+
+
+def test_solve_scalar_blow_up_raises_without_warning():
+    drift = DriftSpec(fn=lambda x: x**3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError) as exc:
+            solve_scalar(50.0, drift, SIGMA_X, _driver(n=64))
+    assert exc.value.step == 6
 
 
 def test_lamperti_round_trip():
@@ -151,3 +182,24 @@ def test_gronwall_bound_shape_and_sign():
     assert np.all(bound[1:] > 0)
     with pytest.raises(ValueError):
         gronwall_coupling_bound(grid, np.ones(65), 0.0, 1.0, H75)
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_gronwall_recursion_matches_prefix_sums(n):
+    # reference: every prefix integral summed afresh over its cells, O(n^2)
+    def prefix_sums(grid, rho, B):
+        r2 = np.sum(cell_values(rho[:, None]) ** 2, axis=1)
+        c, pts = 2 * B + abs(B), grid.points
+        out = np.zeros(grid.n_steps + 1)
+        for i in range(1, grid.n_steps + 1):
+            s0, s1 = pts[:i], pts[1:i + 1]
+            seg = (np.exp(c * (pts[i] - s0)) - np.exp(c * (pts[i] - s1))) / c
+            out[i] = np.sum(r2[:i] * seg)
+        return (2.0 / abs(B)) * H75.h * grid.t_max ** (2 * H75.h - 1) * 1.5**2 * out
+
+    grid = TimeGrid(1.5, n)
+    t = grid.points
+    for rho in (np.ones(n + 1), np.sin(3 * t), np.exp(-t) * (1 + t**2)):
+        for B in (-3.0, -1.0, -0.1, 0.2, 1.0):
+            np.testing.assert_allclose(gronwall_coupling_bound(grid, rho, B, 1.5, H75),
+                                       prefix_sums(grid, rho, B), rtol=1e-12, atol=0)

@@ -5,6 +5,7 @@ import pytest
 
 from fbmlab import verifiers
 from fbmlab.calibration import calibrate_k_hat, kappa_empirical
+from fbmlab.concentration import PremiseError
 from fbmlab.config import VERIFIER_NAMES, load_config
 from fbmlab.fbm import HurstParam, sample_fbm_circulant_batch
 from fbmlab.fixtures import calibrated_constants
@@ -81,5 +82,24 @@ def test_stability_horizon_boundary_is_one_comparison(tmp_path):
         if inside:
             assert VERIFIERS["stability"](cfg)["n_pairs"] == 8
         else:
-            with pytest.raises(ValueError, match="stability premise violated"):
+            with pytest.raises(PremiseError, match="stability premise violated"):
                 VERIFIERS["stability"](cfg)
+
+
+# one config per premise guard that violates it
+PREMISE_VIOLATIONS = {
+    "stability": "[grid]\nt_max = 0.5\n[sde]\ndrift_b = -4\n",   # T > Delta
+    "esti-int": "[verify]\nbeta = 0.8\n",                         # beta > H
+    "fernique": "[verify]\nbeta = 0.5\n",                         # beta <= 1/2
+    "hoeffding-small": "[grid]\nt_max = 2\n",                     # T > 1
+    "hoeffding-large": "[sde]\ndrift_b = 0.5\n",                  # B >= 0
+    "phi-link": "[verify]\nc_delta_values = 2,0.5\n",             # C(delta) < 1
+}
+
+
+@pytest.mark.parametrize("name", list(PREMISE_VIOLATIONS))
+def test_each_premise_guard_raises_premise_error(tmp_path, name):
+    path = tmp_path / "p.ini"
+    path.write_text(PREMISE_VIOLATIONS[name])
+    with pytest.raises(PremiseError):
+        VERIFIERS[name](load_config(str(path)))
