@@ -13,7 +13,7 @@ Layout:
     pathio/config/cli   serialization, declarative configs, command line
 """
 
-from .grid import GridFunction, HolderNorm, TimeGrid, holder_norm, holder_seminorm
+from .grid import GridFunction, HolderNorm, TimeGrid, holder_norm
 from .fbm import (
     FbmPath,
     GeneratorTag,
@@ -85,7 +85,7 @@ __all__ = [
     "covariance_rh", "drift_coupled_pair", "estimate_t1_constant",
     "frac_deriv_left", "gaussian_tail_c_delta",
     "gronwall_coupling_bound", "grr_modulus_holds", "grr_xi", "holder_norm",
-    "holder_seminorm", "kernel_kh", "kernel_kh_partial",
+    "kernel_kh", "kernel_kh_partial",
     "lemma_esti_int_check", "load_config", "operator_kh",
     "path_distance", "phi_argmax", "phi_link", "relative_entropy_discrete",
     "sample_fbm_cholesky", "sample_fbm_circulant", "sample_fbm_transfer",

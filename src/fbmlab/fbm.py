@@ -27,10 +27,17 @@ per large-time horizon index -- use the u64 seed `role_seed(seed, role,
 index)`, derived through the same SeedSequence under a different spawn key,
 so their independence comes from how the streams are built rather than from
 seed offsets.
+
+Arrays that depend only on (t_max, n_steps, H) are built once, in bounded
+`functools.lru_cache`s keyed on the frozen TimeGrid and HurstParam (or on
+(n, H, dt)), and returned read-only: `_fgn_circulant_eigs` keeps 32 entries
+of 32 n bytes; `transfer_kernel_matrix` and `cholesky_factor` keep 2 entries
+of 8 n^2 bytes each (0.5 MiB at n = 256, 128 MiB at CHOLESKY_MAX_STEPS).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -237,8 +244,15 @@ def kernel_kh_partial(u: float, s: float, h: HurstParam):
 # Samplers
 # ---------------------------------------------------------------------------
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=32)
 def _fgn_circulant_eigs(n: int, hurst: float, dt: float) -> np.ndarray:
-    """Eigenvalues of the circulant embedding of the fGn covariance.
+    """Eigenvalues of the circulant embedding of the fGn covariance, cached
+    and read-only; `_circulant_rows` checks their sign on every call.
 
     Nonnegative for 1/2 < H < 1: gamma(0..n) is nonnegative, nonincreasing
     and convex, hence a constant plus a nonnegative sum of tents
@@ -250,7 +264,7 @@ def _fgn_circulant_eigs(n: int, hurst: float, dt: float) -> np.ndarray:
         - 2.0 * np.abs(k) ** (2 * hurst)
     )
     row = np.concatenate([gamma[:n], gamma[n:n + 1], gamma[n - 1:0:-1]])
-    return np.fft.fft(row).real
+    return _read_only(np.fft.fft(row).real)
 
 
 def _circulant_rows(grid: TimeGrid, h: HurstParam, seed: int,
@@ -287,34 +301,30 @@ def _circulant_rows(grid: TimeGrid, h: HurstParam, seed: int,
 
 def sample_fbm_cholesky(grid: TimeGrid, h: HurstParam, m: int, seed: int,
                         path_index: int = 0) -> FbmPath:
-    """Exact fBm sample through a Cholesky factor of the covariance matrix."""
+    """Exact fBm sample through the Cholesky factor of the covariance matrix."""
+    chol = cholesky_factor(grid, h)
+    n = grid.n_steps
+    vals = np.zeros((n + 1, m))
+    for j in range(m):
+        vals[1:, j] = chol @ component_rng(seed, path_index, j).standard_normal(n)
+    return FbmPath(grid=grid, values=vals, generator_tag=GeneratorTag.cholesky)
+
+
+@functools.lru_cache(maxsize=2)
+def cholesky_factor(grid: TimeGrid, h: HurstParam) -> np.ndarray:
+    """Lower-triangular factor of the grid covariance, cached per (grid, H)
+    and read-only; refused above CHOLESKY_MAX_STEPS, so at most 128 MiB."""
     if grid.n_steps > CHOLESKY_MAX_STEPS:
         raise ValueError(
             f"Cholesky sampler capped at {CHOLESKY_MAX_STEPS} steps "
             f"(O(n^3) factorization); got {grid.n_steps}"
         )
-    chol = cholesky_factor(grid, h)
-    return _assemble_from_factor(chol, grid, m, seed, path_index)
-
-
-def cholesky_factor(grid: TimeGrid, h: HurstParam) -> np.ndarray:
-    """Lower-triangular factor of the grid covariance; cache at call sites."""
-    cov = covariance_matrix(grid, h)
     try:
-        return np.linalg.cholesky(cov)
+        return _read_only(np.linalg.cholesky(covariance_matrix(grid, h)))
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(
             "fBm covariance factorization failed; the grid is degenerate"
         ) from exc
-
-
-def _assemble_from_factor(chol, grid, m, seed, path_index) -> FbmPath:
-    n = grid.n_steps
-    vals = np.zeros((n + 1, m))
-    for j in range(m):
-        z = component_rng(seed, path_index, j).standard_normal(n)
-        vals[1:, j] = chol @ z
-    return FbmPath(grid=grid, values=vals, generator_tag=GeneratorTag.cholesky)
 
 
 def sample_fbm_circulant(grid: TimeGrid, h: HurstParam, m: int, seed: int,
@@ -335,21 +345,15 @@ def sample_fbm_circulant_batch(grid: TimeGrid, h: HurstParam, n_paths: int,
     return _circulant_rows(grid, h, seed, [(i, component) for i in range(n_paths)])
 
 
+@functools.lru_cache(maxsize=2)
 def transfer_kernel_matrix(grid: TimeGrid, h: HurstParam) -> np.ndarray:
-    """K(t_i, mid_k) for the discretized Volterra representation.
+    """K(t_i, mid_k) for the discretized Volterra representation, built once
+    per (grid, H) and read-only.
 
     Row i holds the kernel at target time t_i against all cell midpoints with
     mid_k < t_i; other entries are 0.
     """
-    n = grid.n_steps
-    t = grid.points[1:, None]
-    mids = grid.midpoints[None, :]
-    ker = np.zeros((n, n))
-    mask = mids < t
-    tt = np.broadcast_to(t, (n, n))[mask]
-    mm = np.broadcast_to(mids, (n, n))[mask]
-    ker[mask] = kernel_kh_fast(tt, mm, h)
-    return ker
+    return _read_only(kernel_kh_fast(grid.points[1:, None], grid.midpoints[None, :], h))
 
 
 def sample_fbm_transfer(grid: TimeGrid, h: HurstParam, m: int, seed: int,

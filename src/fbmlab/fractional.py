@@ -187,14 +187,22 @@ def lemma_esti_int_check(f: GridFunction, g: GridFunction, beta: float,
     numeric here); the report carries ratio = lhs / bracket, and the bracket
     in its context, so it can be re-estimated.
     """
+    return esti_int_bound(f, g, holder_norm(g.grid, g.values, beta).seminorm_beta,
+                          beta, a, b)
+
+
+def esti_int_bound(f: GridFunction, g: GridFunction, g_seminorm: float,
+                   beta: float, a: float, b: float) -> BoundReport:
+    """The bracket bound of lemma_esti_int_check given g_seminorm =
+    ||g||_{0,T,beta}, which an ensemble sweep takes from one
+    holder_seminorm_ensemble call for all its g paths."""
     if not 0.5 < beta < 1.0:
         raise ValueError(f"need 1/2 < beta < 1, got {beta}")
     kappa_hat = calibrated_constants()["kappa_hat"]
     lhs = abs(young_integral_rs(f, g, a, b))
-    g_norm = holder_norm(g.grid, g.values, beta).seminorm_beta
     fn = holder_norm(f.grid, f.values, beta, window=(a, b))
-    bracket = g_norm * (fn.sup_norm * (b - a) ** beta
-                        + fn.seminorm_beta * (b - a) ** (2 * beta))
+    bracket = g_seminorm * (fn.sup_norm * (b - a) ** beta
+                            + fn.seminorm_beta * (b - a) ** (2 * beta))
     rhs = kappa_hat / (beta - 0.5) * bracket
     ratio = lhs / bracket if bracket > 0 else 0.0
     return BoundReport(

@@ -3,9 +3,9 @@
 Everything downstream (fBm generation, pathwise solvers, transport metrics)
 indexes into one shared uniform grid on [0, T], and reads cell averages of
 node values from `cell_values`.  Holder quantities are
-computed over grid-point pairs only, so they are lower bounds for the
-continuum norms; inequality checks built on them are necessary-condition
-checks.
+computed over grid-point pairs only, by one lag kernel (`_lag_seminorms`), so
+they are lower bounds for the continuum norms; inequality checks built on
+them are necessary-condition checks.
 """
 
 from __future__ import annotations
@@ -90,26 +90,6 @@ class HolderNorm:
     @property
     def total(self) -> float:
         return self.sup_norm + self.seminorm_beta
-
-
-def holder_seminorm(times: np.ndarray, values: np.ndarray, beta: float) -> float:
-    """max |f(t_j) - f(t_i)| / (t_j - t_i)^beta over all grid pairs i < j.
-
-    values may be (n,) or (n, d); distances are Euclidean in the state
-    dimension.  O(n^2) time, O(n) memory.
-    """
-    n = len(times)
-    if n < 2:
-        return 0.0
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    best = 0.0
-    for i in range(n - 1):  # pairs (i, j), j > i
-        dt = times[i + 1:] - times[i]
-        dv = np.linalg.norm(vals[i + 1:] - vals[i], axis=1)
-        best = max(best, (dv / dt**beta).max(initial=0.0))
-    return float(best)
 
 
 def holder_norm(

@@ -279,6 +279,9 @@ def drift_coupled_pair(x0, drift: DriftSpec, sigma_t: TimeDiffusion,
     continuous perturbation sigma(t) d(K rho)(t).  rho is an (n_steps + 1, m)
     node-sampled square-integrable function.  Returns (x_path, y_path,
     rho_energy) with rho_energy = (1/2) int |rho|^2 dt.
+
+    `kernel` is redundant: transfer_kernel_matrix is cached per (grid, H).
+    It is kept only because the benchmark's pathwise workload passes it.
     """
     rho = np.asarray(rho, dtype=float)
     if rho.ndim == 1:

@@ -34,7 +34,7 @@ from .concentration import (
 from .config import ExperimentConfig
 from .fbm import HurstParam, Role, component_rng, role_seed, sample_fbm_circulant_batch
 from .fixtures import calibrated_constants
-from .fractional import BoundReport, lemma_esti_int_check
+from .fractional import BoundReport, esti_int_bound
 from .grid import GridFunction, TimeGrid, holder_seminorm_ensemble
 from .sde import euler_additive_ensemble, stability_horizon
 from .transport import PathEnsemble, PathMetric
@@ -78,13 +78,14 @@ def esti_int_sweep(grid: TimeGrid, hp: HurstParam, beta: float,
     """lemma_esti_int_check over independent fBm pairs (f, g), each on a
     window [a, b] whose grid nodes a < b are drawn at random."""
     f_paths, g_paths = independent_pairs(grid, hp, n_pairs, seed)
+    g_seminorms = holder_seminorm_ensemble(grid.points, g_paths, beta).tolist()
     rng = component_rng(role_seed(seed, Role.windows), 0, 0)
     reports = []
-    for f, g in zip(f_paths, g_paths):
+    for f, g, g_semi in zip(f_paths, g_paths, g_seminorms):
         ia = int(rng.integers(0, grid.n_steps - 1))
         ib = int(rng.integers(ia + 1, grid.n_steps + 1))
-        reports.append(lemma_esti_int_check(GridFunction(grid, f), GridFunction(grid, g),
-                                            beta, grid.points[ia], grid.points[ib]))
+        reports.append(esti_int_bound(GridFunction(grid, f), GridFunction(grid, g), g_semi,
+                                      beta, grid.points[ia], grid.points[ib]))
     return reports
 
 
@@ -115,6 +116,9 @@ def _verify_esti_int(cfg: ExperimentConfig) -> dict:
     if not 0.5 < beta < H:
         raise PremiseError(f"esti-int premise violated: need 1/2 < beta < H, "
                            f"got beta={beta}, H={H}")
+    if cfg.get("grid", "n_steps") < 2:
+        raise PremiseError("esti-int premise violated: the window draw needs "
+                           f"n_steps >= 2, got {cfg.get('grid', 'n_steps')}")
     n_pairs = min(cfg.get("verify", "n_paths"), 200)
     reports = esti_int_sweep(_grid(cfg), HurstParam(H), beta, n_pairs,
                              cfg.get("experiment", "seed"))

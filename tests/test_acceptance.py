@@ -28,13 +28,11 @@ from fbmlab.concentration import (
 )
 from fbmlab.fbm import (
     HurstParam,
-    _assemble_from_factor,
-    cholesky_factor,
     covariance_matrix,
     kernel_kh_fast,
+    sample_fbm_cholesky,
     sample_fbm_circulant,
     sample_fbm_circulant_batch,
-    transfer_kernel_matrix,
 )
 from fbmlab.fixtures import calibrated_constants
 from fbmlab.fractional import (
@@ -77,11 +75,10 @@ def test_acceptance_01_covariance_fidelity():
     for h in (0.6, 0.75, 0.9):
         hp = HurstParam(h)
         grid = TimeGrid(1.0, 64)
-        chol = cholesky_factor(grid, hp)
         n = 10_000
         vals = np.empty((n, 64))
         for i in range(n):
-            vals[i] = _assemble_from_factor(chol, grid, 1, 7, i).values[1:, 0]
+            vals[i] = sample_fbm_cholesky(grid, hp, 1, 7, i).values[1:, 0]
         emp = (vals.T @ vals) / n
         exact = covariance_matrix(grid, hp)
         se = np.sqrt((np.outer(np.diag(exact), np.diag(exact)) + exact**2) / n)
@@ -250,7 +247,6 @@ def test_acceptance_09_coupling_bound():
                       sup_bound=np.inf, one_sided=-1.0)
     sigma = TimeDiffusion(fn=lambda t: np.ones((1, 1)), holder_beta=0.6)
     rho = np.ones(257)
-    kern = transfer_kernel_matrix(grid, hp)
     bound_pt = gronwall_coupling_bound(grid, rho, -1.0, 1.0, hp)
     # (2/B^2) H T^{2H-1} sigma^2 c_{B,T} int rho^2
     bound_d2 = 2.0 * 0.75 * c_bt(-1.0, 1.0) * 1.0
@@ -258,7 +254,7 @@ def test_acceptance_09_coupling_bound():
     worst_pt = worst_d2 = 0.0
     for i in range(1000):
         x, y, _ = drift_coupled_pair(0.0, drift, sigma, rho, hp, grid,
-                                     seed=4500, path_index=i, kernel=kern)
+                                     seed=4500, path_index=i)
         d2sq = (x.values[:, 0] - y.values[:, 0]) ** 2
         worst_pt = max(worst_pt, float((d2sq[1:] / bound_pt[1:]).max()))
         worst_d2 = max(worst_d2, float(np.trapezoid(d2sq, dx=grid.dt) / bound_d2))

@@ -8,6 +8,7 @@ from fbmlab import fbm
 from fbmlab.fbm import (
     CIRCULANT_EIG_TOL,
     HurstParam,
+    cholesky_factor,
     covariance_matrix,
     covariance_rh,
     kernel_kh,
@@ -151,6 +152,24 @@ def test_circulant_embedding_failure_raises(monkeypatch):
         sample_fbm_circulant(grid, H75, 1, seed=0)
     with pytest.raises(ArithmeticError, match="circulant embedding"):
         sample_fbm_circulant_batch(grid, H75, 3, seed=0)
+
+
+# the arrays built once per (t_max, n_steps, H)
+PER_GRID_ARRAYS = {
+    "circulant_eigs": lambda t, n, h: fbm._fgn_circulant_eigs(n, h, t / n),
+    "transfer_kernel": lambda t, n, h: transfer_kernel_matrix(TimeGrid(t, n), HurstParam(h)),
+    "cholesky_factor": lambda t, n, h: cholesky_factor(TimeGrid(t, n), HurstParam(h)),
+}
+
+
+@pytest.mark.parametrize("build", PER_GRID_ARRAYS.values(), ids=PER_GRID_ARRAYS)
+def test_per_grid_arrays_cached_and_read_only(build):
+    arr = build(1.0, 16, 0.75)
+    with pytest.raises(ValueError, match="read-only"):
+        arr[0] = 1.0
+    assert build(1.0, 16, 0.75) is arr
+    for other in ((2.0, 16, 0.75), (1.0, 17, 0.75), (1.0, 16, 0.8)):
+        assert not np.array_equal(build(*other), arr)
 
 
 def test_paths_start_at_zero_and_finite():

@@ -7,9 +7,22 @@ from fbmlab.grid import (
     GridFunction,
     TimeGrid,
     holder_norm,
-    holder_seminorm,
     holder_seminorm_ensemble,
 )
+
+
+def holder_seminorm(times, values, beta):
+    """Oracle: max |f(t_j) - f(t_i)| / (t_j - t_i)^beta over all grid pairs
+    i < j, for values of shape (n,) or (n, d) with Euclidean distances."""
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim == 1:
+        vals = vals[:, None]
+    best = 0.0
+    for i in range(len(times) - 1):
+        dt = times[i + 1:] - times[i]
+        dv = np.linalg.norm(vals[i + 1:] - vals[i], axis=1)
+        best = max(best, (dv / dt**beta).max())
+    return float(best)
 
 
 def test_time_grid_basic():

@@ -323,6 +323,31 @@ def test_cli_stability_uses_drift_b(tmp_path):
     assert "Delta=0.125" in rep["reason"]
 
 
+def test_cli_esti_int_one_step_grid_rejected(tmp_path):
+    # the window draw needs two cells: a premise, not a numpy traceback
+    ini = _write_ini(tmp_path, SMALL_INI.replace("n_steps = 32", "n_steps = 1")
+                     .replace("verifiers = phi-link", "verifiers = esti-int"))
+    out = str(tmp_path / "esti")
+    assert main(["verify", "--config", ini, "--out", out]) == 1
+    rep = json.load(open(os.path.join(out, "verify_esti-int.json")))
+    assert rep["rejected"] is True
+    assert "n_steps >= 2" in rep["reason"]
+
+
+@pytest.mark.parametrize("generator, cached", [
+    ("transfer", "transfer_kernel_matrix"),
+    ("cholesky", "cholesky_factor"),
+    ("circulant", "_fgn_circulant_eigs"),
+])
+def test_cli_sample_builds_per_grid_array_once(tmp_path, generator, cached):
+    ini = _write_ini(tmp_path, SMALL_INI.replace("n_paths = 2", "n_paths = 8")
+                     .replace("[fbm]\n", f"[fbm]\ngenerator = {generator}\n"))
+    misses = getattr(fbm, cached).cache_info().misses
+    assert main(["sample", "--config", ini, "--out", str(tmp_path / "samp")]) == 0
+    assert len(list((tmp_path / "samp").glob("path_*.fbmp"))) == 8
+    assert getattr(fbm, cached).cache_info().misses - misses <= 1
+
+
 def test_cli_verify_plain_value_error_is_not_a_rejection(tmp_path, monkeypatch):
     # only PremiseError is a rejection; any other ValueError is a fault
     def broken(cfg):

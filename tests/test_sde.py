@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fbmlab.fbm import HurstParam, sample_fbm_circulant, transfer_kernel_matrix
+from fbmlab.fbm import HurstParam, sample_fbm_circulant
 from fbmlab.grid import TimeGrid, cell_values
 from fbmlab.sde import (
     BlowUpError,
@@ -165,10 +165,8 @@ def test_lamperti_drift_lipschitz_bound_positive():
 def test_drift_coupled_pair_under_gronwall_bound():
     grid = TimeGrid(1.0, 128)
     rho = np.ones(129)
-    kern = transfer_kernel_matrix(grid, H75)
     bound = gronwall_coupling_bound(grid, rho, -1.0, 1.0, H75)
-    x, y, energy = drift_coupled_pair(0.0, DRIFT_OU, SIGMA_ID, rho, H75, grid,
-                                      seed=71, kernel=kern)
+    x, y, energy = drift_coupled_pair(0.0, DRIFT_OU, SIGMA_ID, rho, H75, grid, seed=71)
     assert energy == pytest.approx(0.5, rel=1e-12)
     d2 = (x.values[:, 0] - y.values[:, 0]) ** 2
     assert np.all(d2[1:] <= bound[1:])

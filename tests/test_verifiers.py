@@ -9,10 +9,11 @@ from fbmlab.concentration import PremiseError
 from fbmlab.config import VERIFIER_NAMES, load_config
 from fbmlab.fbm import HurstParam, sample_fbm_circulant_batch
 from fbmlab.fixtures import calibrated_constants
-from fbmlab.grid import TimeGrid, holder_norm
+from fbmlab.fractional import lemma_esti_int_check
+from fbmlab.grid import GridFunction, TimeGrid, holder_norm
 from fbmlab.sde import euler_additive_ensemble, stability_horizon
 from fbmlab.transport import t1_constant
-from fbmlab.verifiers import VERIFIERS, independent_pairs, stability_ratios
+from fbmlab.verifiers import VERIFIERS, esti_int_sweep, independent_pairs, stability_ratios
 
 
 def test_registry_follows_config_names():
@@ -32,6 +33,19 @@ def test_stability_ratios_match_per_pair_holder_norm():
         assert sup_dist[i] == d
         assert ratios[i] == (d / (hn * grid.t_max**beta) if hn > 0 else 0.0)
     assert ratios[0] == 0.0
+
+
+def test_esti_int_sweep_reports_equal_lemma_check():
+    # the sweep takes its g seminorms from the ensemble kernel; the bracket
+    # must come out exactly as the per-pair check computes it
+    grid, hp, beta = TimeGrid(0.5, 64), HurstParam(0.75), 0.6
+    reports = esti_int_sweep(grid, hp, beta, 50, 9)
+    f_paths, g_paths = independent_pairs(grid, hp, 50, 9)
+    assert len(reports) == 50
+    for rep, f, g in zip(reports, f_paths, g_paths):
+        a, b = rep.context["window"]
+        ref = lemma_esti_int_check(GridFunction(grid, f), GridFunction(grid, g), beta, a, b)
+        assert (rep.lhs, rep.rhs, rep.ratio) == (ref.lhs, ref.rhs, ref.ratio)
 
 
 def test_partner_is_not_an_offset_seed():
