@@ -39,7 +39,7 @@ grid = TimeGrid(1.0, 256)
 paths = sample_fbm_circulant_batch(grid, HurstParam(0.75), 5, seed=17)
 for i in range(5):
     xi = grr_xi(paths[i], grid, 0.75, 0.6)
-    ok = grr_modulus_holds(paths[i], grid, 0.75, 0.6, xi)
+    ok = grr_modulus_holds(paths[i], grid, 0.6, xi)
     print(f"  path {i}: xi = {xi:7.2f}  modulus holds everywhere: {ok}")
 
 print("\nGamma/digamma link: Phi is maximized at x = 1 for every C >= 1.")

@@ -22,15 +22,13 @@ with this provenance; verifiers read them from there.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 from scipy import optimize, special
 
 from .concentration import estimate_t1_constant
 from .fbm import HurstParam
 from .grid import TimeGrid
-from .verifiers import esti_int_sweep, independent_pairs, stability_ratios
+from .verifiers import MODEL, esti_int_sweep, independent_pairs, stability_ratios
 
 REFERENCE_CONFIG = {
     "H": 0.75,
@@ -39,6 +37,15 @@ REFERENCE_CONFIG = {
     "n_steps": 256,
     "L_b": 1.0,
     "sigma": 1.0,
+}
+
+#: The config values `fbmlab calibrate` honours (any other is rejected, exit
+#: 2): the verifiers' MODEL at the reference H, beta and drift_b = -L_b.
+#: [grid] is not read: K_hat is calibrated at T = 0.5, kappa_hat at T = 1.
+SUPPORTED_SETTINGS = {
+    "fbm": {**MODEL["fbm"], "hurst": REFERENCE_CONFIG["H"]},
+    "sde": {**MODEL["sde"], "drift_b": -REFERENCE_CONFIG["L_b"]},
+    "verify": {"beta": REFERENCE_CONFIG["beta"]},
 }
 
 
@@ -132,12 +139,12 @@ def calibrate_k_hat(n_pairs: int = 1000, seed: int = 0) -> dict:
     }
 
 
-def run_calibration(out_path: str, n_pairs: int = 1000, seed: int = 0) -> dict:
-    """Full calibration; writes the frozen JSON and returns its contents."""
+def run_calibration(n_pairs: int = 1000, seed: int = 0) -> dict:
+    """Full calibration: the frozen constants with their provenance."""
     kap_an = kappa_analytic()
     kap_emp = kappa_empirical(n_pairs=n_pairs, seed=seed)
     k_info = calibrate_k_hat(n_pairs=n_pairs, seed=seed)
-    payload = {
+    return {
         "K_hat": k_info["K_hat"],
         "kappa_hat": KAPPA_MARGIN * kap_emp,
         "provenance": {
@@ -163,6 +170,3 @@ def run_calibration(out_path: str, n_pairs: int = 1000, seed: int = 0) -> dict:
             },
         },
     }
-    with open(out_path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-    return payload

@@ -6,6 +6,12 @@ Subcommands
     verify     run a subset of the verification campaigns, emit JSON/CSV
     calibrate  recompute the calibrated constants with provenance
 
+This module only parses arguments and writes files.  What a command may
+be configured with is checked by ExperimentConfig.require against tables
+kept with the science (verifiers.MODEL, calibration.SUPPORTED_SETTINGS)
+before any output directory is made, and verifiers.run_verifier turns a
+verifier name into its report.
+
 Exit codes: 0 pass, 1 verification failure, 2 config error, 3 numerical
 error.  All outputs embed the config hash and seed; identical config and
 seed reproduce byte-identical reports (no timestamps in machine outputs).
@@ -17,7 +23,6 @@ import argparse
 import os
 import sys
 
-from .concentration import PremiseError
 from .config import ConfigError, ExperimentConfig, load_config
 from .fbm import (
     STREAM_LAYOUT,
@@ -35,7 +40,7 @@ from .pathio import (
     write_path_csv,
 )
 from .sde import euler_additive_ensemble
-from .verifiers import VERIFIERS
+from .verifiers import MODEL, run_verifier
 
 EXIT_PASS = 0
 EXIT_VERIFY_FAIL = 1
@@ -49,16 +54,6 @@ def _sample_one(grid, hp, m, seed, generator, path_index=0):
     if generator == "transfer":
         return sample_fbm_transfer(grid, hp, m, seed, path_index=path_index)[0]
     return sample_fbm_circulant(grid, hp, m, seed, path_index=path_index)
-
-
-def _require(cfg: ExperimentConfig, command: str, **supported: dict) -> None:
-    """Reject settings the command cannot honour (ConfigError, exit 2);
-    `supported` maps a section to {key: the one value the command honours}."""
-    for section, keys in supported.items():
-        for key, value in keys.items():
-            if cfg.get(section, key) != value:
-                raise ConfigError(f"{command} supports [{section}] {key} = {value} only, "
-                                  f"got {cfg.get(section, key)!r}")
 
 
 def cmd_sample(cfg: ExperimentConfig, out_dir: str) -> int:
@@ -86,7 +81,7 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: str) -> int:
 
 def cmd_solve(cfg: ExperimentConfig, out_dir: str) -> int:
     # solve drives the scalar additive model with circulant fBm only
-    _require(cfg, "solve", fbm={"components": 1, "generator": "circulant"})
+    cfg.require("solve", fbm={"components": 1, "generator": "circulant"})
     grid = TimeGrid(cfg.get("grid", "t_max"), cfg.get("grid", "n_steps"))
     hp = HurstParam(cfg.get("fbm", "hurst"))
     seed = cfg.get("experiment", "seed")
@@ -129,44 +124,33 @@ def _dump_tail_tables(out_dir: str, name: str, result: dict) -> None:
 
 def cmd_verify(cfg: ExperimentConfig, out_dir: str,
                only: list[str] | None = None) -> int:
-    # the verifiers solve dx = drift_b x dt + dB from x = 0 with scalar
-    # circulant fBm; [fbm] n_paths is for sample and solve
-    _require(cfg, "verify", fbm={"generator": "circulant", "components": 1},
-             sde={"sigma": 1.0, "x0": 0.0})
+    # [fbm] n_paths is for sample and solve
+    cfg.require("verify", **MODEL)
     names = only if only else cfg.verifier_list
     os.makedirs(out_dir, exist_ok=True)
-    all_ok = True
     summary = {}
     for name in names:
-        if name not in VERIFIERS:
-            raise ConfigError(f"unknown verifier {name!r}")
-        try:
-            result = VERIFIERS[name](cfg)
-        except PremiseError as exc:
-            # premise guard tripped: the verifier rejects the configuration
-            result = {"verifier": name, "passed": False,
-                      "rejected": True, "reason": str(exc)}
-        result["config_hash"] = cfg.config_hash
-        result["seed"] = cfg.get("experiment", "seed")
+        result = run_verifier(name, cfg)
         write_json_report(os.path.join(out_dir, f"verify_{name}.json"), result)
         _dump_tail_tables(out_dir, f"verify_{name}", result)
         summary[name] = bool(result["passed"])
-        all_ok &= result["passed"]
-        print(f"[{'PASS' if result['passed'] else 'FAIL'}] {name}")
+        print(f"[{'PASS' if summary[name] else 'FAIL'}] {name}")
+    all_ok = all(summary.values())
     write_json_report(os.path.join(out_dir, "verify_summary.json"), {
         "command": "verify", "config_hash": cfg.config_hash,
         "seed": cfg.get("experiment", "seed"), "results": summary,
-        "passed": bool(all_ok),
+        "passed": all_ok,
     })
     return EXIT_PASS if all_ok else EXIT_VERIFY_FAIL
 
 
 def cmd_calibrate(cfg: ExperimentConfig, out_dir: str) -> int:
-    from .calibration import run_calibration
+    from .calibration import SUPPORTED_SETTINGS, run_calibration
+    cfg.require("calibrate", **SUPPORTED_SETTINGS)
     os.makedirs(out_dir, exist_ok=True)
-    payload = run_calibration(os.path.join(out_dir, "calibrated_constants.json"),
-                              n_pairs=min(cfg.get("verify", "n_paths"), 5000),
+    payload = run_calibration(n_pairs=min(cfg.get("verify", "n_paths"), 5000),
                               seed=cfg.get("experiment", "seed"))
+    write_json_report(os.path.join(out_dir, "calibrated_constants.json"), payload)
     print(f"K_hat = {payload['K_hat']:.6g}  kappa_hat = {payload['kappa_hat']:.6g}")
     return EXIT_PASS
 

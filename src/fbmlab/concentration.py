@@ -10,7 +10,9 @@ confidence bound against a closed-form bound:
 * Fernique-type moment and exponential-moment estimates for the Holder
   seminorm of fBm;
 * the Garsia-Rodemich-Rumsey random Holder constant, whose modulus
-  property is checked exactly on the grid, not statistically;
+  property is checked exactly on the grid, not statistically; its double
+  sum and the Holder seminorm are reductions of the one lag loop of
+  fbmlab.grid, on one path or an ensemble;
 * the moment-based transportation constant and its Gaussian-tail link,
   including the gamma/digamma optimization showing the link supremum sits
   at k = 1.
@@ -29,8 +31,7 @@ from scipy import special, stats
 
 from .fbm import HurstParam, sample_fbm_circulant_batch
 from .fixtures import calibrated_constants
-from .grid import TimeGrid, holder_norm, holder_seminorm_ensemble
-from .sde import euler_additive_ensemble
+from .grid import TimeGrid, by_blocks, holder_seminorm_ensemble, lag_reduce
 from .transport import (
     PathEnsemble,
     PathMetric,
@@ -266,24 +267,28 @@ def verify_hoeffding_small_time(H: float, T: float, n_paths: int,
 def verify_hoeffding_large_time(H: float, T: float, n_paths: int,
                                 n_steps: int, seed: int,
                                 B: float = -1.0) -> tuple[TailReport, TailReport]:
-    """Large-horizon tails for the dissipative model dX = B X dt + dB^H.
+    """Large-horizon tails for the dissipative model of fbmlab.verifiers.MODEL
+    with drift_b = B: dX = B X dt + dB^H from 0 (sigma = 1).
 
     One functional, the time average of X clipped to [-50, 50], two
     metrics: under d_inf the tail bound is exp(-r^2 |B| / (4 H T^{2H-1}))
     (for B < 0 the exponential factor of the constant is 1), under d_2 it is
     exp(-r^2 B^2 T^{2-2H} / (4 H (1 - e^{BT}))).  The constants are
-    t2_constant_dinf and t2_constant_d2 of the additive model with sigma = 1
-    (sigma1 = sigma2 = 1).  Requires B < 0.
+    t2_constant_dinf and t2_constant_d2 of the additive model with
+    sigma1 = sigma2 = sigma.  Requires B < 0.
     """
+    from .verifiers import MODEL, solve_model  # verifiers imports this module
+
     if B >= 0:
         raise PremiseError(f"large-time bounds require B < 0, got B={B}")
     hp = HurstParam(H)
     grid = TimeGrid(T, n_steps)
     drivers = sample_fbm_circulant_batch(grid, hp, n_paths, seed)
-    paths = euler_additive_ensemble(0.0, lambda x: B * x, drivers, grid.dt)
+    paths = solve_model(drivers, B, grid.dt)
     samples = time_average(paths, grid, clip=50.0)
-    c_inf = t2_constant_dinf(H, T, B, 1.0, 1.0)
-    c_two = t2_constant_d2(H, T, B, 1.0, 1.0)
+    sigma = MODEL["sde"]["sigma"]
+    c_inf = t2_constant_dinf(H, T, B, sigma, sigma)
+    c_two = t2_constant_d2(H, T, B, sigma, sigma)
     notes = {"functional": "time_average", "variant": "additive", "B": B, "T": T}
     # denominators 2 c ||F||_Lip^2 with ||F||_Lip = 1 (d_inf), 1/sqrt(T) (d_2)
     rep_inf = _tail_report(samples, 2.0 * c_inf, {"metric": "d_infinity", **notes})
@@ -362,7 +367,8 @@ def verify_fernique(H: float, beta: float, T: float, n_samples: int,
     )
 
 
-def grr_xi(path_values: np.ndarray, grid: TimeGrid, H: float, beta: float) -> float:
+def grr_xi(path_values: np.ndarray, grid: TimeGrid, H: float,
+           beta: float) -> float | np.ndarray:
     """Random Holder constant xi_beta = 8 (4 Delta)^{(H-beta)/2} with
 
         Delta = int int |B_t - B_s|^{2/(H-beta)} / |t-s|^{2H/(H-beta)} dt ds
@@ -370,30 +376,30 @@ def grr_xi(path_values: np.ndarray, grid: TimeGrid, H: float, beta: float) -> fl
     by a double Riemann sum over grid cells, diagonal excluded (the
     integrand extends by 0 there for the exact path; on the grid the s = t
     cells are simply dropped and refinement convergence is what the tests
-    report).
+    report).  Each lag |t-s| = lag dt appears 2 (n + 1 - lag) times, so
+    Delta is 2 dt^2 times the sum over lags of grid.lag_reduce's sum
+    reduction.  path_values is one path (returns a float) or an
+    (n_paths, n_nodes) ensemble (returns one xi per path).
     """
     if not 0.5 < beta < H:
         raise ValueError(f"need beta < H, got beta={beta}, H={H}")
     v = np.asarray(path_values, dtype=float)
-    n = grid.n_steps
     dt = grid.dt
     q = 2.0 / (H - beta)
-    delta = 0.0
-    # group by lag: |t-s| = lag*dt appears 2*(n+1-lag) times
-    for lag in range(1, n + 1):
-        dv = np.abs(v[lag:] - v[:-lag])
-        delta += 2.0 * np.sum(dv**q) / (lag * dt) ** (q * H) * dt * dt
-    return float(8.0 * (4.0 * delta) ** ((H - beta) / 2.0))
+    delta = by_blocks(np.atleast_2d(v), lambda block: 2.0 * dt * dt * np.sum(
+        lag_reduce(block, dt, np.add, q, q * H), axis=0))
+    xi = 8.0 * (4.0 * delta) ** ((H - beta) / 2.0)
+    return float(xi[0]) if v.ndim == 1 else xi
 
 
-def grr_modulus_holds(path_values: np.ndarray, grid: TimeGrid, H: float,
-                      beta: float, xi: float | None = None) -> bool:
+def grr_modulus_holds(path_values: np.ndarray, grid: TimeGrid, beta: float,
+                      xi: float | np.ndarray) -> bool | np.ndarray:
     """Grid check of |B_t - B_s| <= xi |t - s|^beta over all node pairs,
-    i.e. of the discrete beta-Holder seminorm against xi."""
+    i.e. of the discrete beta-Holder seminorm against xi, for one path (a
+    bool) or per row of an (n_paths, n_nodes) ensemble with one xi each."""
     v = np.asarray(path_values, dtype=float)
-    if xi is None:
-        xi = grr_xi(v, grid, H, beta)
-    return holder_norm(grid, v, beta).seminorm_beta <= xi
+    holds = holder_seminorm_ensemble(grid.points, np.atleast_2d(v), beta) <= xi
+    return bool(holds[0]) if v.ndim == 1 else holds
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +435,13 @@ def phi_argmax(c_delta: float) -> float:
     so L - x L', which is 0 at x = 0 and has derivative -x L'', is negative
     for x > 0.  Hence h < -ln C <= 0 and Phi is strictly decreasing.  A sign
     sweep of h on a log grid checks this numerically; should it ever find
-    h > 0, the swept maximiser of Phi is returned.
+    h > 0, the proof's premise has failed in floating point and an
+    ArithmeticError is raised (CLI: exit 3).
     """
     if c_delta < 1.0:
         raise PremiseError(f"requires C(delta) >= 1, got {c_delta}")
-    xs = np.geomspace(1.0, 64.0, 200)
-    if all(phi_derivative_sign(x, c_delta) <= 0.0 for x in xs):
-        return 1.0
-    return float(xs[np.argmax([phi_link(x, c_delta) for x in xs])])
+    h = np.array([phi_derivative_sign(x, c_delta) for x in np.geomspace(1.0, 64.0, 200)])
+    if not np.all(h <= 0.0):
+        raise ArithmeticError(f"sign sweep of Phi' on [1, 64] found max h = {np.max(h):.6g}, "
+                              f"not <= 0, for C(delta) = {c_delta}")
+    return 1.0

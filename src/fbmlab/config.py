@@ -78,6 +78,15 @@ class ExperimentConfig:
     def get(self, section: str, key: str):
         return self.sections[section][key]
 
+    def require(self, command: str, **supported: dict) -> None:
+        """Reject settings a command cannot honour (ConfigError, exit 2);
+        `supported` maps a section to {key: the one value the command honours}."""
+        for section, keys in supported.items():
+            for key, value in keys.items():
+                if self.get(section, key) != value:
+                    raise ConfigError(f"{command} supports [{section}] {key} = {value} only, "
+                                      f"got {self.get(section, key)!r}")
+
     @property
     def config_hash(self) -> str:
         canon = []

@@ -3,9 +3,11 @@
 Everything downstream (fBm generation, pathwise solvers, transport metrics)
 indexes into one shared uniform grid on [0, T], and reads cell averages of
 node values from `cell_values`.  Holder quantities are
-computed over grid-point pairs only, by one lag kernel (`_lag_seminorms`), so
-they are lower bounds for the continuum norms; inequality checks built on
-them are necessary-condition checks.
+computed over grid-point pairs only, so they are lower bounds for the
+continuum norms; inequality checks built on them are necessary-condition
+checks.  `lag_reduce` holds the one loop over lags: the Holder seminorm and
+the Garsia-Rodemich-Rumsey double sum of fbmlab.concentration are two
+reductions of it, run on ensembles in blocks of BLOCK_PATHS (`by_blocks`).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Paths per block of the ensemble kernels (Holder lag kernel, circulant
+#: Paths per block of the ensemble kernels (lag reductions, circulant
 #: sampler): a block and its work buffer stay in cache.
 BLOCK_PATHS = 256
 
@@ -121,15 +123,20 @@ def holder_norm(
     return HolderNorm(sup_norm=sup, seminorm_beta=semi)
 
 
-def _lag_seminorms(nodes_first: np.ndarray, dt: float, beta: float) -> np.ndarray:
-    """max over lags and nodes of |v[i + lag] - v[i]| / (lag dt)^beta for
-    the k paths in the columns of nodes_first, shaped (n_nodes, k) or
-    (n_nodes, k, d) with Euclidean increments over d.  Each (lag dt)^beta is
-    a scalar power that divides (an array power or an inverse moves ulps).
+def lag_reduce(nodes_first: np.ndarray, dt: float, ufunc: np.ufunc, power: float,
+               exponent: float) -> np.ndarray:
+    """The one loop over lags: row lag - 1 of the result holds, for the k
+    paths in the columns of nodes_first and each lag in 1 .. n_nodes - 1,
+
+        ufunc.reduce over i of |v[i + lag] - v[i]|**power / (lag dt)**exponent.
+
+    nodes_first is shaped (n_nodes, k), or (n_nodes, k, d) with Euclidean
+    increments over d.  Each (lag dt)**exponent is a scalar power that
+    divides its row (an array power or an inverse moves ulps).
     """
     n = nodes_first.shape[0]
     buf = np.empty_like(nodes_first)
-    lag_max = np.empty((n - 1, nodes_first.shape[1]))
+    out = np.empty((n - 1, nodes_first.shape[1]))
     scale = np.empty((n - 1, 1))
     for lag in range(1, n):
         inc = np.subtract(nodes_first[lag:], nodes_first[:-lag], out=buf[:n - lag])
@@ -137,22 +144,34 @@ def _lag_seminorms(nodes_first: np.ndarray, dt: float, beta: float) -> np.ndarra
             inc = np.linalg.norm(inc, axis=2)
         else:
             np.abs(inc, out=inc)
-        np.maximum.reduce(inc, axis=0, out=lag_max[lag - 1])
-        scale[lag - 1] = (lag * dt) ** beta
-    return np.max(lag_max / scale, axis=0, initial=0.0)
+        if power != 1.0:
+            np.power(inc, power, out=inc)
+        ufunc.reduce(inc, axis=0, out=out[lag - 1])
+        scale[lag - 1] = (lag * dt) ** exponent
+    return np.divide(out, scale, out=out)
+
+
+def _lag_seminorms(nodes_first: np.ndarray, dt: float, beta: float) -> np.ndarray:
+    """max over lags and nodes of |v[i + lag] - v[i]| / (lag dt)^beta, per
+    column of nodes_first (see lag_reduce)."""
+    return np.max(lag_reduce(nodes_first, dt, np.maximum, 1.0, beta), axis=0, initial=0.0)
+
+
+def by_blocks(paths: np.ndarray, reduce) -> np.ndarray:
+    """reduce(block) per block of BLOCK_PATHS rows of an (n_paths, n_nodes)
+    ensemble, the block transposed to (n_nodes, block); one value per path."""
+    n_paths = paths.shape[0]
+    out = np.empty(n_paths)
+    for lo in range(0, n_paths, BLOCK_PATHS):
+        out[lo:lo + BLOCK_PATHS] = reduce(np.ascontiguousarray(paths[lo:lo + BLOCK_PATHS].T))
+    return out
 
 
 def holder_seminorm_ensemble(times: np.ndarray, paths: np.ndarray, beta: float) -> np.ndarray:
     """beta-Holder seminorm of many scalar paths at once.
 
     paths has shape (n_paths, n_nodes) on a uniform grid.  Returns one
-    seminorm per path, equal bit for bit to holder_norm on each row, from
-    blocks of BLOCK_PATHS paths transposed to (n_nodes, block).
+    seminorm per path, equal bit for bit to holder_norm on each row.
     """
-    n_paths = paths.shape[0]
     dt = times[1] - times[0]
-    out = np.empty(n_paths)
-    for lo in range(0, n_paths, BLOCK_PATHS):
-        block = np.ascontiguousarray(paths[lo:lo + BLOCK_PATHS].T)
-        out[lo:lo + BLOCK_PATHS] = _lag_seminorms(block, dt, beta)
-    return out
+    return by_blocks(paths, lambda block: _lag_seminorms(block, dt, beta))

@@ -14,7 +14,8 @@ FBMP layout (all little-endian):
     offset 10  u32       n_cols (1 time column + m components)
     offset 14  f64[...]  row-major payload, column 0 is time
 
-Tail-report tables export to CSV for audit.
+Tail-report tables export to CSV for audit.  JSON reports are strict JSON:
+a non-finite number is a numerical error, never an ``Infinity`` token.
 """
 
 from __future__ import annotations
@@ -126,7 +127,15 @@ def _json_default(obj):
 
 
 def write_json_report(path: str, payload: dict) -> None:
-    """Deterministic JSON report (sorted keys, numpy scalars coerced)."""
+    """Deterministic JSON report (sorted keys, numpy scalars coerced).
+
+    A non-finite number has no JSON form: it raises ArithmeticError (CLI:
+    exit 3) before the file is opened, so no partial report is left.
+    """
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default,
+                          allow_nan=False)
+    except ValueError as exc:
+        raise ArithmeticError(f"{path}: non-finite number in the report ({exc})") from exc
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")

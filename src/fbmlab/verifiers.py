@@ -2,8 +2,10 @@
 
 Each verifier maps an ExperimentConfig to a JSON-ready report dict with a
 boolean "passed".  A verifier whose premises the configuration violates
-raises PremiseError, which the command line records as a rejection.
-`VERIFIERS` holds them in config.VERIFIER_NAMES order.
+raises PremiseError.  `VERIFIERS` holds them in config.VERIFIER_NAMES order,
+and `run_verifier` turns a name into its stamped report, a PremiseError into
+a "rejected" one.  Every verifier runs one model, written down once in
+`MODEL`; the command line rejects a config that sets it otherwise.
 
 Two kernels here are also the Monte Carlo oracles of the calibration: the
 driver-stability ratio behind K_hat (`stability_ratios`) and the sweep of
@@ -31,13 +33,25 @@ from .concentration import (
     verify_hoeffding_large_time,
     verify_hoeffding_small_time,
 )
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .fbm import HurstParam, Role, component_rng, role_seed, sample_fbm_circulant_batch
 from .fixtures import calibrated_constants
 from .fractional import BoundReport, esti_int_bound
 from .grid import GridFunction, TimeGrid, holder_seminorm_ensemble
 from .sde import euler_additive_ensemble, stability_horizon
 from .transport import PathEnsemble, PathMetric
+
+
+#: The model every verifier runs: dx = drift_b x dt + sigma dB^H from x0,
+#: with one circulant fBm component as B^H.  sigma = 1, so the sampled fBm
+#: paths are the drivers themselves.
+MODEL = {"fbm": {"generator": "circulant", "components": 1},
+         "sde": {"sigma": 1.0, "x0": 0.0}}
+
+
+def solve_model(drivers: np.ndarray, drift_b: float, dt: float) -> np.ndarray:
+    """Euler solutions of the MODEL equation, one per row of drivers."""
+    return euler_additive_ensemble(MODEL["sde"]["x0"], lambda x: drift_b * x, drivers, dt)
 
 
 def independent_pairs(grid: TimeGrid, hp: HurstParam, n_pairs: int,
@@ -49,10 +63,10 @@ def independent_pairs(grid: TimeGrid, hp: HurstParam, n_pairs: int,
 
 def solution_distances(grid: TimeGrid, g1: np.ndarray, g2: np.ndarray,
                        drift_b: float) -> np.ndarray:
-    """d_inf(x, x~) per row, where x and x~ solve dx = drift_b x dt + dg
-    from x = 0 with the drivers g1[i] and g2[i]."""
-    x1 = euler_additive_ensemble(0.0, lambda x: drift_b * x, g1, grid.dt)
-    x2 = euler_additive_ensemble(0.0, lambda x: drift_b * x, g2, grid.dt)
+    """d_inf(x, x~) per row, where x and x~ solve the MODEL equation with
+    the drivers g1[i] and g2[i]."""
+    x1 = solve_model(g1, drift_b, grid.dt)
+    x2 = solve_model(g2, drift_b, grid.dt)
     return pair_distances(PathEnsemble(grid, x1), PathEnsemble(grid, x2),
                           PathMetric.d_infinity)
 
@@ -217,3 +231,18 @@ VERIFIERS = {
     "gaussian-tail": _verify_gaussian_tail,
     "phi-link": _verify_phi_link,
 }
+
+
+def run_verifier(name: str, cfg: ExperimentConfig) -> dict:
+    """The report of verifier `name` on cfg, stamped with its config_hash and
+    seed.  A PremiseError becomes a report with "passed": False,
+    "rejected": True and the reason; an unknown name is a ConfigError."""
+    if name not in VERIFIERS:
+        raise ConfigError(f"unknown verifier {name!r}")
+    try:
+        report = VERIFIERS[name](cfg)
+    except PremiseError as exc:
+        report = {"verifier": name, "passed": False, "rejected": True, "reason": str(exc)}
+    report["config_hash"] = cfg.config_hash
+    report["seed"] = cfg.get("experiment", "seed")
+    return report

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import digamma, factorial
 
+from fbmlab import concentration
 from fbmlab.concentration import (
     clopper_pearson_upper,
     estimate_t1_constant,
@@ -112,13 +113,43 @@ def test_grr_modulus_exact_on_grid():
     for i in range(3):
         xi = grr_xi(paths[i], grid, 0.75, 0.6)
         assert xi > 0
-        assert grr_modulus_holds(paths[i], grid, 0.75, 0.6, xi)
+        assert grr_modulus_holds(paths[i], grid, 0.6, xi)
 
 
 def test_grr_modulus_fails_for_tiny_xi():
     grid = TimeGrid(1.0, 128)
     path = sample_fbm_circulant_batch(grid, HurstParam(0.75), 1, seed=9)[0]
-    assert not grr_modulus_holds(path, grid, 0.75, 0.6, xi=1e-6)
+    assert not grr_modulus_holds(path, grid, 0.6, xi=1e-6)
+
+
+def grr_xi_per_lag(v, grid, H, beta):
+    """Oracle: xi_beta from the double Riemann sum accumulated one lag at a
+    time, |t-s| = lag dt appearing 2 (n + 1 - lag) times."""
+    dt = grid.dt
+    q = 2.0 / (H - beta)
+    delta = 0.0
+    for lag in range(1, grid.n_steps + 1):
+        dv = np.abs(v[lag:] - v[:-lag])
+        delta += 2.0 * np.sum(dv**q) / (lag * dt) ** (q * H) * dt * dt
+    return float(8.0 * (4.0 * delta) ** ((H - beta) / 2.0))
+
+
+def test_grr_ensemble_matches_per_path_and_per_lag_oracle():
+    # 300 paths span two blocks of the lag reduction; only the order of the
+    # sums differs between the three routes, so they agree to a few ulps
+    grid = TimeGrid(0.5, 64)
+    paths = sample_fbm_circulant_batch(grid, HurstParam(0.7), 300, seed=11)
+    xi = grr_xi(paths, grid, 0.7, 0.55)
+    assert xi.shape == (300,)
+    per_path = np.array([grr_xi(p, grid, 0.7, 0.55) for p in paths])
+    oracle = np.array([grr_xi_per_lag(p, grid, 0.7, 0.55) for p in paths])
+    np.testing.assert_allclose(xi, per_path, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(xi, oracle, rtol=1e-14, atol=0)
+    holds = grr_modulus_holds(paths, grid, 0.55, xi)
+    assert holds.shape == (300,) and holds.all()
+    scaled = xi * np.where(np.arange(300) % 2 == 0, 1.0, 1e-6)
+    np.testing.assert_array_equal(grr_modulus_holds(paths, grid, 0.55, scaled),
+                                  np.arange(300) % 2 == 0)
 
 
 def test_grr_premise_guard():
@@ -147,6 +178,16 @@ def test_phi_derivative_sign_closed_form_at_one():
 def test_phi_argmax_at_one():
     for c in (1.0, 2.0, 10.0, 1e6):
         assert phi_argmax(c) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("h", [1e-3, np.nan])
+def test_phi_argmax_fails_closed_on_positive_sign(monkeypatch, h):
+    # the proof gives h < 0; a sweep that finds otherwise is a numerical
+    # error, not a swept maximiser
+    monkeypatch.setattr(concentration, "phi_derivative_sign",
+                        lambda x, c: h if x > 8.0 else -1.0)
+    with pytest.raises(ArithmeticError, match="sign sweep"):
+        phi_argmax(2.0)
 
 
 def test_digamma_identity():

@@ -404,10 +404,69 @@ def test_cli_calibrate_smoke(tmp_path):
     ini = _write_ini(tmp_path, SMALL_INI)
     out = str(tmp_path / "cal")
     assert main(["calibrate", "--config", ini, "--out", out]) == 0
-    payload = json.load(open(os.path.join(out, "calibrated_constants.json")))
+    raw = open(os.path.join(out, "calibrated_constants.json")).read()
+    payload = json.loads(raw)
     assert payload["K_hat"] > 0
     assert payload["kappa_hat"] > 0
     assert "provenance" in payload
+    # written by the one report writer: sorted keys and a trailing newline
+    assert raw == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[verify]\nbeta = 0.65\n", "[verify] beta = 0.6 only"),
+    ("[sde]\ndrift_b = -2\n", "[sde] drift_b = -1.0 only"),
+    ("[sde]\nsigma = 2\n", "[sde] sigma = 1.0 only"),
+    ("[fbm]\ngenerator = cholesky\n", "[fbm] generator = circulant only"),
+])
+def test_cli_calibrate_rejects_settings_it_cannot_honour(tmp_path, capsys, text, message):
+    # calibrate runs the verify model at the reference H, beta and drift_b;
+    # any other value is a config error before any file is written
+    out = tmp_path / "cal"
+    assert main(["calibrate", "--config", _write_ini(tmp_path, text), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"calibrate supports {message}" in capsys.readouterr().err
+
+
+def test_cli_calibrate_rejects_shipped_negative_control(tmp_path, capsys):
+    # H = 0.6, beta = 0.75: constants calibrated at H = 0.75, beta = 0.6 would be mislabelled
+    from fbmlab.cli import default_config_path
+    out = tmp_path / "cal"
+    assert main(["calibrate", "--config", default_config_path("negative_control.ini"),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "calibrate supports [fbm] hurst = 0.75 only, got 0.6" in capsys.readouterr().err
+
+
+def test_cli_verify_non_finite_report_exit_3(tmp_path, capsys):
+    # at t_max = 1e200 the Fernique moments overflow: the report has no JSON
+    # form, so the run is a numerical error and leaves no partial report
+    ini = _write_ini(tmp_path, "[grid]\nt_max = 1e200\nn_steps = 64\n"
+                               "[verify]\nverifiers = fernique\nn_paths = 200\n")
+    out = tmp_path / "vrf"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["verify", "--config", ini, "--out", str(out)]) == 3
+    assert "verify_fernique.json: non-finite number" in capsys.readouterr().err
+    assert not (out / "verify_fernique.json").exists()
+    for f in out.iterdir():
+        text = f.read_text()
+        assert "Infinity" not in text and "NaN" not in text
+
+
+def test_cli_phi_link_positive_sign_exit_3(tmp_path, monkeypatch):
+    from fbmlab import concentration
+    monkeypatch.setattr(concentration, "phi_derivative_sign", lambda x, c: 1.0)
+    out = tmp_path / "vrf"
+    assert main(["verify", "--config", _write_ini(tmp_path, SMALL_INI), "--out", str(out)]) == 3
+    assert not (out / "verify_phi-link.json").exists()
+
+
+def test_cli_verify_unknown_verifier_exit_2(tmp_path, capsys):
+    out = tmp_path / "vrf"
+    assert main(["verify", "--config", _write_ini(tmp_path, SMALL_INI), "--out", str(out),
+                 "--verifier", "bogus"]) == 2
+    assert "unknown verifier 'bogus'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_cli_shipped_negative_control_config():

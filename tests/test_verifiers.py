@@ -6,14 +6,20 @@ import pytest
 from fbmlab import verifiers
 from fbmlab.calibration import calibrate_k_hat, kappa_empirical
 from fbmlab.concentration import PremiseError
-from fbmlab.config import VERIFIER_NAMES, load_config
+from fbmlab.config import VERIFIER_NAMES, ConfigError, load_config
 from fbmlab.fbm import HurstParam, sample_fbm_circulant_batch
 from fbmlab.fixtures import calibrated_constants
 from fbmlab.fractional import lemma_esti_int_check
 from fbmlab.grid import GridFunction, TimeGrid, holder_norm
 from fbmlab.sde import euler_additive_ensemble, stability_horizon
 from fbmlab.transport import t1_constant
-from fbmlab.verifiers import VERIFIERS, esti_int_sweep, independent_pairs, stability_ratios
+from fbmlab.verifiers import (
+    VERIFIERS,
+    esti_int_sweep,
+    independent_pairs,
+    run_verifier,
+    stability_ratios,
+)
 
 
 def test_registry_follows_config_names():
@@ -117,3 +123,15 @@ def test_each_premise_guard_raises_premise_error(tmp_path, name):
     path.write_text(PREMISE_VIOLATIONS[name])
     with pytest.raises(PremiseError):
         VERIFIERS[name](load_config(str(path)))
+
+
+def test_run_verifier_stamps_reports_and_records_rejections(tmp_path):
+    path = tmp_path / "p.ini"
+    path.write_text(PREMISE_VIOLATIONS["phi-link"] + "[experiment]\nseed = 5\n")
+    cfg = load_config(str(path))
+    report = run_verifier("phi-link", cfg)
+    assert report == {"verifier": "phi-link", "passed": False, "rejected": True,
+                      "reason": "requires C(delta) >= 1, got 0.5",
+                      "config_hash": cfg.config_hash, "seed": 5}
+    with pytest.raises(ConfigError, match="unknown verifier 'bogus'"):
+        run_verifier("bogus", cfg)
