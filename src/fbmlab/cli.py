@@ -8,7 +8,7 @@ Subcommands
 
 This module only parses arguments and writes files.  What a command may
 be configured with is checked by ExperimentConfig.require against tables
-kept with the science (verifiers.MODEL, calibration.SUPPORTED_SETTINGS)
+kept with the science (concentration.MODEL, calibration.SUPPORTED_SETTINGS)
 before any output directory is made, and verifiers.run_verifier turns a
 verifier name into its report.
 
@@ -23,6 +23,7 @@ import argparse
 import os
 import sys
 
+from .concentration import MODEL
 from .config import ConfigError, ExperimentConfig, load_config
 from .fbm import (
     STREAM_LAYOUT,
@@ -40,7 +41,7 @@ from .pathio import (
     write_path_csv,
 )
 from .sde import euler_additive_ensemble
-from .verifiers import MODEL, run_verifier
+from .verifiers import run_verifier
 
 EXIT_PASS = 0
 EXIT_VERIFY_FAIL = 1

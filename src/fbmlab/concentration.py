@@ -17,9 +17,18 @@ confidence bound against a closed-form bound:
   including the gamma/digamma optimization showing the link supremum sits
   at k = 1.
 
+The verifiers run one model, `MODEL` (solved by `solve_model`), kept here
+beside the campaigns that use it.  The 20 000-path campaigns (Fernique and
+both Hoeffding regimes) keep one or two numbers per path, so they stream
+their paths through `fbm.map_circulant_chunks`: each chunk is sampled,
+solved (large time) and reduced to its per-path statistic, and moments,
+quantiles and tails are taken on the concatenated vector.  A campaign's
+memory is a few chunks, not a few ensembles, and its reports are those of a
+whole-batch run byte for byte.
+
 Negative controls are first class: every verifier refuses configurations
 that violate its premises (e.g. beta > H) rather than producing vacuous
-passes.
+passes.  An overflow in the Fernique moments raises FloatingPointError.
 """
 
 from __future__ import annotations
@@ -29,9 +38,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special, stats
 
-from .fbm import HurstParam, sample_fbm_circulant_batch
+from .fbm import HurstParam, map_circulant_chunks
 from .fixtures import calibrated_constants
 from .grid import TimeGrid, by_blocks, holder_seminorm_ensemble, lag_reduce
+from .sde import euler_additive_ensemble
 from .transport import (
     PathEnsemble,
     PathMetric,
@@ -45,6 +55,18 @@ from .transport import (
 class PremiseError(ValueError):
     """A configuration outside a verifier's premises (CLI: a "rejected"
     report, exit 1); raised only by the premise guards."""
+
+
+#: The model every verifier runs: dx = drift_b x dt + sigma dB^H from x0,
+#: with one circulant fBm component as B^H.  sigma = 1, so the sampled fBm
+#: paths are the drivers themselves.
+MODEL = {"fbm": {"generator": "circulant", "components": 1},
+         "sde": {"sigma": 1.0, "x0": 0.0}}
+
+
+def solve_model(drivers: np.ndarray, drift_b: float, dt: float) -> np.ndarray:
+    """Euler solutions of the MODEL equation, one per row of drivers."""
+    return euler_additive_ensemble(MODEL["sde"]["x0"], lambda x: drift_b * x, drivers, dt)
 
 
 @dataclass
@@ -256,19 +278,18 @@ def verify_hoeffding_small_time(H: float, T: float, n_paths: int,
     K = calibrated_constants()["K_hat"]
     hp = HurstParam(H)
     grid = TimeGrid(T, n_steps)
-    paths = sample_fbm_circulant_batch(grid, hp, n_paths, seed)
-    rep_avg = _tail_report(time_average(paths, grid, clip=10.0), 2.0 * C,
-                           {"functional": "time_average", "C": C, "K": K})
-    rep_sup = _tail_report(sup_displacement(paths, grid), 2.0 * C,
-                           {"functional": "sup_displacement", "C": C, "K": K})
+    avg, sup = map_circulant_chunks(grid, hp, n_paths, seed, lambda paths: np.stack(
+        [time_average(paths, grid, clip=10.0), sup_displacement(paths, grid)]))
+    rep_avg = _tail_report(avg, 2.0 * C, {"functional": "time_average", "C": C, "K": K})
+    rep_sup = _tail_report(sup, 2.0 * C, {"functional": "sup_displacement", "C": C, "K": K})
     return rep_avg, rep_sup
 
 
 def verify_hoeffding_large_time(H: float, T: float, n_paths: int,
                                 n_steps: int, seed: int,
                                 B: float = -1.0) -> tuple[TailReport, TailReport]:
-    """Large-horizon tails for the dissipative model of fbmlab.verifiers.MODEL
-    with drift_b = B: dX = B X dt + dB^H from 0 (sigma = 1).
+    """Large-horizon tails for the dissipative MODEL with drift_b = B:
+    dX = B X dt + dB^H from 0 (sigma = 1).
 
     One functional, the time average of X clipped to [-50, 50], two
     metrics: under d_inf the tail bound is exp(-r^2 |B| / (4 H T^{2H-1}))
@@ -277,15 +298,17 @@ def verify_hoeffding_large_time(H: float, T: float, n_paths: int,
     t2_constant_dinf and t2_constant_d2 of the additive model with
     sigma1 = sigma2 = sigma.  Requires B < 0.
     """
-    from .verifiers import MODEL, solve_model  # verifiers imports this module
-
     if B >= 0:
         raise PremiseError(f"large-time bounds require B < 0, got B={B}")
     hp = HurstParam(H)
     grid = TimeGrid(T, n_steps)
-    drivers = sample_fbm_circulant_batch(grid, hp, n_paths, seed)
-    paths = solve_model(drivers, B, grid.dt)
-    samples = time_average(paths, grid, clip=50.0)
+
+    def chunk_average(drivers):
+        paths = solve_model(drivers, B, grid.dt)
+        del drivers  # at most three (chunk, n_nodes) arrays live at once
+        return time_average(paths, grid, clip=50.0)
+
+    samples = map_circulant_chunks(grid, hp, n_paths, seed, chunk_average)
     sigma = MODEL["sde"]["sigma"]
     c_inf = t2_constant_dinf(H, T, B, sigma, sigma)
     c_two = t2_constant_d2(H, T, B, sigma, sigma)
@@ -346,23 +369,26 @@ def verify_fernique(H: float, beta: float, T: float, n_samples: int,
     alpha = 0.5 * fernique_exponent_radius(H, beta, T)
     hp = HurstParam(H)
     grid = TimeGrid(T, n_steps)
-    paths = sample_fbm_circulant_batch(grid, hp, n_samples, seed)
-    norms = holder_seminorm_ensemble(grid.points, paths, beta)
+    norms = map_circulant_chunks(grid, hp, n_samples, seed, lambda paths:
+                                 holder_seminorm_ensemble(grid.points, paths, beta))
 
     moments, errs, uppers, bounds = [], [], [], []
-    for k in FERNIQUE_K:
-        x = norms ** (2 * k)
-        moments.append(float(x.mean()))
-        errs.append(float(x.std(ddof=1) / np.sqrt(n_samples)))
-        uppers.append(mean_upper_confidence(x))
-        bounds.append(fernique_moment_bound(k, H, beta, T))
-    ex = np.exp(alpha * norms**2)
+    # an overflowing moment raises FloatingPointError (CLI: exit 3) here
+    with np.errstate(over="raise"):
+        for k in FERNIQUE_K:
+            x = norms ** (2 * k)
+            moments.append(float(x.mean()))
+            errs.append(float(x.std(ddof=1) / np.sqrt(n_samples)))
+            uppers.append(mean_upper_confidence(x))
+            bounds.append(fernique_moment_bound(k, H, beta, T))
+        ex = np.exp(alpha * norms**2)
+        exp_empirical, exp_upper = float(ex.mean()), mean_upper_confidence(ex)
     exp_bound = (1.0 - 128.0 * alpha * (2 * T) ** (2 * (H - beta))) ** -0.5
     return MomentReport(
         k_list=list(FERNIQUE_K), empirical_moments=moments, standard_errors=errs,
         upper_confidence=uppers, bounds=bounds,
-        exp_alpha=float(alpha), exp_empirical=float(ex.mean()),
-        exp_upper_confidence=mean_upper_confidence(ex), exp_bound=float(exp_bound),
+        exp_alpha=float(alpha), exp_empirical=exp_empirical,
+        exp_upper_confidence=exp_upper, exp_bound=float(exp_bound),
         n_samples=n_samples,
     )
 

@@ -33,6 +33,13 @@ Arrays that depend only on (t_max, n_steps, H) are built once, in bounded
 (n, H, dt)), and returned read-only: `_fgn_circulant_eigs` keeps 32 entries
 of 32 n bytes; `transfer_kernel_matrix` and `cholesky_factor` keep 2 entries
 of 8 n^2 bytes each (0.5 MiB at n = 256, 128 MiB at CHOLESKY_MAX_STEPS).
+
+A campaign that keeps a few numbers per path needs no ensemble:
+`map_circulant_chunks` draws the rows of `sample_fbm_circulant_batch`
+CHUNK_PATHS at a time, reduces each chunk with a per-path statistic and
+concatenates the results, bit for bit what the statistic gives on the whole
+batch.  Its memory is a few chunks (4 MiB per chunk array at 256 steps),
+whatever the number of paths.
 """
 
 from __future__ import annotations
@@ -343,6 +350,33 @@ def sample_fbm_circulant_batch(grid: TimeGrid, h: HurstParam, n_paths: int,
     bit.
     """
     return _circulant_rows(grid, h, seed, [(i, component) for i in range(n_paths)])
+
+
+#: Paths per chunk of map_circulant_chunks, a whole number of BLOCK_PATHS:
+#: 4 MiB per (chunk, 257) float64 array.  Measured on the large-time
+#: campaign: smaller chunks pay the Euler loop's per-step overhead more
+#: often, larger ones add memory and no speed.
+CHUNK_PATHS = 8 * BLOCK_PATHS
+
+
+def map_circulant_chunks(grid: TimeGrid, h: HurstParam, n_paths: int, seed: int,
+                         statistic) -> np.ndarray:
+    """statistic(paths) of the ensemble sample_fbm_circulant_batch(grid, h,
+    n_paths, seed), without building it: the paths are drawn CHUNK_PATHS rows
+    at a time, each chunk goes to statistic, and the results are concatenated
+    along their last axis.
+
+    Row i of a chunk is path i of the batch bit for bit (layout 2), so a
+    statistic that computes each path from its own row alone returns exactly
+    what it would on the whole batch.
+    """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    parts = []
+    for lo in range(0, n_paths, CHUNK_PATHS):
+        keys = [(i, 0) for i in range(lo, min(lo + CHUNK_PATHS, n_paths))]
+        parts.append(statistic(_circulant_rows(grid, h, seed, keys)))
+    return np.concatenate(parts, axis=-1)
 
 
 @functools.lru_cache(maxsize=2)

@@ -56,7 +56,8 @@ class PathMetric(str, Enum):
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """i.i.d. collection of paths on one grid."""
+    """i.i.d. collection of paths on one grid; a non-finite entry is a
+    numerical failure (ArithmeticError)."""
 
     grid: TimeGrid
     paths: np.ndarray           # (n_paths, n_nodes) or (n_paths, n_nodes, d)
@@ -67,6 +68,8 @@ class PathEnsemble:
             p = p[:, :, None]
         if p.shape[1] != self.grid.n_steps + 1:
             raise ValueError("paths do not match the grid")
+        if not np.all(np.isfinite(p)):
+            raise ArithmeticError("path ensemble contains non-finite entries")
         object.__setattr__(self, "paths", p)
 
     @property
@@ -98,15 +101,18 @@ def path_distance(gamma1: np.ndarray, gamma2: np.ndarray, grid: TimeGrid,
 def pairwise_cost_matrix(mu: PathEnsemble, nu: PathEnsemble,
                          metric: PathMetric, p: int) -> np.ndarray:
     """Cost matrix C[i, j] = d(path_i, path_j)^p, one row per path of mu;
-    working memory O(m n_nodes d) beside the n x m result."""
+    working memory O(m n_nodes d) beside the n x m result.  A cost that
+    overflows raises ArithmeticError."""
     if mu.grid != nu.grid:
         raise ValueError("ensembles must share one grid")
     b = nu.paths
     cost = np.empty((mu.n, nu.n))
-    for i, row in enumerate(mu.paths):
-        cost[i] = path_metric(b - row, mu.grid.dt, metric) ** p
+    # an overflowing cost is reported by the finiteness check, not a warning
+    with np.errstate(over="ignore"):
+        for i, row in enumerate(mu.paths):
+            cost[i] = path_metric(b - row, mu.grid.dt, metric) ** p
     if not np.all(np.isfinite(cost)):
-        raise ValueError("non-finite entries in the transport cost matrix")
+        raise ArithmeticError("non-finite entries in the transport cost matrix")
     return cost
 
 

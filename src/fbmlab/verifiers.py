@@ -5,7 +5,8 @@ boolean "passed".  A verifier whose premises the configuration violates
 raises PremiseError.  `VERIFIERS` holds them in config.VERIFIER_NAMES order,
 and `run_verifier` turns a name into its stamped report, a PremiseError into
 a "rejected" one.  Every verifier runs one model, written down once in
-`MODEL`; the command line rejects a config that sets it otherwise.
+`concentration.MODEL` (imported here); the command line rejects a config
+that sets it otherwise.
 
 Two kernels here are also the Monte Carlo oracles of the calibration: the
 driver-stability ratio behind K_hat (`stability_ratios`) and the sweep of
@@ -22,12 +23,14 @@ import numpy as np
 from scipy.special import digamma
 
 from .concentration import (
+    MODEL,
     PremiseError,
     estimate_t1_constant,
     gaussian_tail_c_delta,
     pair_distances,
     phi_argmax,
     phi_link,
+    solve_model,
     tail_constant_scaling,
     verify_fernique,
     verify_hoeffding_large_time,
@@ -38,20 +41,8 @@ from .fbm import HurstParam, Role, component_rng, role_seed, sample_fbm_circulan
 from .fixtures import calibrated_constants
 from .fractional import BoundReport, esti_int_bound
 from .grid import GridFunction, TimeGrid, holder_seminorm_ensemble
-from .sde import euler_additive_ensemble, stability_horizon
+from .sde import stability_horizon
 from .transport import PathEnsemble, PathMetric
-
-
-#: The model every verifier runs: dx = drift_b x dt + sigma dB^H from x0,
-#: with one circulant fBm component as B^H.  sigma = 1, so the sampled fBm
-#: paths are the drivers themselves.
-MODEL = {"fbm": {"generator": "circulant", "components": 1},
-         "sde": {"sigma": 1.0, "x0": 0.0}}
-
-
-def solve_model(drivers: np.ndarray, drift_b: float, dt: float) -> np.ndarray:
-    """Euler solutions of the MODEL equation, one per row of drivers."""
-    return euler_additive_ensemble(MODEL["sde"]["x0"], lambda x: drift_b * x, drivers, dt)
 
 
 def independent_pairs(grid: TimeGrid, hp: HurstParam, n_pairs: int,

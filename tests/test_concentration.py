@@ -1,5 +1,7 @@
 """Concentration verifiers: oracles, confidence machinery, guards."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import digamma, factorial
@@ -21,7 +23,12 @@ from fbmlab.concentration import (
     verify_hoeffding_large_time,
     verify_hoeffding_small_time,
 )
-from fbmlab.fbm import HurstParam, sample_fbm_circulant_batch
+from fbmlab.fbm import (
+    CHUNK_PATHS,
+    HurstParam,
+    map_circulant_chunks,
+    sample_fbm_circulant_batch,
+)
 from fbmlab.grid import TimeGrid
 from fbmlab.transport import PathEnsemble, PathMetric
 
@@ -228,3 +235,47 @@ def test_tail_report_monotone_invariants():
         assert np.all(np.diff(rep.paper_bound) <= 0)
         assert np.all(np.isfinite(rep.empirical_tail))
         assert rep.n_samples == 4000
+
+
+CAMPAIGNS = {
+    "fernique": lambda n: verify_fernique(0.75, 0.6, 1.0, n, n_steps=64, seed=5),
+    "hoeffding-small": lambda n: verify_hoeffding_small_time(0.75, 1.0, n, 64, seed=5),
+    "hoeffding-large": lambda n: verify_hoeffding_large_time(0.75, 2.0, n, 64, seed=5),
+}
+
+
+@pytest.mark.parametrize("campaign", sorted(CAMPAIGNS))
+def test_campaign_statistic_chunked_equals_whole_batch(monkeypatch, campaign):
+    # the statistic each campaign streams, applied chunk by chunk (a full
+    # chunk and a ragged one) and to the whole batch at once
+    seen = []
+
+    def spy(grid, h, n_paths, seed, statistic):
+        chunked = map_circulant_chunks(grid, h, n_paths, seed, statistic)
+        whole = statistic(sample_fbm_circulant_batch(grid, h, n_paths, seed))
+        seen.append((chunked.shape[-1], np.array_equal(chunked, whole)))
+        return chunked
+
+    monkeypatch.setattr(concentration, "map_circulant_chunks", spy)
+    n = CHUNK_PATHS + 37
+    CAMPAIGNS[campaign](n)
+    assert seen == [(n, True)]
+
+
+def test_chunk_driver_needs_a_path():
+    with pytest.raises(ValueError):
+        map_circulant_chunks(TimeGrid(1.0, 8), HurstParam(0.75), 0, 0, lambda p: p[:, 0])
+
+
+def test_large_time_campaign_memory_below_one_ensemble():
+    # four chunks of paths: the streamed campaign never holds an
+    # (n_paths, n_nodes) ensemble
+    n, n_steps = 4 * CHUNK_PATHS, 256
+    verify_hoeffding_large_time(0.75, 2.0, 16, n_steps, seed=1)  # per-grid arrays
+    tracemalloc.start()
+    try:
+        verify_hoeffding_large_time(0.75, 2.0, n, n_steps, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * (n_steps + 1) * 8

@@ -439,18 +439,32 @@ def test_cli_calibrate_rejects_shipped_negative_control(tmp_path, capsys):
 
 
 def test_cli_verify_non_finite_report_exit_3(tmp_path, capsys):
-    # at t_max = 1e200 the Fernique moments overflow: the report has no JSON
-    # form, so the run is a numerical error and leaves no partial report
+    # at t_max = 1e200 the Fernique moments overflow: the verifier raises
+    # where they do, so the run is a numerical error and leaves no report
     ini = _write_ini(tmp_path, "[grid]\nt_max = 1e200\nn_steps = 64\n"
                                "[verify]\nverifiers = fernique\nn_paths = 200\n")
     out = tmp_path / "vrf"
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert main(["verify", "--config", ini, "--out", str(out)]) == 3
-    assert "verify_fernique.json: non-finite number" in capsys.readouterr().err
+    assert main(["verify", "--config", ini, "--out", str(out)]) == 3
+    assert "numerical error: overflow" in capsys.readouterr().err
     assert not (out / "verify_fernique.json").exists()
     for f in out.iterdir():
         text = f.read_text()
         assert "Infinity" not in text and "NaN" not in text
+
+
+def test_cli_non_finite_ensemble_exit_3(tmp_path, monkeypatch, capsys):
+    # a NaN in the solved ensemble fails closed in PathEnsemble
+    def nan_solution(drivers, drift_b, dt):
+        x = np.zeros_like(drivers)
+        x[0, -1] = np.nan
+        return x
+
+    monkeypatch.setattr(verifiers, "solve_model", nan_solution)
+    out = tmp_path / "vrf"
+    assert main(["verify", "--config", _write_ini(tmp_path, SMALL_INI), "--out", str(out),
+                 "--verifier", "t1-moments"]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out / "verify_t1-moments.json").exists()
 
 
 def test_cli_phi_link_positive_sign_exit_3(tmp_path, monkeypatch):

@@ -206,13 +206,17 @@ def test_wasserstein_unequal_counts_match_replicated_assignment(n, m):
 
 
 def test_cost_matrix_rejects_nonfinite():
+    # a non-finite path or an overflowing cost is a numerical failure
     grid = TimeGrid(1.0, 4)
     bad = np.zeros((2, 5))
     bad[0, 2] = np.inf
-    mu = PathEnsemble(grid, bad)
-    nu = PathEnsemble(grid, np.zeros((2, 5)))
-    with pytest.raises(ValueError):
-        pairwise_cost_matrix(mu, nu, PathMetric.d_infinity, 1)
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        PathEnsemble(grid, bad)
+    mu = PathEnsemble(grid, np.full((2, 5), 1e308))
+    nu = PathEnsemble(grid, np.full((2, 5), -1e308))
+    for metric in PathMetric:
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            pairwise_cost_matrix(mu, nu, metric, 1)
 
 
 def test_relative_entropy_values():
