@@ -80,7 +80,10 @@ class GeneratorTag(str, Enum):
 
 @dataclass(frozen=True)
 class FbmPath:
-    """Sampled m-component fBm trajectory and the generator that drew it."""
+    """Sampled m-component fBm trajectory and the generator that drew it.
+
+    A shape off the grid or a nonzero start is a ValueError; a non-finite
+    value is a numerical failure (ArithmeticError)."""
 
     grid: TimeGrid
     values: np.ndarray  # (n_steps + 1, m)
@@ -91,7 +94,7 @@ class FbmPath:
         if vals.ndim != 2 or vals.shape[0] != self.grid.n_steps + 1:
             raise ValueError(f"values shape {vals.shape} inconsistent with grid")
         if not np.all(np.isfinite(vals)):
-            raise ValueError("fBm path contains non-finite entries")
+            raise ArithmeticError("fBm path contains non-finite entries")
         if np.any(vals[0] != 0.0):
             raise ValueError("fBm paths must start at 0")
         object.__setattr__(self, "values", vals)

@@ -61,7 +61,9 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """One scalar component sampled at the nodes of a TimeGrid."""
+    """One scalar component sampled at the nodes of a TimeGrid; a shape off
+    the grid is a ValueError, a non-finite value a numerical failure
+    (ArithmeticError)."""
 
     grid: TimeGrid
     values: np.ndarray
@@ -74,7 +76,7 @@ class GridFunction:
                 f"{self.grid.n_steps + 1} nodes"
             )
         if not np.all(np.isfinite(vals)):
-            raise ValueError("GridFunction values must be finite")
+            raise ArithmeticError("GridFunction values contain non-finite entries")
         object.__setattr__(self, "values", vals)
 
     def __call__(self, t: float) -> float:

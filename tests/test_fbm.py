@@ -180,6 +180,20 @@ def test_paths_start_at_zero_and_finite():
     assert p.values.shape == (65, 3)
 
 
+def test_fbm_path_error_types():
+    # shape and start are usage errors; a non-finite value is numerical
+    grid = TimeGrid(1.0, 4)
+    tag = fbm.GeneratorTag.circulant
+    with pytest.raises(ValueError):
+        fbm.FbmPath(grid, np.zeros((4, 1)), tag)
+    with pytest.raises(ValueError):
+        fbm.FbmPath(grid, np.ones((5, 1)), tag)
+    vals = np.zeros((5, 1))
+    vals[2, 0] = np.inf
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        fbm.FbmPath(grid, vals, tag)
+
+
 def test_generator_agreement_ks():
     # terminal values of Cholesky and circulant ensembles follow one law
     grid = TimeGrid(1.0, 32)

@@ -54,7 +54,7 @@ def test_grid_function_shape_and_finiteness():
     grid = TimeGrid(1.0, 4)
     with pytest.raises(ValueError):
         GridFunction(grid, np.zeros(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ArithmeticError, match="non-finite"):
         GridFunction(grid, [0, 1, np.nan, 3, 4])
 
 

@@ -255,6 +255,20 @@ def test_cli_sample_embedding_failure_exit_3(tmp_path, monkeypatch):
     assert not (out / "sample_manifest.json").exists()
 
 
+def test_cli_sample_non_finite_path_exit_3(tmp_path, monkeypatch, capsys):
+    # a NaN from the sampler fails closed in FbmPath before any file is written
+    def nan_rows(grid, h, seed, keys):
+        rows = np.zeros((len(keys), grid.n_steps + 1))
+        rows[:, -1] = np.nan
+        return rows
+
+    monkeypatch.setattr(fbm, "_circulant_rows", nan_rows)
+    out = tmp_path / "samp"
+    assert main(["sample", "--config", _write_ini(tmp_path, SMALL_INI), "--out", str(out)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_cli_verify_pass_and_reports(tmp_path):
     ini = _write_ini(tmp_path, SMALL_INI)
     out = str(tmp_path / "vrf")

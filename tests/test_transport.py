@@ -73,7 +73,8 @@ def test_wasserstein_zero_on_identical_ensembles():
 
 
 def test_wasserstein_unequal_counts_lp():
-    # a single-path target makes W1 the average distance to it
+    # a single-path target makes W1 the average distance to it; 5 vs 1 is
+    # the replicated assignment (factor 5), each column repeated 5 times
     rng = np.random.default_rng(10)
     grid = TimeGrid(1.0, 8)
     mu = PathEnsemble(grid, rng.standard_normal((5, 9)))
@@ -186,10 +187,22 @@ def test_cost_matrix_memory_is_one_row():
     assert peak < 32 * 2**20
 
 
-@pytest.mark.parametrize("n,m", [(6, 4), (3, 7)])
-def test_wasserstein_unequal_counts_match_replicated_assignment(n, m):
+@pytest.mark.parametrize("n,m", [(6, 4), (3, 4), (3, 7), (2, 7)])
+def test_wasserstein_unequal_counts_match_replicated_assignment(n, m, monkeypatch):
     # repeating each point lcm/n resp. lcm/m times turns the uniform-marginal
-    # LP into an assignment with the same optimum
+    # LP into an assignment with the same optimum.  Replication factors
+    # (l/n)(l/m) of 6 and 12 (the bound) run that assignment; 21 and 14
+    # reach HiGHS.
+    takes_lp = (n, m) in {(3, 7), (2, 7)}
+    calls = []
+    real_lp = transport._transport_lp
+
+    def lp(cost):
+        assert takes_lp, "the LP ran where the replicated assignment should"
+        calls.append(cost.shape)
+        return real_lp(cost)
+
+    monkeypatch.setattr(transport, "_transport_lp", lp)
     rng = np.random.default_rng(14)
     grid = TimeGrid(1.0, 8)
     mu = PathEnsemble(grid, rng.standard_normal((n, 9)))
@@ -203,6 +216,53 @@ def test_wasserstein_unequal_counts_match_replicated_assignment(n, m):
             oracle = cost[ri, ci].mean() ** (1.0 / p)
             w = wasserstein_empirical(mu, nu, p, metric)
             assert w == pytest.approx(oracle, rel=1e-12)
+    assert calls == [(n, m)] * (4 if takes_lp else 0)
+
+
+def test_equal_counts_are_one_plain_assignment():
+    # l = n: no copy of the cost matrix, the value bit for bit
+    rng = np.random.default_rng(18)
+    grid = TimeGrid(1.0, 8)
+    mu = PathEnsemble(grid, rng.standard_normal((9, 9)))
+    nu = PathEnsemble(grid, rng.standard_normal((9, 9)))
+    for metric in PathMetric:
+        for p in (1, 2):
+            cost = pairwise_cost_matrix(mu, nu, metric, p)
+            ri, ci = linear_sum_assignment(cost)
+            assert wasserstein_empirical(mu, nu, p, metric) == float(
+                cost[ri, ci].mean() ** (1.0 / p))
+
+
+def _quantile_cost(a, b, p):
+    """Oracle: W_p^p between the uniform empirical laws of the reals a and
+    b by the monotone (quantile) coupling, optimal for the convex cost
+    |x - y|^p; the breakpoints k l/n and k l/m are integers, l = lcm."""
+    n, m = len(a), len(b)
+    l = np.lcm(n, m)
+    t = np.union1d(np.arange(0, l + 1, l // n), np.arange(0, l + 1, l // m))
+    lo = t[:-1]
+    gap = np.abs(np.sort(a)[lo // (l // n)] - np.sort(b)[lo // (l // m)])
+    return float(np.sum(np.diff(t) * gap**p) / l)
+
+
+def test_wasserstein_large_factor_reaches_lp(monkeypatch):
+    # 61 vs 67: l = 4087, factor 4087, far above the bound, so HiGHS runs.
+    # Constant paths make both metrics |a - b| (T = 1), so W_p is the 1-d
+    # quantile transport between the levels.
+    calls = []
+    real_lp = transport._transport_lp
+    monkeypatch.setattr(transport, "_transport_lp",
+                        lambda cost: calls.append(cost.shape) or real_lp(cost))
+    rng = np.random.default_rng(19)
+    grid = TimeGrid(1.0, 8)
+    a, b = rng.standard_normal(61), 0.3 + 1.5 * rng.standard_normal(67)
+    mu = PathEnsemble(grid, np.repeat(a[:, None], 9, axis=1))
+    nu = PathEnsemble(grid, np.repeat(b[:, None], 9, axis=1))
+    for metric in PathMetric:
+        for p in (1, 2):
+            w = wasserstein_empirical(mu, nu, p, metric)
+            assert w == pytest.approx(_quantile_cost(a, b, p) ** (1.0 / p), rel=1e-9)
+    assert calls == [(61, 67)] * 4
 
 
 def test_cost_matrix_rejects_nonfinite():
