@@ -23,16 +23,16 @@ print("Small-time Hoeffding tails (b = 0, sigma = 1, T = 0.25, H = 0.75):")
 rep_avg, rep_sup = verify_hoeffding_small_time(H=0.75, T=0.25, n_paths=20_000,
                                                n_steps=256, seed=99)
 for name, rep in (("time average", rep_avg), ("sup displacement", rep_sup)):
-    print(f"  {name:17s} all thresholds below bound: {rep.all_passed}")
-    worst = (rep.upper_confidence / rep.paper_bound).max()
+    print(f"  {name:17s} all thresholds below bound: {all(rep['passed'])}")
+    worst = np.divide(rep["upper_confidence"], rep["bound"]).max()
     print(f"    tightest margin: upper confidence / bound = {worst:.3f}")
 
 print("\nFernique moments (H = 0.75, beta = 0.6, T = 0.5):")
 rep = verify_fernique(0.75, 0.6, 0.5, n_samples=5000, seed=3)
-for k, emp, bnd in zip(rep.k_list, rep.empirical_moments, rep.bounds):
+for k, emp, bnd in zip(rep["k_list"], rep["empirical_moments"], rep["bounds"]):
     print(f"  E||B||^{2 * k}: empirical {emp:9.3f}  bound {bnd:12.1f}")
-print(f"  exp moment at alpha = {rep.exp_alpha:.5f}: "
-      f"{rep.exp_empirical:.4f} <= {rep.exp_bound:.4f}")
+print(f"  exp moment at alpha = {rep['exp_alpha']:.5f}: "
+      f"{rep['exp_empirical']:.4f} <= {rep['exp_bound']:.4f}")
 
 print("\nGRR random Holder constant (exact grid check on 5 paths):")
 grid = TimeGrid(1.0, 256)

@@ -7,8 +7,8 @@ Layout:
     fractional     RL derivatives, Young integrals, the K_H operators K and K*
     sde            pathwise Euler solvers, Lamperti transform, coupling bounds
     transport      path metrics, empirical Wasserstein, transportation constants
-    concentration  Monte Carlo tail/moment verifiers with confidence bounds
-    verifiers      the verifier registry run by `fbmlab verify`
+    concentration  Monte Carlo tail/moment verifiers with confidence bounds,
+                   and the verifier registry run by `fbmlab verify`
     calibration    frozen universal constants K_hat and kappa_hat
     pathio/config/cli   serialization, declarative configs, command line
 """
@@ -58,9 +58,7 @@ from .transport import (
     wasserstein_empirical,
 )
 from .concentration import (
-    MomentReport,
     PremiseError,
-    TailReport,
     estimate_t1_constant,
     gaussian_tail_c_delta,
     grr_modulus_holds,
@@ -79,8 +77,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BlowUpError", "BoundReport", "ConfigError", "DriftSpec", "ExperimentConfig",
     "FbmPath", "FracOrder", "GeneratorTag", "GridFunction", "HolderNorm",
-    "HurstParam", "MomentReport", "PathEnsemble", "PathMetric", "PremiseError",
-    "ScalarDiffusion", "SolutionPath", "TailReport",
+    "HurstParam", "PathEnsemble", "PathMetric", "PremiseError",
+    "ScalarDiffusion", "SolutionPath",
     "TimeDiffusion", "TimeGrid", "calibrated_constants",
     "covariance_rh", "drift_coupled_pair", "estimate_t1_constant",
     "frac_deriv_left", "gaussian_tail_c_delta",

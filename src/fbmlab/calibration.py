@@ -25,10 +25,15 @@ from __future__ import annotations
 import numpy as np
 from scipy import optimize, special
 
-from .concentration import MODEL, estimate_t1_constant
+from .concentration import (
+    MODEL,
+    esti_int_sweep,
+    estimate_t1_constant,
+    independent_pairs,
+    stability_ratios,
+)
 from .fbm import HurstParam
 from .grid import TimeGrid
-from .verifiers import esti_int_sweep, independent_pairs, stability_ratios
 
 REFERENCE_CONFIG = {
     "H": 0.75,

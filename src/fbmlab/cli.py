@@ -9,8 +9,9 @@ Subcommands
 This module only parses arguments and writes files.  What a command may
 be configured with is checked by ExperimentConfig.require against tables
 kept with the science (concentration.MODEL, calibration.SUPPORTED_SETTINGS)
-before any output directory is made, and verifiers.run_verifier turns a
-verifier name into its report.
+and a `--verifier` selection by the name check of the config
+(config.parse_verifiers) before any output directory is made;
+concentration.run_verifier turns a verifier name into its report.
 
 Exit codes: 0 pass, 1 verification failure, 2 config error, 3 numerical
 error.  All outputs embed the config hash and seed; identical config and
@@ -23,8 +24,8 @@ import argparse
 import os
 import sys
 
-from .concentration import MODEL
-from .config import ConfigError, ExperimentConfig, load_config
+from .concentration import MODEL, run_verifier
+from .config import ConfigError, ExperimentConfig, load_config, parse_verifiers
 from .fbm import (
     STREAM_LAYOUT,
     HurstParam,
@@ -41,7 +42,6 @@ from .pathio import (
     write_path_csv,
 )
 from .sde import euler_additive_ensemble
-from .verifiers import run_verifier
 
 EXIT_PASS = 0
 EXIT_VERIFY_FAIL = 1
@@ -108,7 +108,8 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 def _dump_tail_tables(out_dir: str, name: str, result: dict) -> None:
-    """Write r-grid CSV tables for any TailReport-shaped sub-results."""
+    """Write the r-grid CSV table of every tail record (a dict holding
+    "r_grid") nested in a report."""
 
     def walk(node, label):
         if isinstance(node, dict):
@@ -127,7 +128,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str,
                only: list[str] | None = None) -> int:
     # [fbm] n_paths is for sample and solve
     cfg.require("verify", **MODEL)
-    names = only if only else cfg.verifier_list
+    names = only or cfg.verifier_list
     os.makedirs(out_dir, exist_ok=True)
     summary = {}
     for name in names:
@@ -180,13 +181,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg_path = args.config or default_config_path()
         cfg = load_config(cfg_path, seed_override=args.seed)
+        only = None if args.verifier is None else parse_verifiers(args.verifier)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    only = None
-    if args.verifier:
-        only = [v.strip() for v in args.verifier.split(",") if v.strip()]
 
     try:
         if args.command == "sample":

@@ -1,4 +1,5 @@
-"""Monte Carlo verification of the concentration statements.
+"""Monte Carlo verification of the concentration statements, and the
+verifier registry that `fbmlab verify` runs.
 
 Everything here compares an empirical quantity carrying a one-sided
 confidence bound against a closed-form bound:
@@ -17,14 +18,30 @@ confidence bound against a closed-form bound:
   including the gamma/digamma optimization showing the link supremum sits
   at k = 1.
 
-The verifiers run one model, `MODEL` (solved by `solve_model`), kept here
-beside the campaigns that use it.  The 20 000-path campaigns (Fernique and
-both Hoeffding regimes) keep one or two numbers per path, so they stream
-their paths through `fbm.map_circulant_chunks`: each chunk is sampled,
-solved (large time) and reduced to its per-path statistic, and moments,
-quantiles and tails are taken on the concatenated vector.  A campaign's
-memory is a few chunks, not a few ensembles, and its reports are those of a
-whole-batch run byte for byte.
+The verifiers run one model, `MODEL` (solved by `solve_model`); the command
+line rejects a config that sets it otherwise.  The 20 000-path campaigns
+(Fernique and both Hoeffding regimes) keep one or two numbers per path, so
+they stream their paths through `fbm.map_circulant_chunks`: each chunk is
+sampled, solved (large time) and reduced to its per-path statistic, and
+moments, quantiles and tails are taken on the concatenated vector.  A
+campaign's memory is a few chunks, not a few ensembles, and its reports are
+those of a whole-batch run byte for byte.  The campaigns return the
+JSON-ready records that the reports hold: a tail record per functional and
+metric (r-grid, empirical tail, upper confidence, bound, per-threshold
+"passed", n_samples, notes), and one Fernique record with an overall
+"passed".
+
+The registry: one plain function per verifier maps an ExperimentConfig to
+a JSON-ready report dict with a boolean "passed".  `VERIFIERS` holds them
+in config.VERIFIER_NAMES order, and `run_verifier` turns a name into its
+report stamped with the config hash and seed, a PremiseError into a
+"rejected" one.  Two of its kernels are also the Monte Carlo oracles of the
+calibration: the driver-stability ratio behind K_hat (`stability_ratios`)
+and the sweep of the Young-integral estimate behind kappa_hat
+(`esti_int_sweep`).  Every ensemble other than the primary one of the
+config seed is drawn from `fbm.role_seed`: the independent partner
+(`independent_pairs`), the esti-int windows and each large-time horizon, by
+its index in `[verify] horizons`.
 
 Negative controls are first class: every verifier refuses configurations
 that violate its premises (e.g. beta > H) rather than producing vacuous
@@ -33,15 +50,28 @@ passes.  An overflow in the Fernique moments raises FloatingPointError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy import special, stats
 
-from .fbm import HurstParam, map_circulant_chunks
+from .config import ConfigError, ExperimentConfig
+from .fbm import (
+    HurstParam,
+    Role,
+    component_rng,
+    map_circulant_chunks,
+    role_seed,
+    sample_fbm_circulant_batch,
+)
 from .fixtures import calibrated_constants
-from .grid import TimeGrid, by_blocks, holder_seminorm_ensemble, lag_reduce
-from .sde import euler_additive_ensemble
+from .fractional import BoundReport, esti_int_bound
+from .grid import (
+    GridFunction,
+    TimeGrid,
+    by_blocks,
+    holder_seminorm_ensemble,
+    lag_reduce,
+)
+from .sde import euler_additive_ensemble, stability_horizon
 from .transport import (
     PathEnsemble,
     PathMetric,
@@ -67,70 +97,6 @@ MODEL = {"fbm": {"generator": "circulant", "components": 1},
 def solve_model(drivers: np.ndarray, drift_b: float, dt: float) -> np.ndarray:
     """Euler solutions of the MODEL equation, one per row of drivers."""
     return euler_additive_ensemble(MODEL["sde"]["x0"], lambda x: drift_b * x, drivers, dt)
-
-
-@dataclass
-class TailReport:
-    """Empirical tail vs closed-form bound on a grid of thresholds."""
-
-    r_grid: np.ndarray
-    empirical_tail: np.ndarray
-    upper_confidence: np.ndarray
-    paper_bound: np.ndarray
-    passed: np.ndarray
-    n_samples: int
-    config_hash: str = ""
-    notes: dict = field(default_factory=dict)
-
-    @property
-    def all_passed(self) -> bool:
-        return bool(np.all(self.passed))
-
-    def to_dict(self) -> dict:
-        return {
-            "r_grid": self.r_grid.tolist(),
-            "empirical_tail": self.empirical_tail.tolist(),
-            "upper_confidence": self.upper_confidence.tolist(),
-            "bound": self.paper_bound.tolist(),
-            "passed": [bool(x) for x in self.passed],
-            "n_samples": self.n_samples,
-            "config_hash": self.config_hash,
-            "notes": self.notes,
-        }
-
-
-@dataclass
-class MomentReport:
-    k_list: list[int]
-    empirical_moments: list[float]
-    standard_errors: list[float]
-    upper_confidence: list[float]
-    bounds: list[float]
-    exp_alpha: float
-    exp_empirical: float
-    exp_upper_confidence: float
-    exp_bound: float
-    n_samples: int
-
-    @property
-    def all_passed(self) -> bool:
-        mom_ok = all(u <= b for u, b in zip(self.upper_confidence, self.bounds))
-        return mom_ok and self.exp_upper_confidence <= self.exp_bound
-
-    def to_dict(self) -> dict:
-        return {
-            "k_list": self.k_list,
-            "empirical_moments": self.empirical_moments,
-            "standard_errors": self.standard_errors,
-            "upper_confidence": self.upper_confidence,
-            "bounds": self.bounds,
-            "exp_alpha": self.exp_alpha,
-            "exp_empirical": self.exp_empirical,
-            "exp_upper_confidence": self.exp_upper_confidence,
-            "exp_bound": self.exp_bound,
-            "n_samples": self.n_samples,
-            "passed": self.all_passed,
-        }
 
 
 CONFIDENCE = 0.99  # one-sided level of every upper confidence bound here
@@ -239,9 +205,9 @@ def sup_displacement(paths: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return path_metric((paths - paths[:, :1])[..., None], grid.dt, PathMetric.d_infinity)
 
 
-def _tail_report(samples: np.ndarray, denom: float, notes: dict) -> TailReport:
+def _tail_report(samples: np.ndarray, denom: float, notes: dict) -> dict:
     """Compare P(F - mean(F) > r) with exp(-r^2 / denom) on the
-    TAIL_QUANTILES r-grid.
+    TAIL_QUANTILES r-grid; the tail record, with one "passed" per threshold.
 
     Centering uses the empirical mean; its one-standard-error uncertainty is
     absorbed by inflating r on the bound side (documented bias control).
@@ -255,15 +221,15 @@ def _tail_report(samples: np.ndarray, denom: float, notes: dict) -> TailReport:
     emp = counts / n
     upper = clopper_pearson_upper(counts, n)
     bound = np.exp(-(r_grid + se_mean) ** 2 / denom)
-    passed = upper <= bound
-    return TailReport(r_grid=r_grid, empirical_tail=emp, upper_confidence=upper,
-                      paper_bound=bound, passed=passed, n_samples=n,
-                      notes={"denominator": denom, "se_mean": float(se_mean), **notes})
+    return {"r_grid": r_grid.tolist(), "empirical_tail": emp.tolist(),
+            "upper_confidence": upper.tolist(), "bound": bound.tolist(),
+            "passed": (upper <= bound).tolist(), "n_samples": n,
+            "notes": {"denominator": denom, "se_mean": float(se_mean), **notes}}
 
 
 def verify_hoeffding_small_time(H: float, T: float, n_paths: int,
-                                n_steps: int, seed: int) -> tuple[TailReport, TailReport]:
-    """Small-horizon tails for the drift-free unit-diffusion model.
+                                n_steps: int, seed: int) -> tuple[dict, dict]:
+    """Small-horizon tail records for the drift-free unit-diffusion model.
 
     With b = 0 and sigma = 1 the solution is x + B^H itself; the two
     functionals are the time average of x clipped to [-10, 10] and the sup
@@ -287,8 +253,8 @@ def verify_hoeffding_small_time(H: float, T: float, n_paths: int,
 
 def verify_hoeffding_large_time(H: float, T: float, n_paths: int,
                                 n_steps: int, seed: int,
-                                B: float = -1.0) -> tuple[TailReport, TailReport]:
-    """Large-horizon tails for the dissipative MODEL with drift_b = B:
+                                B: float = -1.0) -> tuple[dict, dict]:
+    """Large-horizon tail records for the dissipative MODEL with drift_b = B:
     dX = B X dt + dB^H from 0 (sigma = 1).
 
     One functional, the time average of X clipped to [-50, 50], two
@@ -320,8 +286,9 @@ def verify_hoeffding_large_time(H: float, T: float, n_paths: int,
     return rep_inf, rep_two
 
 
-def tail_constant_scaling(reports: dict[float, TailReport]) -> float:
-    """Fitted exponent of the sub-Gaussian tail constant against the horizon.
+def tail_constant_scaling(reports: dict[float, dict]) -> float:
+    """Fitted exponent of the sub-Gaussian tail constant against the horizon,
+    from one tail record per horizon.
 
     For each horizon the effective constant C(T) of exp(-r^2 / (2 C)) is
     read off a least-squares fit of -log(empirical tail) against r^2; the
@@ -330,9 +297,10 @@ def tail_constant_scaling(reports: dict[float, TailReport]) -> float:
     """
     Ts, cs = [], []
     for T, rep in sorted(reports.items()):
-        mask = (rep.empirical_tail > 0) & (rep.r_grid > 0)
-        r2 = rep.r_grid[mask] ** 2
-        y = -np.log(rep.empirical_tail[mask])
+        tail, r = np.asarray(rep["empirical_tail"]), np.asarray(rep["r_grid"])
+        mask = (tail > 0) & (r > 0)
+        r2 = r[mask] ** 2
+        y = -np.log(tail[mask])
         slope = float(np.sum(r2 * y) / np.sum(r2 * r2))
         Ts.append(T)
         cs.append(1.0 / (2.0 * slope))
@@ -354,8 +322,10 @@ FERNIQUE_K = (1, 2, 3)  # moment orders 2k checked against the bound
 
 
 def verify_fernique(H: float, beta: float, T: float, n_samples: int,
-                    n_steps: int = 256, seed: int = 0) -> MomentReport:
-    """One-sided check of the Fernique moment and exponential estimates.
+                    n_steps: int = 256, seed: int = 0) -> dict:
+    """One-sided check of the Fernique moment and exponential estimates; the
+    Fernique record, "passed" when every upper confidence bound is below its
+    bound.
 
     Samples the discrete beta-Holder seminorm of scalar fBm paths (a lower
     bound for the continuum seminorm, so the check is a necessary
@@ -383,14 +353,13 @@ def verify_fernique(H: float, beta: float, T: float, n_samples: int,
             bounds.append(fernique_moment_bound(k, H, beta, T))
         ex = np.exp(alpha * norms**2)
         exp_empirical, exp_upper = float(ex.mean()), mean_upper_confidence(ex)
-    exp_bound = (1.0 - 128.0 * alpha * (2 * T) ** (2 * (H - beta))) ** -0.5
-    return MomentReport(
-        k_list=list(FERNIQUE_K), empirical_moments=moments, standard_errors=errs,
-        upper_confidence=uppers, bounds=bounds,
-        exp_alpha=float(alpha), exp_empirical=exp_empirical,
-        exp_upper_confidence=exp_upper, exp_bound=float(exp_bound),
-        n_samples=n_samples,
-    )
+    exp_bound = float((1.0 - 128.0 * alpha * (2 * T) ** (2 * (H - beta))) ** -0.5)
+    passed = all(u <= b for u, b in zip(uppers, bounds)) and exp_upper <= exp_bound
+    return {"k_list": list(FERNIQUE_K), "empirical_moments": moments,
+            "standard_errors": errs, "upper_confidence": uppers, "bounds": bounds,
+            "exp_alpha": float(alpha), "exp_empirical": exp_empirical,
+            "exp_upper_confidence": exp_upper, "exp_bound": exp_bound,
+            "n_samples": n_samples, "passed": passed}
 
 
 def grr_xi(path_values: np.ndarray, grid: TimeGrid, H: float,
@@ -471,3 +440,201 @@ def phi_argmax(c_delta: float) -> float:
         raise ArithmeticError(f"sign sweep of Phi' on [1, 64] found max h = {np.max(h):.6g}, "
                               f"not <= 0, for C(delta) = {c_delta}")
     return 1.0
+
+
+# ---------------------------------------------------------------------------
+# The verifier registry
+# ---------------------------------------------------------------------------
+
+def independent_pairs(grid: TimeGrid, hp: HurstParam, n_pairs: int,
+                      seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two independent (n_pairs, n_nodes) fBm ensembles, matched by row."""
+    return (sample_fbm_circulant_batch(grid, hp, n_pairs, seed),
+            sample_fbm_circulant_batch(grid, hp, n_pairs, role_seed(seed, Role.partner)))
+
+
+def solution_distances(grid: TimeGrid, g1: np.ndarray, g2: np.ndarray,
+                       drift_b: float) -> np.ndarray:
+    """d_inf(x, x~) per row, where x and x~ solve the MODEL equation with
+    the drivers g1[i] and g2[i]."""
+    x1 = solve_model(g1, drift_b, grid.dt)
+    x2 = solve_model(g2, drift_b, grid.dt)
+    return pair_distances(PathEnsemble(grid, x1), PathEnsemble(grid, x2),
+                          PathMetric.d_infinity)
+
+
+def stability_ratios(grid: TimeGrid, g1: np.ndarray, g2: np.ndarray,
+                     beta: float, drift_b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Driver-stability ratios of dx = drift_b x dt + dg over driver pairs,
+
+        ||x - x~||_inf / (||g1[i] - g2[i]||_beta T^beta)
+
+    (||sigma||_beta = 1), or 0 where the driver gap vanishes.  Returns the
+    ratios and the solution_distances they are built from.
+    """
+    sup_dist = solution_distances(grid, g1, g2, drift_b)
+    gap = holder_seminorm_ensemble(grid.points, g1 - g2, beta)
+    ratios = np.divide(sup_dist, gap * grid.t_max**beta,
+                       out=np.zeros_like(sup_dist), where=gap > 0)
+    return ratios, sup_dist
+
+
+def esti_int_sweep(grid: TimeGrid, hp: HurstParam, beta: float,
+                   n_pairs: int, seed: int) -> list[BoundReport]:
+    """lemma_esti_int_check over independent fBm pairs (f, g), each on a
+    window [a, b] whose grid nodes a < b are drawn at random."""
+    f_paths, g_paths = independent_pairs(grid, hp, n_pairs, seed)
+    g_seminorms = holder_seminorm_ensemble(grid.points, g_paths, beta).tolist()
+    rng = component_rng(role_seed(seed, Role.windows), 0, 0)
+    reports = []
+    for f, g, g_semi in zip(f_paths, g_paths, g_seminorms):
+        ia = int(rng.integers(0, grid.n_steps - 1))
+        ib = int(rng.integers(ia + 1, grid.n_steps + 1))
+        reports.append(esti_int_bound(GridFunction(grid, f), GridFunction(grid, g), g_semi,
+                                      beta, grid.points[ia], grid.points[ib]))
+    return reports
+
+
+def _grid(cfg: ExperimentConfig) -> TimeGrid:
+    return TimeGrid(cfg.get("grid", "t_max"), cfg.get("grid", "n_steps"))
+
+
+def _verify_stability(cfg: ExperimentConfig) -> dict:
+    K_hat = calibrated_constants()["K_hat"]
+    B = cfg.get("sde", "drift_b")
+    T = cfg.get("grid", "t_max")
+    delta = stability_horizon(abs(B))
+    if T > delta:
+        raise PremiseError(f"stability premise violated: T={T} > Delta={delta}")
+    grid = _grid(cfg)
+    n_pairs = min(cfg.get("verify", "n_paths"), 1000)
+    g1, g2 = independent_pairs(grid, HurstParam(cfg.get("fbm", "hurst")), n_pairs,
+                               cfg.get("experiment", "seed"))
+    ratios, _ = stability_ratios(grid, g1, g2, cfg.get("verify", "beta"), B)
+    worst = float(ratios.max())
+    return {"verifier": "stability", "passed": worst <= K_hat,
+            "worst_ratio": worst, "K_hat": K_hat, "n_pairs": n_pairs}
+
+
+def _verify_esti_int(cfg: ExperimentConfig) -> dict:
+    H = cfg.get("fbm", "hurst")
+    beta = cfg.get("verify", "beta")
+    if not 0.5 < beta < H:
+        raise PremiseError(f"esti-int premise violated: need 1/2 < beta < H, "
+                           f"got beta={beta}, H={H}")
+    if cfg.get("grid", "n_steps") < 2:
+        raise PremiseError("esti-int premise violated: the window draw needs "
+                           f"n_steps >= 2, got {cfg.get('grid', 'n_steps')}")
+    n_pairs = min(cfg.get("verify", "n_paths"), 200)
+    reports = esti_int_sweep(_grid(cfg), HurstParam(H), beta, n_pairs,
+                             cfg.get("experiment", "seed"))
+    return {"verifier": "esti-int", "passed": all(r.passed for r in reports),
+            "worst_ratio": max([0.0] + [r.ratio for r in reports]), "n_pairs": n_pairs}
+
+
+def _verify_fernique(cfg: ExperimentConfig) -> dict:
+    return {"verifier": "fernique",
+            **verify_fernique(cfg.get("fbm", "hurst"), cfg.get("verify", "beta"),
+                              cfg.get("grid", "t_max"),
+                              min(cfg.get("verify", "n_paths"), 20000),
+                              n_steps=cfg.get("grid", "n_steps"),
+                              seed=cfg.get("experiment", "seed"))}
+
+
+def _verify_hoeffding_small(cfg: ExperimentConfig) -> dict:
+    rep_avg, rep_sup = verify_hoeffding_small_time(
+        H=cfg.get("fbm", "hurst"), T=cfg.get("grid", "t_max"),
+        n_paths=cfg.get("verify", "n_paths"),
+        n_steps=cfg.get("grid", "n_steps"), seed=cfg.get("experiment", "seed"))
+    return {"verifier": "hoeffding-small",
+            "passed": all(rep_avg["passed"]) and all(rep_sup["passed"]),
+            "time_average": rep_avg, "sup_displacement": rep_sup}
+
+
+def _verify_hoeffding_large(cfg: ExperimentConfig) -> dict:
+    seed = cfg.get("experiment", "seed")
+    out: dict = {"verifier": "hoeffding-large", "horizons": {}}
+    d2_reports = {}
+    ok = True
+    for k, T in enumerate(cfg.horizon_list):
+        ri, r2 = verify_hoeffding_large_time(
+            H=cfg.get("fbm", "hurst"), T=T,
+            n_paths=cfg.get("verify", "n_paths"),
+            n_steps=cfg.get("grid", "n_steps"), seed=role_seed(seed, Role.horizon, k),
+            B=cfg.get("sde", "drift_b"))
+        ok &= all(ri["passed"]) and all(r2["passed"])
+        out["horizons"][str(T)] = {"d_infinity": ri, "d_two": r2}
+        d2_reports[T] = r2
+    if len(d2_reports) >= 2:
+        expo = tail_constant_scaling(d2_reports)
+        target = 2.0 - 2.0 * cfg.get("fbm", "hurst")
+        out["scaling_exponent"] = expo
+        out["scaling_target"] = target
+        ok &= abs(expo - target) <= 0.15
+    out["passed"] = bool(ok)
+    return out
+
+
+def _solution_pair_distances(cfg: ExperimentConfig) -> np.ndarray:
+    grid = _grid(cfg)
+    n_pairs = min(cfg.get("verify", "n_paths"), 2000)
+    d1, d2 = independent_pairs(grid, HurstParam(cfg.get("fbm", "hurst")), n_pairs,
+                               cfg.get("experiment", "seed"))
+    return solution_distances(grid, d1, d2, cfg.get("sde", "drift_b"))
+
+
+def _verify_t1_moments(cfg: ExperimentConfig) -> dict:
+    delta = cfg.get("verify", "delta")
+    dists = _solution_pair_distances(cfg)
+    c_hat, errs = estimate_t1_constant(dists)
+    diag = gaussian_tail_c_delta(dists, delta)
+    passed = (not diag["unstable"]) and c_hat <= diag["c_over_delta"]
+    return {"verifier": "t1-moments", "passed": bool(passed),
+            "moment_constant": c_hat, "jackknife_se": errs,
+            "c_delta_over_delta": diag["c_over_delta"], "delta": delta,
+            "n_pairs": len(dists)}
+
+
+def _verify_gaussian_tail(cfg: ExperimentConfig) -> dict:
+    dists = _solution_pair_distances(cfg)
+    diag = gaussian_tail_c_delta(dists, cfg.get("verify", "delta"))
+    return {"verifier": "gaussian-tail", "passed": not diag["unstable"], **diag,
+            "n_pairs": len(dists)}
+
+
+def _verify_phi_link(cfg: ExperimentConfig) -> dict:
+    c_values = cfg.c_delta_list
+    argmax_ok = all(abs(phi_argmax(c) - 1.0) <= 1e-9 for c in c_values)
+    value_ok = all(abs(phi_link(1.0, c) - c / 2.0) <= 1e-12 * c for c in c_values)
+    digamma_ok = abs((special.digamma(2.0) - special.digamma(3.0)) - (-0.5)) <= 1e-12
+    return {"verifier": "phi-link",
+            "passed": argmax_ok and value_ok and digamma_ok,
+            "argmax_ok": argmax_ok, "value_ok": value_ok,
+            "digamma_ok": digamma_ok, "c_values": c_values}
+
+
+VERIFIERS = {
+    "stability": _verify_stability,
+    "esti-int": _verify_esti_int,
+    "fernique": _verify_fernique,
+    "hoeffding-small": _verify_hoeffding_small,
+    "hoeffding-large": _verify_hoeffding_large,
+    "t1-moments": _verify_t1_moments,
+    "gaussian-tail": _verify_gaussian_tail,
+    "phi-link": _verify_phi_link,
+}
+
+
+def run_verifier(name: str, cfg: ExperimentConfig) -> dict:
+    """The report of verifier `name` on cfg, stamped with its config_hash and
+    seed.  A PremiseError becomes a report with "passed": False,
+    "rejected": True and the reason; an unknown name is a ConfigError."""
+    if name not in VERIFIERS:
+        raise ConfigError(f"unknown verifier {name!r}")
+    try:
+        report = VERIFIERS[name](cfg)
+    except PremiseError as exc:
+        report = {"verifier": name, "passed": False, "rejected": True, "reason": str(exc)}
+    report["config_hash"] = cfg.config_hash
+    report["seed"] = cfg.get("experiment", "seed")
+    return report

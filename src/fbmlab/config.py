@@ -30,6 +30,22 @@ VERIFIER_NAMES = (
     "phi-link",
 )
 
+
+def parse_verifiers(text: str) -> list[str]:
+    """A comma-separated verifier selection as its names; an unknown name or
+    an empty selection is a ConfigError."""
+    names = [v.strip() for v in text.split(",") if v.strip()]
+    if not names:
+        raise ConfigError(f"empty verifier selection {text!r}; "
+                          f"known: {', '.join(VERIFIER_NAMES)}")
+    for name in names:
+        if name not in VERIFIER_NAMES:
+            raise ConfigError(
+                f"unknown verifier {name!r}; known: {', '.join(VERIFIER_NAMES)}"
+            )
+    return names
+
+
 # section -> key -> (type, default); default None marks a required key
 _SCHEMA = {
     "experiment": {
@@ -97,13 +113,7 @@ class ExperimentConfig:
 
     @property
     def verifier_list(self) -> list[str]:
-        names = [v.strip() for v in self.get("verify", "verifiers").split(",") if v.strip()]
-        for name in names:
-            if name not in VERIFIER_NAMES:
-                raise ConfigError(
-                    f"unknown verifier {name!r}; known: {', '.join(VERIFIER_NAMES)}"
-                )
-        return names
+        return parse_verifiers(self.get("verify", "verifiers"))
 
     @property
     def horizon_list(self) -> list[float]:

@@ -101,7 +101,8 @@ def read_path_binary(path: str) -> tuple[TimeGrid, np.ndarray]:
 
 
 def tail_report_csv(report: dict) -> str:
-    """r-grid table of a TailReport.to_dict() record as a CSV string (for
+    """r-grid table of a tail record (as `concentration._tail_report`
+    returns it and a verify report holds it) as a CSV string (for
     plots/audit)."""
     buf = io.StringIO()
     writer = csv.writer(buf)

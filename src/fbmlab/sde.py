@@ -15,7 +15,7 @@ cross-validate each other.
 
 The module also hosts the driver-stability horizon, the drift-coupled pair
 used to probe the Girsanov-type coupling bound and its Gronwall bound.  The
-driver-stability ratio itself is `verifiers.stability_ratios`.
+driver-stability ratio itself is `concentration.stability_ratios`.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class SolutionPath:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(vals)):
-            raise ValueError("solution path contains non-finite entries")
+            raise ArithmeticError("solution path contains non-finite entries")
         object.__setattr__(self, "values", vals)
 
 

@@ -18,6 +18,7 @@ from fbmlab.concentration import (
     gaussian_tail_c_delta,
     grr_modulus_holds,
     grr_xi,
+    independent_pairs,
     pair_distances,
     phi_argmax,
     phi_link,
@@ -61,7 +62,6 @@ from fbmlab.transport import (
     pairwise_cost_matrix,
     wasserstein_empirical,
 )
-from fbmlab.verifiers import independent_pairs
 
 
 def _report(num: int, ok: bool, label: str) -> None:
@@ -176,17 +176,17 @@ def test_acceptance_05_fernique_suite():
     negative control with beta > H trips the premise guard."""
     rep = verify_fernique(0.75, 0.6, 0.5, n_samples=20_000, n_steps=256,
                           seed=4100)
-    ok = rep.all_passed
-    ok &= abs(rep.bounds[0] - 64.0) < 1e-12  # k = 1 bound is exactly 64 here
+    ok = rep["passed"]
+    ok &= abs(rep["bounds"][0] - 64.0) < 1e-12  # k = 1 bound is exactly 64 here
     tripped = False
     try:
         verify_fernique(0.6, 0.75, 0.5, n_samples=10)
     except ValueError:
         tripped = True
     ok &= tripped
-    _report(5, ok, f"Fernique suite; moment UCBs {['%.3g' % u for u in rep.upper_confidence]} "
-                   f"below bounds {['%.3g' % b for b in rep.bounds]}, "
-                   f"exp {rep.exp_upper_confidence:.4f} <= {rep.exp_bound:.4f}, "
+    _report(5, ok, f"Fernique suite; moment UCBs {['%.3g' % u for u in rep['upper_confidence']]} "
+                   f"below bounds {['%.3g' % b for b in rep['bounds']]}, "
+                   f"exp {rep['exp_upper_confidence']:.4f} <= {rep['exp_bound']:.4f}, "
                    f"negative control tripped = {tripped}")
     assert ok
 
@@ -206,9 +206,9 @@ def test_acceptance_07_hoeffding_small_time():
     """Small-time tails at T = 0.25, H = 0.75, 2e4 paths, C = K_hat T^{2H}."""
     rep_avg, rep_sup = verify_hoeffding_small_time(
         H=0.75, T=0.25, n_paths=20_000, n_steps=256, seed=4300)
-    ok = rep_avg.all_passed and rep_sup.all_passed
-    m_avg = float((rep_avg.upper_confidence / rep_avg.paper_bound).max())
-    m_sup = float((rep_sup.upper_confidence / rep_sup.paper_bound).max())
+    ok = all(rep_avg["passed"]) and all(rep_sup["passed"])
+    m_avg = float(np.divide(rep_avg["upper_confidence"], rep_avg["bound"]).max())
+    m_sup = float(np.divide(rep_sup["upper_confidence"], rep_sup["bound"]).max())
     _report(7, ok, f"Hoeffding small-time; worst UCB/bound ratios "
                    f"{m_avg:.3f} (avg) and {m_sup:.3f} (sup), both <= 1")
     assert ok
@@ -223,7 +223,7 @@ def test_acceptance_08_hoeffding_large_time():
         ri, r2 = verify_hoeffding_large_time(
             H=0.75, T=T, n_paths=20_000, n_steps=256,
             seed=4400 + int(T), B=-1.0)
-        ok &= ri.all_passed and r2.all_passed
+        ok &= all(ri["passed"]) and all(r2["passed"])
         d2_reports[T] = r2
     expo = tail_constant_scaling(d2_reports)
     ok &= abs(expo - 0.5) <= 0.15

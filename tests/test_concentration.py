@@ -108,10 +108,10 @@ def test_fernique_premise_guards():
 
 def test_fernique_small_run_passes():
     rep = verify_fernique(0.75, 0.6, 0.5, n_samples=2000, n_steps=128, seed=5)
-    assert rep.all_passed
-    assert rep.exp_alpha == 0.5 * fernique_exponent_radius(0.75, 0.6, 0.5)
-    assert rep.exp_bound == pytest.approx(
-        (1.0 - 128.0 * rep.exp_alpha) ** -0.5)  # (2T)^{2(H-beta)} = 1 here
+    assert rep["passed"]
+    assert rep["exp_alpha"] == 0.5 * fernique_exponent_radius(0.75, 0.6, 0.5)
+    assert rep["exp_bound"] == pytest.approx(
+        (1.0 - 128.0 * rep["exp_alpha"]) ** -0.5)  # (2T)^{2(H-beta)} = 1 here
 
 
 def test_grr_modulus_exact_on_grid():
@@ -223,18 +223,18 @@ def test_hoeffding_large_time_denominators_closed_form(H, T, B):
     c_two = (2.0 / B**2) * H * T ** (2 * H - 1) * 1.0**2 * (1.0 - np.exp(B * T))
     rep_inf, rep_two = verify_hoeffding_large_time(
         H=H, T=T, n_paths=50, n_steps=8, seed=3, B=B)
-    assert rep_inf.notes["denominator"] == 2.0 * c_inf * 1.0**2
-    assert rep_two.notes["denominator"] == 2.0 * c_two * (1.0 / np.sqrt(T))**2
+    assert rep_inf["notes"]["denominator"] == 2.0 * c_inf * 1.0**2
+    assert rep_two["notes"]["denominator"] == 2.0 * c_two * (1.0 / np.sqrt(T))**2
 
 
 def test_tail_report_monotone_invariants():
     rep_avg, rep_sup = verify_hoeffding_small_time(
         H=0.75, T=0.5, n_paths=4000, n_steps=64, seed=77)
     for rep in (rep_avg, rep_sup):
-        assert np.all(np.diff(rep.empirical_tail) <= 0)
-        assert np.all(np.diff(rep.paper_bound) <= 0)
-        assert np.all(np.isfinite(rep.empirical_tail))
-        assert rep.n_samples == 4000
+        assert np.all(np.diff(rep["empirical_tail"]) <= 0)
+        assert np.all(np.diff(rep["bound"]) <= 0)
+        assert np.all(np.isfinite(rep["empirical_tail"]))
+        assert rep["n_samples"] == 4000
 
 
 CAMPAIGNS = {

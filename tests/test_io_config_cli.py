@@ -3,12 +3,13 @@
 import hashlib
 import json
 import os
+import re
 import struct
 
 import numpy as np
 import pytest
 
-from fbmlab import fbm, verifiers
+from fbmlab import concentration, fbm
 from fbmlab.cli import main
 from fbmlab.config import VERIFIER_NAMES, ConfigError, load_config
 from fbmlab.grid import TimeGrid
@@ -113,6 +114,9 @@ def test_config_domain_validation(tmp_path):
         load_config(_write_ini(tmp_path, "[fbm]\ngenerator = wavelet\n"))
     with pytest.raises(ConfigError):
         load_config(_write_ini(tmp_path, "[verify]\nverifiers = nonsense\n"))
+    for raw in ("", " , "):  # an empty selection would be a vacuous pass
+        with pytest.raises(ConfigError, match="empty verifier selection"):
+            load_config(_write_ini(tmp_path, f"[verify]\nverifiers = {raw}\n"))
     with pytest.raises(ConfigError):
         load_config(_write_ini(tmp_path, "[sde]\nmodel = scalar\n"))
     # number lists are parsed at load: non-numeric, non-positive, non-finite
@@ -297,7 +301,7 @@ PIN_DIGESTS = {
     "verify_esti-int.json": "c92c9c17648dbfcd4db62d8ecf5e1f3738d95afe972335080f77ee1541a58e8d",
     "verify_fernique.json": "bfed2f047bfbf8fa3d85d98ad4cb112769383fe9dea276dc92084317812d709a",
     "verify_gaussian-tail.json": "00e81ed794b4f24657eae1f40e7398137ae5780e7ff079f213f51909c4cebff8",
-    "verify_hoeffding-large.json": "b00d710454a7000b2b763af113f74e51dd626694e571a204cbfc6980a901c86a",
+    "verify_hoeffding-large.json": "dafaacbd448bc4c6703f4297f889e3d2816b4fe0cf670c5344b9ff3d3eaae512",
     "verify_hoeffding-large_horizons_1.0_d_infinity.csv":
         "f2b31b6153d9a4fb0d2de697e19fa2c3255a26c34bb50736e188d569ae255a7e",
     "verify_hoeffding-large_horizons_1.0_d_two.csv":
@@ -306,7 +310,7 @@ PIN_DIGESTS = {
         "89f275931cb4797479ea7821847c200e286fae7f180b333dae94bf177f8d70df",
     "verify_hoeffding-large_horizons_2.0_d_two.csv":
         "bd2f9b682bcdf0b36f8baa4d68b2f96dc6e1f731d5261cb56c422d338d2b71b3",
-    "verify_hoeffding-small.json": "f7ef0ce482f9ff44ee72b112e89981d0dd74bdd64d896897bb90657a72c83bc1",
+    "verify_hoeffding-small.json": "2a1c362ea50a5b7cb22327bdc3c4a0644e275dc550127aea858abb5ebdb8964d",
     "verify_hoeffding-small_sup_displacement.csv":
         "7b2ab86f69e349408a45eaa268bc2117715099639ea6014245dc9645a494dcc6",
     "verify_hoeffding-small_time_average.csv":
@@ -324,6 +328,29 @@ def test_cli_verify_all_reports_pinned(tmp_path):
     assert main(["verify", "--config", ini, "--out", str(out)]) == 1
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == PIN_DIGESTS
+
+
+def test_cli_verify_reports_carry_the_run_config_hash(tmp_path):
+    # every config_hash anywhere in a report is the hash of the run's config
+    ini = _write_ini(tmp_path, PIN_INI)
+    out = tmp_path / "pin"
+    assert main(["verify", "--config", ini, "--out", str(out)]) == 1
+    expected = load_config(ini).config_hash
+    for p in out.glob("*.json"):
+        hashes = re.findall(r'"config_hash": "([^"]*)"', p.read_text())
+        assert hashes and set(hashes) == {expected}, p.name
+
+
+def test_hoeffding_large_scaling_refits_from_written_report(tmp_path):
+    # the d_two records read back from the report reproduce its exponent
+    ini = _write_ini(tmp_path, PIN_INI)
+    out = tmp_path / "hl"
+    assert main(["verify", "--config", ini, "--out", str(out),
+                 "--verifier", "hoeffding-large"]) == 1
+    rep = json.loads((out / "verify_hoeffding-large.json").read_text())
+    d_two = {float(T): h["d_two"] for T, h in rep["horizons"].items()}
+    assert len(d_two) == 2
+    assert concentration.tail_constant_scaling(d_two) == rep["scaling_exponent"]
 
 
 def test_cli_stability_uses_drift_b(tmp_path):
@@ -367,7 +394,7 @@ def test_cli_verify_plain_value_error_is_not_a_rejection(tmp_path, monkeypatch):
     def broken(cfg):
         raise ValueError("not a premise")
 
-    monkeypatch.setitem(verifiers.VERIFIERS, "phi-link", broken)
+    monkeypatch.setitem(concentration.VERIFIERS, "phi-link", broken)
     out = tmp_path / "vrf"
     with pytest.raises(ValueError, match="not a premise"):
         main(["verify", "--config", _write_ini(tmp_path, SMALL_INI), "--out", str(out)])
@@ -473,7 +500,7 @@ def test_cli_non_finite_ensemble_exit_3(tmp_path, monkeypatch, capsys):
         x[0, -1] = np.nan
         return x
 
-    monkeypatch.setattr(verifiers, "solve_model", nan_solution)
+    monkeypatch.setattr(concentration, "solve_model", nan_solution)
     out = tmp_path / "vrf"
     assert main(["verify", "--config", _write_ini(tmp_path, SMALL_INI), "--out", str(out),
                  "--verifier", "t1-moments"]) == 3
@@ -482,7 +509,6 @@ def test_cli_non_finite_ensemble_exit_3(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_phi_link_positive_sign_exit_3(tmp_path, monkeypatch):
-    from fbmlab import concentration
     monkeypatch.setattr(concentration, "phi_derivative_sign", lambda x, c: 1.0)
     out = tmp_path / "vrf"
     assert main(["verify", "--config", _write_ini(tmp_path, SMALL_INI), "--out", str(out)]) == 3
@@ -494,13 +520,36 @@ def test_cli_verify_unknown_verifier_exit_2(tmp_path, capsys):
     assert main(["verify", "--config", _write_ini(tmp_path, SMALL_INI), "--out", str(out),
                  "--verifier", "bogus"]) == 2
     assert "unknown verifier 'bogus'" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
-def test_cli_shipped_negative_control_config():
+@pytest.mark.parametrize("selection,message", [
+    ("phi-link,bogus", "unknown verifier 'bogus'"),  # not after phi-link's report
+    (",", "empty verifier selection"),               # not "run every verifier"
+    ("", "empty verifier selection"),
+])
+def test_cli_verify_bad_selection_writes_nothing(tmp_path, capsys, selection, message):
+    # the whole --verifier selection is checked before the output directory is made
+    out = tmp_path / "vrf"
+    assert main(["verify", "--config", _write_ini(tmp_path, SMALL_INI), "--out", str(out),
+                 "--verifier", selection]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+# sha256 of the three files that the shipped negative_control.ini run writes
+NEGATIVE_CONTROL_DIGESTS = {
+    "verify_esti-int.json": "daa2bebdfa73f2d9a6109d6913f557c7e52b17e4599b87c2cdf5d06d6ffe453c",
+    "verify_fernique.json": "a847c12f1a268302cd005525c119fdfd16061bd675c53bc3a8dabae14634d00a",
+    "verify_summary.json": "479f0877589b41432af2f8b69448544829a362664e123aabffbf5a3e899ad822",
+}
+
+
+def test_cli_shipped_negative_control_config(tmp_path):
     from fbmlab.cli import default_config_path
     path = default_config_path("negative_control.ini")
     assert os.path.exists(path)
-    import tempfile
-    with tempfile.TemporaryDirectory() as out:
-        assert main(["verify", "--config", path, "--out", out]) == 1
+    out = tmp_path / "neg"
+    assert main(["verify", "--config", path, "--out", str(out)]) == 1
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == NEGATIVE_CONTROL_DIGESTS

@@ -11,6 +11,7 @@ from fbmlab.sde import (
     BlowUpError,
     DriftSpec,
     ScalarDiffusion,
+    SolutionPath,
     TimeDiffusion,
     drift_coupled_pair,
     euler_additive_ensemble,
@@ -63,6 +64,14 @@ def test_solution_path_invariants():
     sol = solve_additive(0.5, DRIFT_OU, SIGMA_ID, _driver())
     assert sol.values[0, 0] == 0.5
     assert np.all(np.isfinite(sol.values))
+
+
+def test_solution_path_non_finite_is_numerical_error():
+    # a non-finite value is a numerical failure (CLI exit 3), as in FbmPath
+    vals = np.zeros((5, 1))
+    vals[3, 0] = np.nan
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        SolutionPath(TimeGrid(1.0, 4), vals)
 
 
 def test_blow_up_guard_reports_step():

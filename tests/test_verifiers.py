@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from fbmlab import verifiers
+from fbmlab import concentration
 from fbmlab.calibration import calibrate_k_hat, kappa_empirical
-from fbmlab.concentration import PremiseError
+from fbmlab.concentration import (
+    VERIFIERS,
+    PremiseError,
+    esti_int_sweep,
+    independent_pairs,
+    run_verifier,
+    stability_ratios,
+)
 from fbmlab.config import VERIFIER_NAMES, ConfigError, load_config
 from fbmlab.fbm import HurstParam, sample_fbm_circulant_batch
 from fbmlab.fixtures import calibrated_constants
@@ -13,13 +20,6 @@ from fbmlab.fractional import lemma_esti_int_check
 from fbmlab.grid import GridFunction, TimeGrid, holder_norm
 from fbmlab.sde import euler_additive_ensemble, stability_horizon
 from fbmlab.transport import t1_constant
-from fbmlab.verifiers import (
-    VERIFIERS,
-    esti_int_sweep,
-    independent_pairs,
-    run_verifier,
-    stability_ratios,
-)
 
 
 def test_registry_follows_config_names():
@@ -66,13 +66,13 @@ def test_close_horizons_draw_independent_drivers(tmp_path, monkeypatch):
     # horizons are keyed by index, so the drivers of T = 1 and T = 1.0004
     # are not rescaled copies of each other
     seeds = {}
-    real = verifiers.verify_hoeffding_large_time
+    real = concentration.verify_hoeffding_large_time
 
     def record(**kw):
         seeds[kw["T"]] = kw["seed"]
         return real(**kw)
 
-    monkeypatch.setattr(verifiers, "verify_hoeffding_large_time", record)
+    monkeypatch.setattr(concentration, "verify_hoeffding_large_time", record)
     ini = tmp_path / "h.ini"
     ini.write_text("[grid]\nn_steps = 16\n[verify]\nn_paths = 20\nhorizons = 1,1.0004\n")
     VERIFIERS["hoeffding-large"](load_config(str(ini)))
