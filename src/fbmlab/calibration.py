@@ -29,10 +29,10 @@ from .concentration import (
     MODEL,
     esti_int_sweep,
     estimate_t1_constant,
-    independent_pairs,
+    pair_seeds,
     stability_ratios,
 )
-from .fbm import HurstParam
+from .fbm import HurstParam, map_circulant_chunks
 from .grid import TimeGrid
 
 REFERENCE_CONFIG = {
@@ -117,8 +117,9 @@ def kappa_empirical(n_pairs: int = 1000, seed: int = 0) -> float:
 def calibrate_k_hat(n_pairs: int = 1000, seed: int = 0) -> dict:
     """K_hat from the driver-stability ratio on the reference model.
 
-    Independent driver pairs g, g~ feed dx = -x dt + dg on [0, T]; the
-    Monte Carlo supremum of
+    Independent driver pairs g, g~ (the pair ensemble of `seed`, streamed
+    chunk by chunk) feed dx = -x dt + dg on [0, T]; the Monte Carlo
+    supremum of
 
         ||x - x~||_inf / (||sigma||_beta ||g - g~||_beta T^beta)
 
@@ -128,8 +129,9 @@ def calibrate_k_hat(n_pairs: int = 1000, seed: int = 0) -> dict:
     """
     cfg = REFERENCE_CONFIG
     grid = TimeGrid(cfg["T"], cfg["n_steps"])
-    g1, g2 = independent_pairs(grid, HurstParam(cfg["H"]), n_pairs, seed)
-    ratios, dists = stability_ratios(grid, g1, g2, cfg["beta"], -cfg["L_b"])
+    ratios, dists = map_circulant_chunks(
+        grid, HurstParam(cfg["H"]), n_pairs, pair_seeds(seed),
+        lambda g1, g2: np.stack(stability_ratios(grid, g1, g2, cfg["beta"], -cfg["L_b"])))
     ratio_sup = float(ratios.max())
     c_hat, errs = estimate_t1_constant(dists)
     return {

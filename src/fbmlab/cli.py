@@ -10,8 +10,10 @@ This module only parses arguments and writes files.  What a command may
 be configured with is checked by ExperimentConfig.require against tables
 kept with the science (concentration.MODEL, calibration.SUPPORTED_SETTINGS)
 and a `--verifier` selection by the name check of the config
-(config.parse_verifiers) before any output directory is made;
-concentration.run_verifier turns a verifier name into its report.
+(config.parse_verifiers) before any output directory is made; the flag
+belongs to `verify` and is an error on any other command.
+concentration.run_campaign turns the selected verifier names into their
+reports, one pass per ensemble that several of them read.
 
 Exit codes: 0 pass, 1 verification failure, 2 config error, 3 numerical
 error.  All outputs embed the config hash and seed; identical config and
@@ -24,7 +26,7 @@ import argparse
 import os
 import sys
 
-from .concentration import MODEL, run_verifier
+from .concentration import MODEL, run_campaign
 from .config import ConfigError, ExperimentConfig, load_config, parse_verifiers
 from .fbm import (
     STREAM_LAYOUT,
@@ -131,8 +133,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str,
     names = only or cfg.verifier_list
     os.makedirs(out_dir, exist_ok=True)
     summary = {}
-    for name in names:
-        result = run_verifier(name, cfg)
+    for name, result in run_campaign(cfg, names):
         write_json_report(os.path.join(out_dir, f"verify_{name}.json"), result)
         _dump_tail_tables(out_dir, f"verify_{name}", result)
         summary[name] = bool(result["passed"])
@@ -177,6 +178,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--verifier", default=None, metavar="NAME[,NAME...]",
                         help="run only these verifiers (verify command)")
     args = parser.parse_args(argv)
+    if args.verifier is not None and args.command != "verify":
+        parser.error(f"--verifier applies to the verify command only, not {args.command}")
 
     try:
         cfg_path = args.config or default_config_path()

@@ -19,15 +19,17 @@ confidence bound against a closed-form bound:
   at k = 1.
 
 The verifiers run one model, `MODEL` (solved by `solve_model`); the command
-line rejects a config that sets it otherwise.  The 20 000-path campaigns
-(Fernique and both Hoeffding regimes) keep one or two numbers per path, so
-they stream their paths through `fbm.map_circulant_chunks`: each chunk is
-sampled, solved (large time) and reduced to its per-path statistic, and
-moments, quantiles and tails are taken on the concatenated vector.  A
-campaign's memory is a few chunks, not a few ensembles, and its reports are
-those of a whole-batch run byte for byte.  The campaigns return the
-JSON-ready records that the reports hold: a tail record per functional and
-metric (r-grid, empirical tail, upper confidence, bound, per-threshold
+line rejects a config that sets it otherwise.  No verifier builds an
+ensemble it only reduces: the 20 000-path campaigns (Fernique and both
+Hoeffding regimes) keep one or two numbers per path and the pair verifiers
+(stability, t1-moments, gaussian-tail) one number per pair, so they stream
+their paths through `fbm.map_circulant_chunks`: each chunk is sampled,
+solved where the verifier needs it and reduced to its per-path or per-pair
+statistic, and moments, quantiles and tails are taken on the concatenated
+vector.  A campaign's memory is a few chunks, not a few ensembles, and its
+reports are those of a whole-batch run byte for byte.  The campaigns return
+the JSON-ready records that the reports hold: a tail record per functional
+and metric (r-grid, empirical tail, upper confidence, bound, per-threshold
 "passed", n_samples, notes), and one Fernique record with an overall
 "passed".
 
@@ -35,13 +37,23 @@ The registry: one plain function per verifier maps an ExperimentConfig to
 a JSON-ready report dict with a boolean "passed".  `VERIFIERS` holds them
 in config.VERIFIER_NAMES order, and `run_verifier` turns a name into its
 report stamped with the config hash and seed, a PremiseError into a
-"rejected" one.  Two of its kernels are also the Monte Carlo oracles of the
-calibration: the driver-stability ratio behind K_hat (`stability_ratios`)
-and the sweep of the Young-integral estimate behind kappa_hat
-(`esti_int_sweep`).  Every ensemble other than the primary one of the
-config seed is drawn from `fbm.role_seed`: the independent partner
-(`independent_pairs`), the esti-int windows and each large-time horizon, by
-its index in `[verify] horizons`.
+"rejected" one.  A streamed verifier is its `EnsembleShare` (`SHARES`): the
+ensemble it reads, how many rows, the per-row statistic and how the report
+is made from it.  `run_campaign`, what `fbmlab verify` runs, groups the
+selected verifiers by ensemble and gives each group one pass
+(`shared_pass`; a verifier alone is a pass of one share), each member
+reading its own prefix of the rows, which are reduced as the members are
+reached: fernique and hoeffding-small share the primary ensemble of the
+seed, and stability, t1-moments and gaussian-tail the pair ensemble
+(`pair_seeds`) and its solution distances.  Two kernels are also the
+Monte Carlo oracles of the calibration: the driver-stability ratio behind
+K_hat (`stability_ratios`, streamed over the pair ensemble there too) and
+the sweep of the Young-integral estimate behind kappa_hat
+(`esti_int_sweep`, which draws its 200 pairs whole through
+`independent_pairs`).  Every ensemble other than the primary one of the
+config seed is drawn from `fbm.role_seed`: the independent partner, the
+esti-int windows and each large-time horizon, by its index in
+`[verify] horizons`.
 
 Negative controls are first class: every verifier refuses configurations
 that violate its premises (e.g. beta > H) rather than producing vacuous
@@ -49,6 +61,9 @@ passes.  An overflow in the Fernique moments raises FloatingPointError.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special, stats
@@ -113,6 +128,75 @@ def mean_upper_confidence(x: np.ndarray) -> float:
     """Normal-approximation one-sided upper bound for a mean."""
     z = stats.norm.ppf(CONFIDENCE)
     return float(x.mean() + z * x.std(ddof=1) / np.sqrt(len(x)))
+
+
+class EnsembleShare(NamedTuple):
+    """What one verifier reads off one ensemble.
+
+    The ensemble is the circulant fBm drawn from `seed` on (grid, hp); a
+    tuple of seeds is a pair ensemble (`pair_seeds`).  The verifier reads its
+    first n rows, which `statistic` reduces chunk by chunk to one value per
+    row for each name in `values` (a sequence of 1-d arrays, in that order).
+    A name stands for one per-row quantity of the config, so verifiers that
+    read it compute it once (`shared_pass`).  finish(*arrays) turns the
+    verifier's values into its result.
+    """
+
+    grid: TimeGrid
+    hp: HurstParam
+    seed: int | tuple[int, ...]
+    n: int
+    values: tuple[str, ...]
+    statistic: Callable[..., tuple]
+    finish: Callable[..., object]
+
+    @property
+    def ensemble(self) -> tuple:
+        return (self.seed, self.grid, self.hp)
+
+    def then(self, after: Callable) -> EnsembleShare:
+        """The same share, finished by after(finish(*values))."""
+        return self._replace(finish=lambda *values: after(self.finish(*values)))
+
+
+def shared_pass(shares: list[EnsembleShare]):
+    """The result of each share of one ensemble, in order, from one pass
+    over it; a verifier that reads an ensemble alone is a pass of one share.
+
+    The pass is cut into segments at the distinct prefix lengths n, so no
+    row is reduced for a share that does not read it, and a segment is
+    reduced when the first share that reads it is finished: an error in a
+    later segment stops the run only when a share reading it is reached.
+    In a segment each value name is computed once, by the statistic of a
+    share that reads it there, the one giving most names first (stability's
+    ratios come with the distances).  A share finishes on its own first n
+    rows, bit for bit what a pass of its own would reduce.
+    """
+    first = shares[0]
+    if any(s.ensemble != first.ensemble for s in shares):
+        raise ValueError("shares of one pass must read one ensemble")
+    parts: dict[str, list[np.ndarray]] = {name: [] for s in shares for name in s.values}
+
+    def reduce(lo: int, hi: int) -> None:
+        makers, names = [], []
+        for s in sorted((s for s in shares if s.n >= hi), key=lambda s: -len(s.values)):
+            if not set(s.values) <= set(names):
+                makers.append(s)
+                names += s.values
+        # a pass from row 0 is the plain call of a campaign of its own
+        rows = {"start": lo} if lo else {}
+        got = map_circulant_chunks(first.grid, first.hp, hi, first.seed, lambda *chunks: np.stack(
+            [v for s in makers for v in s.statistic(*chunks)]), **rows)
+        # a name given by two makers is one quantity: either copy will do
+        for name, part in dict(zip(names, got)).items():
+            parts[name].append(part)
+
+    done = 0
+    for share in shares:
+        for hi in sorted({s.n for s in shares if done < s.n <= share.n}):
+            reduce(done, hi)
+            done = hi
+        yield share.finish(*(np.concatenate(parts[name])[:share.n] for name in share.values))
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +311,26 @@ def _tail_report(samples: np.ndarray, denom: float, notes: dict) -> dict:
             "notes": {"denominator": denom, "se_mean": float(se_mean), **notes}}
 
 
+def hoeffding_small_share(H: float, T: float, n_paths: int, n_steps: int,
+                          seed: int) -> EnsembleShare:
+    """The ensemble share of verify_hoeffding_small_time: both functionals
+    per path, finished into its two tail records.  Raises its PremiseError
+    before any path is drawn."""
+    C, horizon = t1_constant(H, T, 1.0, 0.0)
+    if T > horizon:
+        raise PremiseError(f"small-time verifier requires T <= 1, got {T}")
+    K = calibrated_constants()["K_hat"]
+    grid = TimeGrid(T, n_steps)
+
+    def records(avg, sup):
+        return (_tail_report(avg, 2.0 * C, {"functional": "time_average", "C": C, "K": K}),
+                _tail_report(sup, 2.0 * C, {"functional": "sup_displacement", "C": C, "K": K}))
+
+    return EnsembleShare(grid, HurstParam(H), seed, n_paths, ("time_average", "sup_displacement"),
+                         lambda paths: (time_average(paths, grid, clip=10.0),
+                                        sup_displacement(paths, grid)), records)
+
+
 def verify_hoeffding_small_time(H: float, T: float, n_paths: int,
                                 n_steps: int, seed: int) -> tuple[dict, dict]:
     """Small-horizon tail records for the drift-free unit-diffusion model.
@@ -238,17 +342,7 @@ def verify_hoeffding_small_time(H: float, T: float, n_paths: int,
     L_b = 0).  Refuses horizons beyond its validity window
     T <= stability_horizon(0) = 1.
     """
-    C, horizon = t1_constant(H, T, 1.0, 0.0)
-    if T > horizon:
-        raise PremiseError(f"small-time verifier requires T <= 1, got {T}")
-    K = calibrated_constants()["K_hat"]
-    hp = HurstParam(H)
-    grid = TimeGrid(T, n_steps)
-    avg, sup = map_circulant_chunks(grid, hp, n_paths, seed, lambda paths: np.stack(
-        [time_average(paths, grid, clip=10.0), sup_displacement(paths, grid)]))
-    rep_avg = _tail_report(avg, 2.0 * C, {"functional": "time_average", "C": C, "K": K})
-    rep_sup = _tail_report(sup, 2.0 * C, {"functional": "sup_displacement", "C": C, "K": K})
-    return rep_avg, rep_sup
+    return next(shared_pass([hoeffding_small_share(H, T, n_paths, n_steps, seed)]))
 
 
 def verify_hoeffding_large_time(H: float, T: float, n_paths: int,
@@ -321,6 +415,43 @@ def fernique_moment_bound(k: int, H: float, beta: float, T: float) -> float:
 FERNIQUE_K = (1, 2, 3)  # moment orders 2k checked against the bound
 
 
+def fernique_share(H: float, beta: float, T: float, n_samples: int,
+                   n_steps: int = 256, seed: int = 0) -> EnsembleShare:
+    """The ensemble share of verify_fernique: the beta-Holder seminorm per
+    path, finished into the Fernique record.  Raises its PremiseError before
+    any path is drawn."""
+    if not 0.5 < beta < H:
+        raise PremiseError(
+            f"Fernique premise violated: need 1/2 < beta < H, got beta={beta}, H={H}"
+        )
+    alpha = 0.5 * fernique_exponent_radius(H, beta, T)
+    grid = TimeGrid(T, n_steps)
+
+    def record(norms):
+        moments, errs, uppers, bounds = [], [], [], []
+        # an overflowing moment raises FloatingPointError (CLI: exit 3) here
+        with np.errstate(over="raise"):
+            for k in FERNIQUE_K:
+                x = norms ** (2 * k)
+                moments.append(float(x.mean()))
+                errs.append(float(x.std(ddof=1) / np.sqrt(n_samples)))
+                uppers.append(mean_upper_confidence(x))
+                bounds.append(fernique_moment_bound(k, H, beta, T))
+            ex = np.exp(alpha * norms**2)
+            exp_empirical, exp_upper = float(ex.mean()), mean_upper_confidence(ex)
+        exp_bound = float((1.0 - 128.0 * alpha * (2 * T) ** (2 * (H - beta))) ** -0.5)
+        passed = all(u <= b for u, b in zip(uppers, bounds)) and exp_upper <= exp_bound
+        return {"k_list": list(FERNIQUE_K), "empirical_moments": moments,
+                "standard_errors": errs, "upper_confidence": uppers, "bounds": bounds,
+                "exp_alpha": float(alpha), "exp_empirical": exp_empirical,
+                "exp_upper_confidence": exp_upper, "exp_bound": exp_bound,
+                "n_samples": n_samples, "passed": passed}
+
+    return EnsembleShare(grid, HurstParam(H), seed, n_samples, ("holder_seminorm",),
+                         lambda paths: (holder_seminorm_ensemble(grid.points, paths, beta),),
+                         record)
+
+
 def verify_fernique(H: float, beta: float, T: float, n_samples: int,
                     n_steps: int = 256, seed: int = 0) -> dict:
     """One-sided check of the Fernique moment and exponential estimates; the
@@ -332,34 +463,7 @@ def verify_fernique(H: float, beta: float, T: float, n_samples: int,
     condition).  The exponential moment is taken at half the admissible
     radius.  Premise guard: 1/2 < beta < H.
     """
-    if not 0.5 < beta < H:
-        raise PremiseError(
-            f"Fernique premise violated: need 1/2 < beta < H, got beta={beta}, H={H}"
-        )
-    alpha = 0.5 * fernique_exponent_radius(H, beta, T)
-    hp = HurstParam(H)
-    grid = TimeGrid(T, n_steps)
-    norms = map_circulant_chunks(grid, hp, n_samples, seed, lambda paths:
-                                 holder_seminorm_ensemble(grid.points, paths, beta))
-
-    moments, errs, uppers, bounds = [], [], [], []
-    # an overflowing moment raises FloatingPointError (CLI: exit 3) here
-    with np.errstate(over="raise"):
-        for k in FERNIQUE_K:
-            x = norms ** (2 * k)
-            moments.append(float(x.mean()))
-            errs.append(float(x.std(ddof=1) / np.sqrt(n_samples)))
-            uppers.append(mean_upper_confidence(x))
-            bounds.append(fernique_moment_bound(k, H, beta, T))
-        ex = np.exp(alpha * norms**2)
-        exp_empirical, exp_upper = float(ex.mean()), mean_upper_confidence(ex)
-    exp_bound = float((1.0 - 128.0 * alpha * (2 * T) ** (2 * (H - beta))) ** -0.5)
-    passed = all(u <= b for u, b in zip(uppers, bounds)) and exp_upper <= exp_bound
-    return {"k_list": list(FERNIQUE_K), "empirical_moments": moments,
-            "standard_errors": errs, "upper_confidence": uppers, "bounds": bounds,
-            "exp_alpha": float(alpha), "exp_empirical": exp_empirical,
-            "exp_upper_confidence": exp_upper, "exp_bound": exp_bound,
-            "n_samples": n_samples, "passed": passed}
+    return next(shared_pass([fernique_share(H, beta, T, n_samples, n_steps, seed)]))
 
 
 def grr_xi(path_values: np.ndarray, grid: TimeGrid, H: float,
@@ -446,11 +550,17 @@ def phi_argmax(c_delta: float) -> float:
 # The verifier registry
 # ---------------------------------------------------------------------------
 
+def pair_seeds(seed: int) -> tuple[int, int]:
+    """Seeds of the pair ensemble of `seed`: the primary ensemble and its
+    independent partner, matched by row."""
+    return seed, role_seed(seed, Role.partner)
+
+
 def independent_pairs(grid: TimeGrid, hp: HurstParam, n_pairs: int,
                       seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent (n_pairs, n_nodes) fBm ensembles, matched by row."""
-    return (sample_fbm_circulant_batch(grid, hp, n_pairs, seed),
-            sample_fbm_circulant_batch(grid, hp, n_pairs, role_seed(seed, Role.partner)))
+    """Two independent (n_pairs, n_nodes) fBm ensembles, matched by row:
+    the pair ensemble of `seed`, whole."""
+    return tuple(sample_fbm_circulant_batch(grid, hp, n_pairs, s) for s in pair_seeds(seed))
 
 
 def solution_distances(grid: TimeGrid, g1: np.ndarray, g2: np.ndarray,
@@ -499,7 +609,7 @@ def _grid(cfg: ExperimentConfig) -> TimeGrid:
     return TimeGrid(cfg.get("grid", "t_max"), cfg.get("grid", "n_steps"))
 
 
-def _verify_stability(cfg: ExperimentConfig) -> dict:
+def _stability(cfg: ExperimentConfig) -> EnsembleShare:
     K_hat = calibrated_constants()["K_hat"]
     B = cfg.get("sde", "drift_b")
     T = cfg.get("grid", "t_max")
@@ -507,13 +617,20 @@ def _verify_stability(cfg: ExperimentConfig) -> dict:
     if T > delta:
         raise PremiseError(f"stability premise violated: T={T} > Delta={delta}")
     grid = _grid(cfg)
+    beta = cfg.get("verify", "beta")
     n_pairs = min(cfg.get("verify", "n_paths"), 1000)
-    g1, g2 = independent_pairs(grid, HurstParam(cfg.get("fbm", "hurst")), n_pairs,
-                               cfg.get("experiment", "seed"))
-    ratios, _ = stability_ratios(grid, g1, g2, cfg.get("verify", "beta"), B)
-    worst = float(ratios.max())
-    return {"verifier": "stability", "passed": worst <= K_hat,
-            "worst_ratio": worst, "K_hat": K_hat, "n_pairs": n_pairs}
+
+    def report(ratios, _):
+        worst = float(ratios.max())
+        return {"verifier": "stability", "passed": worst <= K_hat,
+                "worst_ratio": worst, "K_hat": K_hat, "n_pairs": n_pairs}
+
+    # stability_ratios gives the solution distances it divides, which the
+    # t1-moments and gaussian-tail shares then read on these rows
+    return EnsembleShare(grid, HurstParam(cfg.get("fbm", "hurst")),
+                         pair_seeds(cfg.get("experiment", "seed")), n_pairs,
+                         ("stability_ratio", "solution_d_inf"),
+                         lambda g1, g2: stability_ratios(grid, g1, g2, beta, B), report)
 
 
 def _verify_esti_int(cfg: ExperimentConfig) -> dict:
@@ -532,23 +649,25 @@ def _verify_esti_int(cfg: ExperimentConfig) -> dict:
             "worst_ratio": max([0.0] + [r.ratio for r in reports]), "n_pairs": n_pairs}
 
 
-def _verify_fernique(cfg: ExperimentConfig) -> dict:
-    return {"verifier": "fernique",
-            **verify_fernique(cfg.get("fbm", "hurst"), cfg.get("verify", "beta"),
-                              cfg.get("grid", "t_max"),
-                              min(cfg.get("verify", "n_paths"), 20000),
-                              n_steps=cfg.get("grid", "n_steps"),
-                              seed=cfg.get("experiment", "seed"))}
+def _fernique(cfg: ExperimentConfig) -> EnsembleShare:
+    return fernique_share(cfg.get("fbm", "hurst"), cfg.get("verify", "beta"),
+                          cfg.get("grid", "t_max"), min(cfg.get("verify", "n_paths"), 20000),
+                          n_steps=cfg.get("grid", "n_steps"),
+                          seed=cfg.get("experiment", "seed")
+                          ).then(lambda record: {"verifier": "fernique", **record})
 
 
-def _verify_hoeffding_small(cfg: ExperimentConfig) -> dict:
-    rep_avg, rep_sup = verify_hoeffding_small_time(
+def _hoeffding_small(cfg: ExperimentConfig) -> EnsembleShare:
+    def report(records):
+        rep_avg, rep_sup = records
+        return {"verifier": "hoeffding-small",
+                "passed": all(rep_avg["passed"]) and all(rep_sup["passed"]),
+                "time_average": rep_avg, "sup_displacement": rep_sup}
+
+    return hoeffding_small_share(
         H=cfg.get("fbm", "hurst"), T=cfg.get("grid", "t_max"),
         n_paths=cfg.get("verify", "n_paths"),
-        n_steps=cfg.get("grid", "n_steps"), seed=cfg.get("experiment", "seed"))
-    return {"verifier": "hoeffding-small",
-            "passed": all(rep_avg["passed"]) and all(rep_sup["passed"]),
-            "time_average": rep_avg, "sup_displacement": rep_sup}
+        n_steps=cfg.get("grid", "n_steps"), seed=cfg.get("experiment", "seed")).then(report)
 
 
 def _verify_hoeffding_large(cfg: ExperimentConfig) -> dict:
@@ -575,31 +694,40 @@ def _verify_hoeffding_large(cfg: ExperimentConfig) -> dict:
     return out
 
 
-def _solution_pair_distances(cfg: ExperimentConfig) -> np.ndarray:
+def _solution_distances(cfg: ExperimentConfig, report: Callable) -> EnsembleShare:
+    """The d_inf distances of up to 2000 solution pairs, finished by report."""
     grid = _grid(cfg)
-    n_pairs = min(cfg.get("verify", "n_paths"), 2000)
-    d1, d2 = independent_pairs(grid, HurstParam(cfg.get("fbm", "hurst")), n_pairs,
-                               cfg.get("experiment", "seed"))
-    return solution_distances(grid, d1, d2, cfg.get("sde", "drift_b"))
+    B = cfg.get("sde", "drift_b")
+    return EnsembleShare(grid, HurstParam(cfg.get("fbm", "hurst")),
+                         pair_seeds(cfg.get("experiment", "seed")),
+                         min(cfg.get("verify", "n_paths"), 2000), ("solution_d_inf",),
+                         lambda g1, g2: (solution_distances(grid, g1, g2, B),), report)
 
 
-def _verify_t1_moments(cfg: ExperimentConfig) -> dict:
+def _t1_moments(cfg: ExperimentConfig) -> EnsembleShare:
     delta = cfg.get("verify", "delta")
-    dists = _solution_pair_distances(cfg)
-    c_hat, errs = estimate_t1_constant(dists)
-    diag = gaussian_tail_c_delta(dists, delta)
-    passed = (not diag["unstable"]) and c_hat <= diag["c_over_delta"]
-    return {"verifier": "t1-moments", "passed": bool(passed),
-            "moment_constant": c_hat, "jackknife_se": errs,
-            "c_delta_over_delta": diag["c_over_delta"], "delta": delta,
-            "n_pairs": len(dists)}
+
+    def report(dists):
+        c_hat, errs = estimate_t1_constant(dists)
+        diag = gaussian_tail_c_delta(dists, delta)
+        passed = (not diag["unstable"]) and c_hat <= diag["c_over_delta"]
+        return {"verifier": "t1-moments", "passed": bool(passed),
+                "moment_constant": c_hat, "jackknife_se": errs,
+                "c_delta_over_delta": diag["c_over_delta"], "delta": delta,
+                "n_pairs": len(dists)}
+
+    return _solution_distances(cfg, report)
 
 
-def _verify_gaussian_tail(cfg: ExperimentConfig) -> dict:
-    dists = _solution_pair_distances(cfg)
-    diag = gaussian_tail_c_delta(dists, cfg.get("verify", "delta"))
-    return {"verifier": "gaussian-tail", "passed": not diag["unstable"], **diag,
-            "n_pairs": len(dists)}
+def _gaussian_tail(cfg: ExperimentConfig) -> EnsembleShare:
+    delta = cfg.get("verify", "delta")
+
+    def report(dists):
+        diag = gaussian_tail_c_delta(dists, delta)
+        return {"verifier": "gaussian-tail", "passed": not diag["unstable"], **diag,
+                "n_pairs": len(dists)}
+
+    return _solution_distances(cfg, report)
 
 
 def _verify_phi_link(cfg: ExperimentConfig) -> dict:
@@ -613,16 +741,38 @@ def _verify_phi_link(cfg: ExperimentConfig) -> dict:
             "digamma_ok": digamma_ok, "c_values": c_values}
 
 
+def _alone(share_of: Callable[[ExperimentConfig], EnsembleShare]):
+    """The verifier that runs share_of(cfg) in a pass of its own."""
+    return lambda cfg: next(shared_pass([share_of(cfg)]))
+
+
+#: The verifiers that read one ensemble chunk by chunk: name -> its share
+#: of the ensemble, from the config.  run_campaign gives the verifiers of
+#: one ensemble one pass, VERIFIERS each a pass of its own.
+SHARES = {
+    "stability": _stability,
+    "fernique": _fernique,
+    "hoeffding-small": _hoeffding_small,
+    "t1-moments": _t1_moments,
+    "gaussian-tail": _gaussian_tail,
+}
+
 VERIFIERS = {
-    "stability": _verify_stability,
+    "stability": _alone(_stability),
     "esti-int": _verify_esti_int,
-    "fernique": _verify_fernique,
-    "hoeffding-small": _verify_hoeffding_small,
+    "fernique": _alone(_fernique),
+    "hoeffding-small": _alone(_hoeffding_small),
     "hoeffding-large": _verify_hoeffding_large,
-    "t1-moments": _verify_t1_moments,
-    "gaussian-tail": _verify_gaussian_tail,
+    "t1-moments": _alone(_t1_moments),
+    "gaussian-tail": _alone(_gaussian_tail),
     "phi-link": _verify_phi_link,
 }
+
+
+def _stamped(report: dict, cfg: ExperimentConfig) -> dict:
+    report["config_hash"] = cfg.config_hash
+    report["seed"] = cfg.get("experiment", "seed")
+    return report
 
 
 def run_verifier(name: str, cfg: ExperimentConfig) -> dict:
@@ -635,6 +785,32 @@ def run_verifier(name: str, cfg: ExperimentConfig) -> dict:
         report = VERIFIERS[name](cfg)
     except PremiseError as exc:
         report = {"verifier": name, "passed": False, "rejected": True, "reason": str(exc)}
-    report["config_hash"] = cfg.config_hash
-    report["seed"] = cfg.get("experiment", "seed")
-    return report
+    return _stamped(report, cfg)
+
+
+def run_campaign(cfg: ExperimentConfig, names: list[str]):
+    """(name, report) for each name in order, each report the one
+    run_verifier(name, cfg) gives.
+
+    The selected verifiers in SHARES are grouped by the ensemble they read,
+    and each group takes one shared_pass, whose rows are reduced as its
+    members are reached: fernique and hoeffding-small share the primary
+    ensemble, stability, t1-moments and gaussian-tail the pair ensemble.
+    Any other verifier, and one whose premise fails, runs as run_verifier
+    runs it.
+    """
+    shares: dict[str, EnsembleShare] = {}
+    groups: dict[tuple, list[EnsembleShare]] = {}
+    for name in names:
+        if name in SHARES:
+            try:
+                shares[name] = SHARES[name](cfg)
+            except PremiseError:
+                continue  # run_verifier reports the rejection
+            groups.setdefault(shares[name].ensemble, []).append(shares[name])
+    passes = {ensemble: shared_pass(group) for ensemble, group in groups.items()}
+    for name in names:
+        if name in shares:
+            yield name, _stamped(next(passes[shares[name].ensemble]), cfg)
+        else:
+            yield name, run_verifier(name, cfg)

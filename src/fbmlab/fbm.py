@@ -34,12 +34,13 @@ Arrays that depend only on (t_max, n_steps, H) are built once, in bounded
 of 32 n bytes; `transfer_kernel_matrix` and `cholesky_factor` keep 2 entries
 of 8 n^2 bytes each (0.5 MiB at n = 256, 128 MiB at CHOLESKY_MAX_STEPS).
 
-A campaign that keeps a few numbers per path needs no ensemble:
-`map_circulant_chunks` draws the rows of `sample_fbm_circulant_batch`
-CHUNK_PATHS at a time, reduces each chunk with a per-path statistic and
-concatenates the results, bit for bit what the statistic gives on the whole
-batch.  Its memory is a few chunks (4 MiB per chunk array at 256 steps),
-whatever the number of paths.
+A campaign that keeps a few numbers per path (or per pair of paths) needs
+no ensemble: `map_circulant_chunks` draws the rows of
+`sample_fbm_circulant_batch` CHUNK_PATHS at a time, from one seed or from
+the seeds of a pair ensemble, reduces each chunk with a per-path statistic
+and concatenates the results, bit for bit what the statistic gives on the
+whole batch.  Its memory is a few chunks (4 MiB of paths per chunk at 256
+steps), whatever the number of paths.
 """
 
 from __future__ import annotations
@@ -362,23 +363,35 @@ def sample_fbm_circulant_batch(grid: TimeGrid, h: HurstParam, n_paths: int,
 CHUNK_PATHS = 8 * BLOCK_PATHS
 
 
-def map_circulant_chunks(grid: TimeGrid, h: HurstParam, n_paths: int, seed: int,
-                         statistic) -> np.ndarray:
-    """statistic(paths) of the ensemble sample_fbm_circulant_batch(grid, h,
-    n_paths, seed), without building it: the paths are drawn CHUNK_PATHS rows
-    at a time, each chunk goes to statistic, and the results are concatenated
-    along their last axis.
+def map_circulant_chunks(grid: TimeGrid, h: HurstParam, n_paths: int,
+                         seed: int | tuple[int, ...], statistic, start: int = 0):
+    """statistic(paths) of rows start..n_paths - 1 of the ensemble
+    sample_fbm_circulant_batch(grid, h, n_paths, seed), without building it:
+    the paths are drawn CHUNK_PATHS rows at a time, each chunk goes to
+    statistic, and the results are concatenated along their last axis.
+
+    A tuple of seeds draws one ensemble per seed, e.g. a pair ensemble of a
+    primary and a partner seed: statistic(*chunks) then gets the same rows of
+    each, so row i of every chunk is pair i, and a chunk holds CHUNK_PATHS
+    paths over all seeds.
 
     Row i of a chunk is path i of the batch bit for bit (layout 2), so a
     statistic that computes each path from its own row alone returns exactly
-    what it would on the whole batch.
+    what it would on the whole batch, whatever the chunking.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    seeds = seed if isinstance(seed, tuple) else (seed,)
+    if not 0 <= start < n_paths:
+        raise ValueError(f"need 0 <= start < n_paths, got start={start}, n_paths={n_paths}")
+    rows = CHUNK_PATHS // len(seeds)
     parts = []
-    for lo in range(0, n_paths, CHUNK_PATHS):
-        keys = [(i, 0) for i in range(lo, min(lo + CHUNK_PATHS, n_paths))]
-        parts.append(statistic(_circulant_rows(grid, h, seed, keys)))
+    for lo in range(start, n_paths, rows):
+        keys = [(i, 0) for i in range(lo, min(lo + rows, n_paths))]
+        if len(seeds) == 1:
+            # passed on its own, the chunk is the statistic's to free (an
+            # unpacked argument tuple would hold it until the call returns)
+            parts.append(statistic(_circulant_rows(grid, h, seeds[0], keys)))
+        else:
+            parts.append(statistic(*(_circulant_rows(grid, h, s, keys) for s in seeds)))
     return np.concatenate(parts, axis=-1)
 
 

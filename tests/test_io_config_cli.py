@@ -330,6 +330,31 @@ def test_cli_verify_all_reports_pinned(tmp_path):
     assert digests == PIN_DIGESTS
 
 
+def test_cli_grouped_verify_writes_the_bytes_of_single_runs(tmp_path, monkeypatch):
+    # one 8-name run takes one pass per shared ensemble (primary: fernique,
+    # hoeffding-small; pair: stability, t1-moments, gaussian-tail) and writes
+    # what eight --verifier runs write, the summary apart
+    ini = _write_ini(tmp_path, PIN_INI)
+    passes = []
+    real = concentration.shared_pass
+    monkeypatch.setattr(concentration, "shared_pass",
+                        lambda shares: passes.append(shares[0].ensemble) or real(shares))
+    grouped = tmp_path / "grouped"
+    assert main(["verify", "--config", ini, "--out", str(grouped)]) == 1
+    assert len(passes) == len(set(passes)) == 2  # one pass per ensemble
+    del passes[:]
+    singles = {}
+    for name in VERIFIER_NAMES:
+        out = tmp_path / name
+        main(["verify", "--config", ini, "--out", str(out), "--verifier", name])
+        singles.update((p.name, p.read_bytes()) for p in out.iterdir()
+                       if p.name != "verify_summary.json")
+    assert len(passes) == 5  # each streamed verifier alone: a pass of its own
+    written = {p.name: p.read_bytes() for p in grouped.iterdir()
+               if p.name != "verify_summary.json"}
+    assert written == singles
+
+
 def test_cli_verify_reports_carry_the_run_config_hash(tmp_path):
     # every config_hash anywhere in a report is the hash of the run's config
     ini = _write_ini(tmp_path, PIN_INI)
@@ -399,6 +424,17 @@ def test_cli_verify_plain_value_error_is_not_a_rejection(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="not a premise"):
         main(["verify", "--config", _write_ini(tmp_path, SMALL_INI), "--out", str(out)])
     assert not (out / "verify_phi-link.json").exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "solve", "calibrate"])
+def test_cli_verifier_flag_only_on_verify(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", _write_ini(tmp_path, SMALL_INI), "--out", str(out),
+              "--verifier", "phi-link"])
+    assert exc.value.code == 2
+    assert "--verifier applies to the verify command only" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_jobs_flag_removed():
@@ -506,6 +542,29 @@ def test_cli_non_finite_ensemble_exit_3(tmp_path, monkeypatch, capsys):
                  "--verifier", "t1-moments"]) == 3
     assert "non-finite" in capsys.readouterr().err
     assert not (out / "verify_t1-moments.json").exists()
+
+
+def test_cli_pair_error_stops_verify_where_its_rows_are_read(tmp_path, monkeypatch, capsys):
+    # a NaN in partner driver 1500 is read by t1-moments (2000 pairs) but not
+    # by stability (1000): the run writes every report before t1-moments, as
+    # each verifier run in turn would, and then exits 3
+    partner = fbm.role_seed(42, fbm.Role.partner)
+    real = fbm._circulant_rows
+
+    def nan_row(grid, h, seed, keys):
+        rows = real(grid, h, seed, keys)
+        if seed == partner and (1500, 0) in keys:
+            rows[keys.index((1500, 0)), -1] = np.nan
+        return rows
+
+    monkeypatch.setattr(fbm, "_circulant_rows", nan_row)
+    out = tmp_path / "vrf"
+    ini = _write_ini(tmp_path, PIN_INI.replace("n_paths = 200", "n_paths = 2000"))
+    assert main(["verify", "--config", ini, "--out", str(out)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert sorted(p.name for p in out.glob("verify_*.json")) == [
+        f"verify_{name}.json" for name in
+        sorted(["stability", "esti-int", "fernique", "hoeffding-small", "hoeffding-large"])]
 
 
 def test_cli_phi_link_positive_sign_exit_3(tmp_path, monkeypatch):

@@ -1,20 +1,31 @@
 """The verifier registry and the kernels it shares with the calibration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fbmlab import concentration
 from fbmlab.calibration import calibrate_k_hat, kappa_empirical
 from fbmlab.concentration import (
+    SHARES,
     VERIFIERS,
     PremiseError,
     esti_int_sweep,
     independent_pairs,
+    pair_seeds,
     run_verifier,
+    shared_pass,
+    solution_distances,
     stability_ratios,
 )
 from fbmlab.config import VERIFIER_NAMES, ConfigError, load_config
-from fbmlab.fbm import HurstParam, sample_fbm_circulant_batch
+from fbmlab.fbm import (
+    CHUNK_PATHS,
+    HurstParam,
+    map_circulant_chunks,
+    sample_fbm_circulant_batch,
+)
 from fbmlab.fixtures import calibrated_constants
 from fbmlab.fractional import lemma_esti_int_check
 from fbmlab.grid import GridFunction, TimeGrid, holder_norm
@@ -135,3 +146,62 @@ def test_run_verifier_stamps_reports_and_records_rejections(tmp_path):
                       "config_hash": cfg.config_hash, "seed": 5}
     with pytest.raises(ConfigError, match="unknown verifier 'bogus'"):
         run_verifier("bogus", cfg)
+
+
+PAIR_CHUNK = CHUNK_PATHS // 2  # pairs per chunk of a pair ensemble
+
+
+@pytest.mark.parametrize("n_pairs", [1, PAIR_CHUNK - 1, PAIR_CHUNK, PAIR_CHUNK + 1, 2000])
+def test_streamed_pair_values_equal_whole_ensemble_kernels(n_pairs):
+    grid, hp, beta, B, seed = TimeGrid(0.5, 64), HurstParam(0.75), 0.6, -1.0, 11
+    g1, g2 = independent_pairs(grid, hp, n_pairs, seed)
+    ratios, dists = stability_ratios(grid, g1, g2, beta, B)
+    s_ratios, s_dists = map_circulant_chunks(
+        grid, hp, n_pairs, pair_seeds(seed),
+        lambda c1, c2: np.stack(stability_ratios(grid, c1, c2, beta, B)))
+    assert np.array_equal(s_ratios, ratios) and np.array_equal(s_dists, dists)
+    assert np.array_equal(map_circulant_chunks(
+        grid, hp, n_pairs, pair_seeds(seed),
+        lambda c1, c2: solution_distances(grid, c1, c2, B)), dists)
+
+
+def test_shared_pass_equals_each_share_on_its_own(tmp_path, monkeypatch):
+    # stability reads the first 1000 pairs, t1-moments and gaussian-tail all
+    # 2000, so the pass has two segments; fernique and hoeffding-small read
+    # the primary ensemble
+    ini = tmp_path / "s.ini"
+    ini.write_text("[grid]\nt_max = 0.5\nn_steps = 16\n[verify]\nn_paths = 2000\n")
+    cfg = load_config(str(ini))
+    pair = [SHARES[name](cfg) for name in ("stability", "t1-moments", "gaussian-tail")]
+    assert [s.n for s in pair] == [1000, 2000, 2000]
+    primary = [SHARES[name](cfg) for name in ("fernique", "hoeffding-small")]
+    for shares in (pair, primary):
+        alone = [next(shared_pass([s])) for s in shares]
+        solved = []
+        real = concentration.solve_model
+        monkeypatch.setattr(concentration, "solve_model",
+                            lambda g, b, dt: solved.append(len(g)) or real(g, b, dt))
+        assert list(shared_pass(shares)) == alone
+        monkeypatch.setattr(concentration, "solve_model", real)
+        # each of the 2000 pairs is solved once: the distances of the first
+        # 1000 come with stability's ratios
+        assert sum(solved) == (2 * 2000 if shares is pair else 0)
+    with pytest.raises(ValueError, match="one ensemble"):
+        list(shared_pass(pair + primary))
+
+
+def test_pair_distance_pass_memory_below_four_ensembles(tmp_path):
+    # the 2000-pair distances stream in chunks; built whole, the two driver
+    # and two solution ensembles and their difference take six ensembles
+    n, n_steps = 2000, 256
+    ini = tmp_path / "m.ini"
+    ini.write_text(f"[grid]\nn_steps = {n_steps}\n[verify]\nn_paths = {n}\n")
+    cfg = load_config(str(ini))
+    VERIFIERS["t1-moments"](cfg)  # per-grid arrays
+    tracemalloc.start()
+    try:
+        VERIFIERS["t1-moments"](cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * (n_steps + 1) * 8
