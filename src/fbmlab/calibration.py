@@ -32,6 +32,7 @@ from .concentration import (
     pair_seeds,
     stability_ratios,
 )
+from .config import schema_defaults
 from .fbm import HurstParam, map_circulant_chunks
 from .grid import TimeGrid
 
@@ -46,11 +47,16 @@ REFERENCE_CONFIG = {
 
 #: The config values `fbmlab calibrate` honours (any other is rejected, exit
 #: 2): the verifiers' MODEL at the reference H, beta and drift_b = -L_b.
-#: [grid] is not read: K_hat is calibrated at T = 0.5, kappa_hat at T = 1.
+#: [grid] and the campaign keys of [verify] are not read (K_hat is calibrated
+#: at T = 0.5, kappa_hat at T = 1, each on 256 steps), so they must keep
+#: their defaults.  [fbm] n_paths is accepted unread.
 SUPPORTED_SETTINGS = {
     "fbm": {**MODEL["fbm"], "hurst": REFERENCE_CONFIG["H"]},
     "sde": {**MODEL["sde"], "drift_b": -REFERENCE_CONFIG["L_b"]},
-    "verify": {"beta": REFERENCE_CONFIG["beta"]},
+    "verify": {"beta": REFERENCE_CONFIG["beta"],
+               **schema_defaults("verify", "verifiers", "horizons", "delta",
+                                 "c_delta_values")},
+    "grid": schema_defaults("grid", "t_max", "n_steps"),
 }
 
 

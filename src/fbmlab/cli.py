@@ -170,7 +170,8 @@ def main(argv: list[str] | None = None) -> int:
                     "and concentration verification")
     parser.add_argument("command", choices=["sample", "solve", "verify", "calibrate"])
     parser.add_argument("--config", default=None, metavar="PATH",
-                        help="experiment config (INI); defaults to the shipped config")
+                        help="experiment config (INI); defaults to the shipped "
+                             "default.ini (calibrate.ini for calibrate)")
     parser.add_argument("--seed", type=int, default=None, metavar="U64",
                         help="override the config seed")
     parser.add_argument("--out", default="fbmlab_out", metavar="DIR",
@@ -182,7 +183,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--verifier applies to the verify command only, not {args.command}")
 
     try:
-        cfg_path = args.config or default_config_path()
+        cfg_path = args.config or default_config_path(
+            "calibrate.ini" if args.command == "calibrate" else "default.ini")
         cfg = load_config(cfg_path, seed_override=args.seed)
         only = None if args.verifier is None else parse_verifiers(args.verifier)
     except ConfigError as exc:

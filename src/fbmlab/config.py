@@ -78,6 +78,12 @@ _SCHEMA = {
     },
 }
 
+
+def schema_defaults(section: str, *keys: str) -> dict:
+    """{key: its default} for keys of one config section."""
+    return {key: _SCHEMA[section][key][1] for key in keys}
+
+
 _GENERATORS = ("cholesky", "circulant", "transfer")
 # no command simulates the scalar model; the [sde] model key stays because
 # it enters config_hash

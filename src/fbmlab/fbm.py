@@ -5,7 +5,11 @@ grid:
 
 * ``sample_fbm_cholesky`` -- exact in law, O(n^3), the accuracy anchor;
 * ``sample_fbm_circulant`` -- circulant embedding of the increment process
-  (fractional Gaussian noise), exact in law and O(n log n);
+  (fractional Gaussian noise; Davies and Harte 1987, Wood and Chan 1994),
+  exact in law and O(n log n): the embedding's Gaussian vector is Hermitian,
+  so each path's fGn is one real-output transform, ``np.fft.hfft``, of its
+  n + 1 half spectrum (taken as irfft of the conjugate half spectrum),
+  never a complex array of width 2n;
 * ``sample_fbm_transfer`` -- discretizes the Volterra representation
   B_t = int_0^t K(t,s) dW_s, returning the underlying Wiener increments so
   that drift-perturbation experiments can act on W directly.
@@ -262,8 +266,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _fgn_circulant_eigs(n: int, hurst: float, dt: float) -> np.ndarray:
-    """Eigenvalues of the circulant embedding of the fGn covariance, cached
-    and read-only; `_circulant_rows` checks their sign on every call.
+    """The 2n eigenvalues of the circulant embedding of the fGn covariance,
+    cached and read-only; `_circulant_rows` checks the sign of all of them
+    on every call and scales its half spectrum by the first n + 1 (the
+    embedding row is symmetric, so eigenvalue k equals eigenvalue 2n - k).
 
     Nonnegative for 1/2 < H < 1: gamma(0..n) is nonnegative, nonincreasing
     and convex, hence a constant plus a nonnegative sum of tents
@@ -282,8 +288,16 @@ def _circulant_rows(grid: TimeGrid, h: HurstParam, seed: int,
                     keys: list[tuple[int, int]]) -> np.ndarray:
     """(len(keys), n_steps + 1) scalar fBm paths; row r uses the stream
     component_rng(seed, *keys[r]), whose 2n normals are z_0, z_n and the
-    real, then imaginary parts of z_1..z_{n-1}.  Rows are assembled into
-    Hermitian vectors and transformed BLOCK_PATHS at a time.
+    real, then imaginary parts of z_1..z_{n-1}.
+
+    The Gaussian vector z, extended by z_{2n-k} = conj(z_k), is Hermitian,
+    so its DFT is real: each row's fGn is np.fft.hfft(half, 2n) of the half
+    spectrum half_k = sqrt(lam_k / 2n) z_k, k = 0..n, where
+    z_k = (a_k + i b_k) / sqrt(2) for 0 < k < n; its first n values, summed,
+    are the path.  hfft(half) is irfft(conj(half), norm="forward"), so the
+    rows are scaled straight into conj(half) and handed to irfft: no conj
+    pass, and the block buffers are allocated once per call.  Rows are
+    assembled and transformed BLOCK_PATHS at a time.
     """
     streams = {c: _path_streams(seed, c) for c in {c for _, c in keys}}
     n = grid.n_steps
@@ -291,22 +305,25 @@ def _circulant_rows(grid: TimeGrid, h: HurstParam, seed: int,
     if eigs.min() < CIRCULANT_EIG_TOL:
         raise ArithmeticError(f"circulant embedding failed: eigenvalue "
                               f"{eigs.min():.3e} < {CIRCULANT_EIG_TOL:g} (H={h.h}, n={n})")
-    lam = np.sqrt(np.clip(eigs, 0.0, None) / (2 * n))
+    scale = np.sqrt(np.clip(eigs[:n + 1], 0.0, None) / (2 * n))
+    scale[1:n] /= np.sqrt(2.0)
     out = np.zeros((len(keys), n + 1))
-    draws = np.empty((min(len(keys), BLOCK_PATHS), 2 * n))
-    z = np.empty(draws.shape, dtype=complex)
+    rows = min(len(keys), BLOCK_PATHS)
+    draws = np.empty((rows, 2 * n))
+    spec = np.zeros((rows, n + 1), dtype=complex)  # conj(half); imag 0 at k = 0, n
+    fgn = np.empty((rows, 2 * n))
     for lo in range(0, len(keys), BLOCK_PATHS):
         block = keys[lo:lo + BLOCK_PATHS]
-        d, zb = draws[:len(block)], z[:len(block)]
+        k = len(block)
+        d = draws[:k]
         for row, (path, component) in zip(d, block):
             streams[component](path).standard_normal(out=row)
-        zb[:, 0] = d[:, 0]
-        zb[:, n] = d[:, 1]
-        zb[:, 1:n] = (d[:, 2:n + 1] + 1j * d[:, n + 1:]) / np.sqrt(2.0)
-        zb[:, n + 1:] = np.conj(zb[:, n - 1:0:-1])
-        zb *= lam
-        np.cumsum(np.fft.fft(zb, axis=1).real[:, :n], axis=1,
-                  out=out[lo:lo + len(block), 1:])
+        np.multiply(d[:, 0], scale[0], out=spec.real[:k, 0])
+        np.multiply(d[:, 1], scale[n], out=spec.real[:k, n])
+        np.multiply(d[:, 2:n + 1], scale[1:n], out=spec.real[:k, 1:n])
+        np.multiply(d[:, n + 1:], -scale[1:n], out=spec.imag[:k, 1:n])
+        np.fft.irfft(spec[:k], n=2 * n, axis=1, norm="forward", out=fgn[:k])
+        np.cumsum(fgn[:k, :n], axis=1, out=out[lo:lo + k, 1:])
     return out
 
 

@@ -154,6 +154,56 @@ def test_circulant_embedding_failure_raises(monkeypatch):
         sample_fbm_circulant_batch(grid, H75, 3, seed=0)
 
 
+def _full_spectrum_rows(grid, h, seed, keys):
+    """Oracle: the paths of `fbm._circulant_rows` through the full Hermitian
+    vector (z_0, z_1, ..., z_n, conj z_{n-1}, ..., conj z_1) and a complex
+    FFT of width 2n, from the same 2n normals per path."""
+    n = grid.n_steps
+    lam = np.sqrt(np.clip(fbm._fgn_circulant_eigs(n, h.h, grid.dt), 0.0, None) / (2 * n))
+    d = np.array([fbm.component_rng(seed, i, c).standard_normal(2 * n) for i, c in keys])
+    z = np.empty(d.shape, dtype=complex)
+    z[:, 0] = d[:, 0]
+    z[:, n] = d[:, 1]
+    z[:, 1:n] = (d[:, 2:n + 1] + 1j * d[:, n + 1:]) / np.sqrt(2.0)
+    z[:, n + 1:] = np.conj(z[:, n - 1:0:-1])
+    out = np.zeros((len(keys), n + 1))
+    out[:, 1:] = np.cumsum(np.fft.fft(z * lam, axis=1).real[:, :n], axis=1)
+    return out
+
+
+def _hfft_rows(grid, h, seed, keys):
+    """The sampler's formula as written: cumsum of np.fft.hfft(half, 2n)."""
+    n = grid.n_steps
+    lam = np.sqrt(np.clip(fbm._fgn_circulant_eigs(n, h.h, grid.dt)[:n + 1], 0.0, None) / (2 * n))
+    lam[1:n] /= np.sqrt(2.0)
+    d = np.array([fbm.component_rng(seed, i, c).standard_normal(2 * n) for i, c in keys])
+    half = np.zeros((len(keys), n + 1), dtype=complex)
+    half.real[:, 0], half.real[:, n] = d[:, 0], d[:, 1]
+    half.real[:, 1:n], half.imag[:, 1:n] = d[:, 2:n + 1], d[:, n + 1:]
+    out = np.zeros((len(keys), n + 1))
+    out[:, 1:] = np.cumsum(np.fft.hfft(half * lam, n=2 * n, axis=1)[:, :n], axis=1)
+    return out
+
+
+@pytest.mark.parametrize("h", [0.6, 0.75, 0.9])
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 200, 256])
+def test_half_spectrum_rows_match_full_hermitian_fft(n, h):
+    # the real transform of the n + 1 half spectrum is the full complex FFT
+    # of the Hermitian vector up to rounding (relative to the largest |value|
+    # of the rows: a row that nearly returns to 0 has no scale of its own),
+    # and np.fft.hfft of the half spectrum bit for bit
+    keys = [(i, c) for i in (0, 1, 7, 300) for c in (0, 2)]
+    for t_max in (0.5, 1.0, 4.0):
+        grid, hp = TimeGrid(t_max, n), HurstParam(h)
+        rows = fbm._circulant_rows(grid, hp, 17, keys)
+        oracle = _full_spectrum_rows(grid, hp, 17, keys)
+        assert rows.shape == oracle.shape == (len(keys), n + 1)
+        assert np.all(rows[:, 0] == 0.0)
+        err = np.abs(rows - oracle).max()
+        assert err <= 2e-15 * np.abs(oracle).max(), (t_max, err)
+        assert np.array_equal(rows, _hfft_rows(grid, hp, 17, keys))
+
+
 # the arrays built once per (t_max, n_steps, H)
 PER_GRID_ARRAYS = {
     "circulant_eigs": lambda t, n, h: fbm._fgn_circulant_eigs(n, h, t / n),

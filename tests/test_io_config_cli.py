@@ -12,6 +12,7 @@ import pytest
 from fbmlab import concentration, fbm
 from fbmlab.cli import main
 from fbmlab.config import VERIFIER_NAMES, ConfigError, load_config
+from fbmlab.fixtures import calibrated_constants
 from fbmlab.grid import TimeGrid
 from fbmlab.pathio import (
     FBMP_MAGIC,
@@ -298,27 +299,27 @@ def test_cli_verify_deterministic_reports(tmp_path):
 PIN_INI = SMALL_INI.replace("verifiers = phi-link", "verifiers = " + ",".join(
     VERIFIER_NAMES)).replace("n_paths = 100", "n_paths = 200\nhorizons = 1,2")
 PIN_DIGESTS = {
-    "verify_esti-int.json": "c92c9c17648dbfcd4db62d8ecf5e1f3738d95afe972335080f77ee1541a58e8d",
-    "verify_fernique.json": "bfed2f047bfbf8fa3d85d98ad4cb112769383fe9dea276dc92084317812d709a",
-    "verify_gaussian-tail.json": "00e81ed794b4f24657eae1f40e7398137ae5780e7ff079f213f51909c4cebff8",
-    "verify_hoeffding-large.json": "dafaacbd448bc4c6703f4297f889e3d2816b4fe0cf670c5344b9ff3d3eaae512",
+    "verify_esti-int.json": "d20c3ea85c5e29354a8181cf8f8fa55b27f0d2c6d1232781694b1204008998fa",
+    "verify_fernique.json": "ad62b0f30eada9b915d09b417eae0c0d8c3797df91856aeb863c47ab85ff5e4a",
+    "verify_gaussian-tail.json": "10ff352a57dbca3760c6664cdc381c07929440c9542551a2fe78815589ddf47f",
+    "verify_hoeffding-large.json": "d065bc0d7521a866cef622e68ed9acb8d252f49d560a6e33f19e41d071aae8ee",
     "verify_hoeffding-large_horizons_1.0_d_infinity.csv":
-        "f2b31b6153d9a4fb0d2de697e19fa2c3255a26c34bb50736e188d569ae255a7e",
+        "1e804de313401095d481590234f87c5d4c8d8e6320bbe4920e37fd0ce8f28f0c",
     "verify_hoeffding-large_horizons_1.0_d_two.csv":
-        "9c16cb0a098e0a6fe30d8adfc6018e987f878a77fa3302295545808c9aeef225",
+        "5d3a585ace8b58e73c3b196491751427ff5620121796eba5a7804c515485fc66",
     "verify_hoeffding-large_horizons_2.0_d_infinity.csv":
-        "89f275931cb4797479ea7821847c200e286fae7f180b333dae94bf177f8d70df",
+        "9cf0eaae7cbec18e05f18e416a997d3f974f0c670fdd384876ea42526b59c8a4",
     "verify_hoeffding-large_horizons_2.0_d_two.csv":
-        "bd2f9b682bcdf0b36f8baa4d68b2f96dc6e1f731d5261cb56c422d338d2b71b3",
-    "verify_hoeffding-small.json": "2a1c362ea50a5b7cb22327bdc3c4a0644e275dc550127aea858abb5ebdb8964d",
+        "99b2b8148df2aebffb84509b66e37e878c45dddf03eb8e97165ad13e1e222c71",
+    "verify_hoeffding-small.json": "b5834cb7d270e69c5891b8a075826f69bf00ba75ca558147081734cd6c684050",
     "verify_hoeffding-small_sup_displacement.csv":
-        "7b2ab86f69e349408a45eaa268bc2117715099639ea6014245dc9645a494dcc6",
+        "1d2babff0e71050338ad68a5a7281d05ee8daba890379ad822e359750e227c08",
     "verify_hoeffding-small_time_average.csv":
-        "df75f429497ab89abc7ac86d6c47be58e40f0e049492add470ac35c99799f2fa",
+        "f8ee760e9e6a058553b5bd1329fd00114fc9f3105e0e01db61572d11ca7c7ade",
     "verify_phi-link.json": "a58c0c2b5148f6cb289ba1d01d7d91688f67b96270d2148c11db8c15e27a4f91",
-    "verify_stability.json": "652d4097adff877e0202b98305b143ef5b01c55954d7d6d940d99f740fc678a0",
+    "verify_stability.json": "b1239a9664b1b21aa29483489ade72d1e3c00818f3eb94006de50e98a8c2908d",
     "verify_summary.json": "0d0d9ecbed64ae7dd80972e70e8776df371e45628825368dc5d3cb313ecfd963",
-    "verify_t1-moments.json": "bb3364bf3868c0efb7c4670ca528bb3a7c7cfb8f0c339d2c8d2a284d62ebb3dc",
+    "verify_t1-moments.json": "87fb9d063b13bde5e95519d26ef1d5d12234b7c0094cb9d08ff7ae4c64fb8f16",
 }
 
 
@@ -477,8 +478,22 @@ def test_cli_verifier_flag_subset(tmp_path):
     assert "verify_fernique.json" not in files
 
 
+# calibrate reads [experiment] seed and [verify] n_paths; [fbm] n_paths is
+# accepted unread, every other key keeps its default
+CALIBRATE_INI = """
+[experiment]
+seed = 42
+
+[fbm]
+n_paths = 2
+
+[verify]
+n_paths = 100
+"""
+
+
 def test_cli_calibrate_smoke(tmp_path):
-    ini = _write_ini(tmp_path, SMALL_INI)
+    ini = _write_ini(tmp_path, CALIBRATE_INI)
     out = str(tmp_path / "cal")
     assert main(["calibrate", "--config", ini, "--out", out]) == 0
     raw = open(os.path.join(out, "calibrated_constants.json")).read()
@@ -499,6 +514,35 @@ def test_cli_calibrate_smoke(tmp_path):
 def test_cli_calibrate_rejects_settings_it_cannot_honour(tmp_path, capsys, text, message):
     # calibrate runs the verify model at the reference H, beta and drift_b;
     # any other value is a config error before any file is written
+    out = tmp_path / "cal"
+    assert main(["calibrate", "--config", _write_ini(tmp_path, text), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"calibrate supports {message}" in capsys.readouterr().err
+
+
+def test_cli_calibrate_default_config_reproduces_the_fixture(tmp_path):
+    # without --config, calibrate runs the shipped calibrate.ini: the 1000
+    # pairs of seed 0 that produced the frozen constants
+    out = tmp_path / "cal"
+    assert main(["calibrate", "--out", str(out)]) == 0
+    payload = json.loads((out / "calibrated_constants.json").read_text())
+    frozen = calibrated_constants()
+    assert payload["K_hat"] == frozen["K_hat"]
+    assert payload["kappa_hat"] == frozen["kappa_hat"]
+    assert payload["provenance"] == frozen["provenance"]
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[grid]\nt_max = 7\n", "[grid] t_max = 1.0 only, got 7.0"),
+    ("[grid]\nn_steps = 3\n", "[grid] n_steps = 256 only, got 3"),
+    ("[verify]\nhorizons = 9\n", "[verify] horizons = 1,2,4 only"),
+    ("[verify]\ndelta = 0.25\n", "[verify] delta = 0.5 only"),
+    ("[verify]\nc_delta_values = 3\n", "[verify] c_delta_values = 1,2,10,1e6 only"),
+    ("[verify]\nverifiers = phi-link\n", "[verify] verifiers = stability,"),
+])
+def test_cli_calibrate_rejects_keys_it_does_not_read(tmp_path, capsys, text, message):
+    # calibrate fixes its horizons and grid; a config asking for others exits
+    # 2 and writes nothing rather than mislabel constants it did not compute
     out = tmp_path / "cal"
     assert main(["calibrate", "--config", _write_ini(tmp_path, text), "--out", str(out)]) == 2
     assert not out.exists()
