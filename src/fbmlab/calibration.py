@@ -29,11 +29,11 @@ from .concentration import (
     MODEL,
     esti_int_sweep,
     estimate_t1_constant,
-    pair_seeds,
-    stability_ratios,
+    shared_pass,
+    stability_share,
 )
 from .config import schema_defaults
-from .fbm import HurstParam, map_circulant_chunks
+from .fbm import HurstParam
 from .grid import TimeGrid
 
 REFERENCE_CONFIG = {
@@ -123,8 +123,8 @@ def kappa_empirical(n_pairs: int = 1000, seed: int = 0) -> float:
 def calibrate_k_hat(n_pairs: int = 1000, seed: int = 0) -> dict:
     """K_hat from the driver-stability ratio on the reference model.
 
-    Independent driver pairs g, g~ (the pair ensemble of `seed`, streamed
-    chunk by chunk) feed dx = -x dt + dg on [0, T]; the Monte Carlo
+    Independent driver pairs g, g~ (the stability share of the pair
+    ensemble of `seed`) feed dx = -x dt + dg on [0, T]; the Monte Carlo
     supremum of
 
         ||x - x~||_inf / (||sigma||_beta ||g - g~||_beta T^beta)
@@ -135,9 +135,8 @@ def calibrate_k_hat(n_pairs: int = 1000, seed: int = 0) -> dict:
     """
     cfg = REFERENCE_CONFIG
     grid = TimeGrid(cfg["T"], cfg["n_steps"])
-    ratios, dists = map_circulant_chunks(
-        grid, HurstParam(cfg["H"]), n_pairs, pair_seeds(seed),
-        lambda g1, g2: np.stack(stability_ratios(grid, g1, g2, cfg["beta"], -cfg["L_b"])))
+    ratios, dists = next(shared_pass([stability_share(
+        grid, HurstParam(cfg["H"]), cfg["beta"], -cfg["L_b"], n_pairs, seed)]))
     ratio_sup = float(ratios.max())
     c_hat, errs = estimate_t1_constant(dists)
     return {

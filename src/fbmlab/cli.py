@@ -13,7 +13,7 @@ and a `--verifier` selection by the name check of the config
 (config.parse_verifiers) before any output directory is made; the flag
 belongs to `verify` and is an error on any other command.
 concentration.run_campaign turns the selected verifier names into their
-reports, one pass per ensemble that several of them read.
+reports, one pass per ensemble they read.
 
 Exit codes: 0 pass, 1 verification failure, 2 config error, 3 numerical
 error.  All outputs embed the config hash and seed; identical config and

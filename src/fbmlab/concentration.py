@@ -23,37 +23,35 @@ line rejects a config that sets it otherwise.  No verifier builds an
 ensemble it only reduces: the 20 000-path campaigns (Fernique and both
 Hoeffding regimes) keep one or two numbers per path and the pair verifiers
 (stability, t1-moments, gaussian-tail) one number per pair, so they stream
-their paths through `fbm.map_circulant_chunks`: each chunk is sampled,
-solved where the verifier needs it and reduced to its per-path or per-pair
-statistic, and moments, quantiles and tails are taken on the concatenated
-vector.  A campaign's memory is a few chunks, not a few ensembles, and its
-reports are those of a whole-batch run byte for byte.  The campaigns return
-the JSON-ready records that the reports hold: a tail record per functional
-and metric (r-grid, empirical tail, upper confidence, bound, per-threshold
+their paths through `shared_pass`: each chunk is sampled, solved where the
+verifier needs it and reduced to its per-path or per-pair statistic, and
+moments, quantiles and tails are taken on the concatenated vector.  A
+campaign's memory is a few chunks, not a few ensembles, and its reports are
+those of a whole-batch run byte for byte.  The campaigns return the
+JSON-ready records that the reports hold: a tail record per functional and
+metric (r-grid, empirical tail, upper confidence, bound, per-threshold
 "passed", n_samples, notes), and one Fernique record with an overall
 "passed".
 
-The registry: one plain function per verifier maps an ExperimentConfig to
-a JSON-ready report dict with a boolean "passed".  `VERIFIERS` holds them
-in config.VERIFIER_NAMES order, and `run_verifier` turns a name into its
-report stamped with the config hash and seed, a PremiseError into a
-"rejected" one.  A streamed verifier is its `EnsembleShare` (`SHARES`): the
-ensemble it reads, how many rows, the per-row statistic and how the report
-is made from it.  `run_campaign`, what `fbmlab verify` runs, groups the
-selected verifiers by ensemble and gives each group one pass
-(`shared_pass`; a verifier alone is a pass of one share), each member
-reading its own prefix of the rows, which are reduced as the members are
-reached: fernique and hoeffding-small share the primary ensemble of the
-seed, and stability, t1-moments and gaussian-tail the pair ensemble
-(`pair_seeds`) and its solution distances.  Two kernels are also the
-Monte Carlo oracles of the calibration: the driver-stability ratio behind
-K_hat (`stability_ratios`, streamed over the pair ensemble there too) and
-the sweep of the Young-integral estimate behind kappa_hat
-(`esti_int_sweep`, which draws its 200 pairs whole through
-`independent_pairs`).  Every ensemble other than the primary one of the
-config seed is drawn from `fbm.role_seed`: the independent partner, the
-esti-int windows and each large-time horizon, by its index in
-`[verify] horizons`.
+The registry: `VERIFIERS[name](cfg)`, in config.VERIFIER_NAMES order,
+checks the verifier's premises (PremiseError) and returns its plan: the
+`EnsembleShare`s it reads and report(*their results), its JSON-ready report
+with a boolean "passed" (esti-int and phi-link read none; their report does
+their work).  `run_campaign`, what `fbmlab verify` runs, is the one driver:
+it plans every selected name, gives the shares of each ensemble one
+`shared_pass`, reduced as its members are reached, and stamps each report
+with the config hash and seed; a PremiseError, from a plan or a report,
+makes a "rejected" one.  `run_verifier` is the campaign of one name.
+Fernique and hoeffding-small share the primary ensemble of the seed,
+stability, t1-moments and gaussian-tail the pair ensemble (`pair_seeds`)
+and its solution distances, and each large-time horizon is an ensemble of
+its own.  Two kernels are also the Monte Carlo oracles of the calibration:
+the stability share behind K_hat (`stability_share`) and the sweep of the
+Young-integral estimate behind kappa_hat (`esti_int_sweep`, which draws its
+200 pairs whole through `independent_pairs`).  Every ensemble other than
+the primary one of the config seed is drawn from `fbm.role_seed`: the
+independent partner, the esti-int windows and each large-time horizon, by
+its index in `[verify] horizons`.
 
 Negative controls are first class: every verifier refuses configurations
 that violate its premises (e.g. beta > H) rather than producing vacuous
@@ -131,7 +129,7 @@ def mean_upper_confidence(x: np.ndarray) -> float:
 
 
 class EnsembleShare(NamedTuple):
-    """What one verifier reads off one ensemble.
+    """What a verifier reads off one ensemble.
 
     The ensemble is the circulant fBm drawn from `seed` on (grid, hp); a
     tuple of seeds is a pair ensemble (`pair_seeds`).  The verifier reads its
@@ -139,7 +137,7 @@ class EnsembleShare(NamedTuple):
     row for each name in `values` (a sequence of 1-d arrays, in that order).
     A name stands for one per-row quantity of the config, so verifiers that
     read it compute it once (`shared_pass`).  finish(*arrays) turns the
-    verifier's values into its result.
+    share's values into its result.
     """
 
     grid: TimeGrid
@@ -153,10 +151,6 @@ class EnsembleShare(NamedTuple):
     @property
     def ensemble(self) -> tuple:
         return (self.seed, self.grid, self.hp)
-
-    def then(self, after: Callable) -> EnsembleShare:
-        """The same share, finished by after(finish(*values))."""
-        return self._replace(finish=lambda *values: after(self.finish(*values)))
 
 
 def shared_pass(shares: list[EnsembleShare]):
@@ -183,10 +177,12 @@ def shared_pass(shares: list[EnsembleShare]):
             if not set(s.values) <= set(names):
                 makers.append(s)
                 names += s.values
+        # a lone maker gets each chunk itself, free to release it early
+        statistic = makers[0].statistic if len(makers) == 1 else (
+            lambda *chunks: [v for s in makers for v in s.statistic(*chunks)])
         # a pass from row 0 is the plain call of a campaign of its own
         rows = {"start": lo} if lo else {}
-        got = map_circulant_chunks(first.grid, first.hp, hi, first.seed, lambda *chunks: np.stack(
-            [v for s in makers for v in s.statistic(*chunks)]), **rows)
+        got = map_circulant_chunks(first.grid, first.hp, hi, first.seed, statistic, **rows)
         # a name given by two makers is one quantity: either copy will do
         for name, part in dict(zip(names, got)).items():
             parts[name].append(part)
@@ -345,6 +341,34 @@ def verify_hoeffding_small_time(H: float, T: float, n_paths: int,
     return next(shared_pass([hoeffding_small_share(H, T, n_paths, n_steps, seed)]))
 
 
+def hoeffding_large_share(H: float, T: float, n_paths: int, n_steps: int,
+                          seed: int, B: float) -> EnsembleShare:
+    """The ensemble share of verify_hoeffding_large_time: the clipped time
+    average of the solution per path, finished into its two tail records.
+    Raises its PremiseError before any path is drawn."""
+    if B >= 0:
+        raise PremiseError(f"large-time bounds require B < 0, got B={B}")
+    grid = TimeGrid(T, n_steps)
+
+    def chunk_average(drivers):
+        paths = solve_model(drivers, B, grid.dt)
+        del drivers  # at most three (chunk, n_nodes) arrays live at once
+        return (time_average(paths, grid, clip=50.0),)
+
+    def records(samples):
+        sigma = MODEL["sde"]["sigma"]
+        c_inf = t2_constant_dinf(H, T, B, sigma, sigma)
+        c_two = t2_constant_d2(H, T, B, sigma, sigma)
+        notes = {"functional": "time_average", "variant": "additive", "B": B, "T": T}
+        # denominators 2 c ||F||_Lip^2 with ||F||_Lip = 1 (d_inf), 1/sqrt(T) (d_2)
+        return (_tail_report(samples, 2.0 * c_inf, {"metric": "d_infinity", **notes}),
+                _tail_report(samples, 2.0 * c_two * (1.0 / np.sqrt(T)) ** 2,
+                             {"metric": "d_two", **notes}))
+
+    return EnsembleShare(grid, HurstParam(H), seed, n_paths, ("solution_time_average",),
+                         chunk_average, records)
+
+
 def verify_hoeffding_large_time(H: float, T: float, n_paths: int,
                                 n_steps: int, seed: int,
                                 B: float = -1.0) -> tuple[dict, dict]:
@@ -358,26 +382,7 @@ def verify_hoeffding_large_time(H: float, T: float, n_paths: int,
     t2_constant_dinf and t2_constant_d2 of the additive model with
     sigma1 = sigma2 = sigma.  Requires B < 0.
     """
-    if B >= 0:
-        raise PremiseError(f"large-time bounds require B < 0, got B={B}")
-    hp = HurstParam(H)
-    grid = TimeGrid(T, n_steps)
-
-    def chunk_average(drivers):
-        paths = solve_model(drivers, B, grid.dt)
-        del drivers  # at most three (chunk, n_nodes) arrays live at once
-        return time_average(paths, grid, clip=50.0)
-
-    samples = map_circulant_chunks(grid, hp, n_paths, seed, chunk_average)
-    sigma = MODEL["sde"]["sigma"]
-    c_inf = t2_constant_dinf(H, T, B, sigma, sigma)
-    c_two = t2_constant_d2(H, T, B, sigma, sigma)
-    notes = {"functional": "time_average", "variant": "additive", "B": B, "T": T}
-    # denominators 2 c ||F||_Lip^2 with ||F||_Lip = 1 (d_inf), 1/sqrt(T) (d_2)
-    rep_inf = _tail_report(samples, 2.0 * c_inf, {"metric": "d_infinity", **notes})
-    rep_two = _tail_report(samples, 2.0 * c_two * (1.0 / np.sqrt(T)) ** 2,
-                           {"metric": "d_two", **notes})
-    return rep_inf, rep_two
+    return next(shared_pass([hoeffding_large_share(H, T, n_paths, n_steps, seed, B)]))
 
 
 def tail_constant_scaling(reports: dict[float, dict]) -> float:
@@ -589,6 +594,22 @@ def stability_ratios(grid: TimeGrid, g1: np.ndarray, g2: np.ndarray,
     return ratios, sup_dist
 
 
+def stability_share(grid: TimeGrid, hp: HurstParam, beta: float, drift_b: float,
+                    n_pairs: int, seed: int) -> EnsembleShare:
+    """The share of the stability verifier and of calibrate_k_hat: the
+    stability_ratios arrays of the first n_pairs pairs of the pair ensemble
+    of `seed`.  Raises its PremiseError before any path is drawn."""
+    delta = stability_horizon(abs(drift_b))
+    if grid.t_max > delta:
+        raise PremiseError(f"stability premise violated: T={grid.t_max} > Delta={delta}")
+    # the ratios come with the solution distances they divide, which the
+    # t1-moments and gaussian-tail shares then read on these rows
+    return EnsembleShare(grid, hp, pair_seeds(seed), n_pairs,
+                         ("stability_ratio", "solution_d_inf"),
+                         lambda g1, g2: stability_ratios(grid, g1, g2, beta, drift_b),
+                         lambda ratios, dists: (ratios, dists))
+
+
 def esti_int_sweep(grid: TimeGrid, hp: HurstParam, beta: float,
                    n_pairs: int, seed: int) -> list[BoundReport]:
     """lemma_esti_int_check over independent fBm pairs (f, g), each on a
@@ -609,31 +630,24 @@ def _grid(cfg: ExperimentConfig) -> TimeGrid:
     return TimeGrid(cfg.get("grid", "t_max"), cfg.get("grid", "n_steps"))
 
 
-def _stability(cfg: ExperimentConfig) -> EnsembleShare:
+Plan = tuple[list[EnsembleShare], Callable[..., dict]]
+
+
+def _stability(cfg: ExperimentConfig) -> Plan:
     K_hat = calibrated_constants()["K_hat"]
-    B = cfg.get("sde", "drift_b")
-    T = cfg.get("grid", "t_max")
-    delta = stability_horizon(abs(B))
-    if T > delta:
-        raise PremiseError(f"stability premise violated: T={T} > Delta={delta}")
-    grid = _grid(cfg)
-    beta = cfg.get("verify", "beta")
     n_pairs = min(cfg.get("verify", "n_paths"), 1000)
 
-    def report(ratios, _):
-        worst = float(ratios.max())
+    def report(result):
+        worst = float(result[0].max())
         return {"verifier": "stability", "passed": worst <= K_hat,
                 "worst_ratio": worst, "K_hat": K_hat, "n_pairs": n_pairs}
 
-    # stability_ratios gives the solution distances it divides, which the
-    # t1-moments and gaussian-tail shares then read on these rows
-    return EnsembleShare(grid, HurstParam(cfg.get("fbm", "hurst")),
-                         pair_seeds(cfg.get("experiment", "seed")), n_pairs,
-                         ("stability_ratio", "solution_d_inf"),
-                         lambda g1, g2: stability_ratios(grid, g1, g2, beta, B), report)
+    return [stability_share(_grid(cfg), HurstParam(cfg.get("fbm", "hurst")),
+                            cfg.get("verify", "beta"), cfg.get("sde", "drift_b"), n_pairs,
+                            cfg.get("experiment", "seed"))], report
 
 
-def _verify_esti_int(cfg: ExperimentConfig) -> dict:
+def _esti_int(cfg: ExperimentConfig) -> Plan:
     H = cfg.get("fbm", "hurst")
     beta = cfg.get("verify", "beta")
     if not 0.5 < beta < H:
@@ -643,68 +657,77 @@ def _verify_esti_int(cfg: ExperimentConfig) -> dict:
         raise PremiseError("esti-int premise violated: the window draw needs "
                            f"n_steps >= 2, got {cfg.get('grid', 'n_steps')}")
     n_pairs = min(cfg.get("verify", "n_paths"), 200)
-    reports = esti_int_sweep(_grid(cfg), HurstParam(H), beta, n_pairs,
-                             cfg.get("experiment", "seed"))
-    return {"verifier": "esti-int", "passed": all(r.passed for r in reports),
-            "worst_ratio": max([0.0] + [r.ratio for r in reports]), "n_pairs": n_pairs}
+
+    def report():
+        reports = esti_int_sweep(_grid(cfg), HurstParam(H), beta, n_pairs,
+                                 cfg.get("experiment", "seed"))
+        return {"verifier": "esti-int", "passed": all(r.passed for r in reports),
+                "worst_ratio": max([0.0] + [r.ratio for r in reports]), "n_pairs": n_pairs}
+
+    return [], report
 
 
-def _fernique(cfg: ExperimentConfig) -> EnsembleShare:
-    return fernique_share(cfg.get("fbm", "hurst"), cfg.get("verify", "beta"),
-                          cfg.get("grid", "t_max"), min(cfg.get("verify", "n_paths"), 20000),
-                          n_steps=cfg.get("grid", "n_steps"),
-                          seed=cfg.get("experiment", "seed")
-                          ).then(lambda record: {"verifier": "fernique", **record})
+def _fernique(cfg: ExperimentConfig) -> Plan:
+    share = fernique_share(cfg.get("fbm", "hurst"), cfg.get("verify", "beta"),
+                           cfg.get("grid", "t_max"), min(cfg.get("verify", "n_paths"), 20000),
+                           n_steps=cfg.get("grid", "n_steps"),
+                           seed=cfg.get("experiment", "seed"))
+    return [share], lambda record: {"verifier": "fernique", **record}
 
 
-def _hoeffding_small(cfg: ExperimentConfig) -> EnsembleShare:
+def _hoeffding_small(cfg: ExperimentConfig) -> Plan:
     def report(records):
         rep_avg, rep_sup = records
         return {"verifier": "hoeffding-small",
                 "passed": all(rep_avg["passed"]) and all(rep_sup["passed"]),
                 "time_average": rep_avg, "sup_displacement": rep_sup}
 
-    return hoeffding_small_share(
+    return [hoeffding_small_share(
         H=cfg.get("fbm", "hurst"), T=cfg.get("grid", "t_max"),
         n_paths=cfg.get("verify", "n_paths"),
-        n_steps=cfg.get("grid", "n_steps"), seed=cfg.get("experiment", "seed")).then(report)
+        n_steps=cfg.get("grid", "n_steps"), seed=cfg.get("experiment", "seed"))], report
 
 
-def _verify_hoeffding_large(cfg: ExperimentConfig) -> dict:
+def _hoeffding_large(cfg: ExperimentConfig) -> Plan:
     seed = cfg.get("experiment", "seed")
-    out: dict = {"verifier": "hoeffding-large", "horizons": {}}
-    d2_reports = {}
-    ok = True
-    for k, T in enumerate(cfg.horizon_list):
-        ri, r2 = verify_hoeffding_large_time(
-            H=cfg.get("fbm", "hurst"), T=T,
-            n_paths=cfg.get("verify", "n_paths"),
-            n_steps=cfg.get("grid", "n_steps"), seed=role_seed(seed, Role.horizon, k),
-            B=cfg.get("sde", "drift_b"))
-        ok &= all(ri["passed"]) and all(r2["passed"])
-        out["horizons"][str(T)] = {"d_infinity": ri, "d_two": r2}
-        d2_reports[T] = r2
-    if len(d2_reports) >= 2:
-        expo = tail_constant_scaling(d2_reports)
-        target = 2.0 - 2.0 * cfg.get("fbm", "hurst")
-        out["scaling_exponent"] = expo
-        out["scaling_target"] = target
-        ok &= abs(expo - target) <= 0.15
-    out["passed"] = bool(ok)
-    return out
+    horizons = cfg.horizon_list
+    shares = [hoeffding_large_share(
+        H=cfg.get("fbm", "hurst"), T=T, n_paths=cfg.get("verify", "n_paths"),
+        n_steps=cfg.get("grid", "n_steps"), seed=role_seed(seed, Role.horizon, k),
+        B=cfg.get("sde", "drift_b")) for k, T in enumerate(horizons)]
+
+    def report(*records):
+        out: dict = {"verifier": "hoeffding-large", "horizons": {}}
+        d2_reports = {}
+        ok = True
+        for T, (ri, r2) in zip(horizons, records):
+            ok &= all(ri["passed"]) and all(r2["passed"])
+            out["horizons"][str(T)] = {"d_infinity": ri, "d_two": r2}
+            d2_reports[T] = r2
+        if len(d2_reports) >= 2:
+            expo = tail_constant_scaling(d2_reports)
+            target = 2.0 - 2.0 * cfg.get("fbm", "hurst")
+            out["scaling_exponent"] = expo
+            out["scaling_target"] = target
+            ok &= abs(expo - target) <= 0.15
+        out["passed"] = bool(ok)
+        return out
+
+    return shares, report
 
 
-def _solution_distances(cfg: ExperimentConfig, report: Callable) -> EnsembleShare:
-    """The d_inf distances of up to 2000 solution pairs, finished by report."""
+def _solution_distances(cfg: ExperimentConfig, report: Callable) -> Plan:
+    """The d_inf distances of up to 2000 solution pairs, reported by report."""
     grid = _grid(cfg)
     B = cfg.get("sde", "drift_b")
-    return EnsembleShare(grid, HurstParam(cfg.get("fbm", "hurst")),
-                         pair_seeds(cfg.get("experiment", "seed")),
-                         min(cfg.get("verify", "n_paths"), 2000), ("solution_d_inf",),
-                         lambda g1, g2: (solution_distances(grid, g1, g2, B),), report)
+    return [EnsembleShare(grid, HurstParam(cfg.get("fbm", "hurst")),
+                          pair_seeds(cfg.get("experiment", "seed")),
+                          min(cfg.get("verify", "n_paths"), 2000), ("solution_d_inf",),
+                          lambda g1, g2: (solution_distances(grid, g1, g2, B),),
+                          lambda dists: dists)], report
 
 
-def _t1_moments(cfg: ExperimentConfig) -> EnsembleShare:
+def _t1_moments(cfg: ExperimentConfig) -> Plan:
     delta = cfg.get("verify", "delta")
 
     def report(dists):
@@ -719,7 +742,7 @@ def _t1_moments(cfg: ExperimentConfig) -> EnsembleShare:
     return _solution_distances(cfg, report)
 
 
-def _gaussian_tail(cfg: ExperimentConfig) -> EnsembleShare:
+def _gaussian_tail(cfg: ExperimentConfig) -> Plan:
     delta = cfg.get("verify", "delta")
 
     def report(dists):
@@ -730,87 +753,62 @@ def _gaussian_tail(cfg: ExperimentConfig) -> EnsembleShare:
     return _solution_distances(cfg, report)
 
 
-def _verify_phi_link(cfg: ExperimentConfig) -> dict:
-    c_values = cfg.c_delta_list
-    argmax_ok = all(abs(phi_argmax(c) - 1.0) <= 1e-9 for c in c_values)
-    value_ok = all(abs(phi_link(1.0, c) - c / 2.0) <= 1e-12 * c for c in c_values)
-    digamma_ok = abs((special.digamma(2.0) - special.digamma(3.0)) - (-0.5)) <= 1e-12
-    return {"verifier": "phi-link",
-            "passed": argmax_ok and value_ok and digamma_ok,
-            "argmax_ok": argmax_ok, "value_ok": value_ok,
-            "digamma_ok": digamma_ok, "c_values": c_values}
+def _phi_link(cfg: ExperimentConfig) -> Plan:
+    def report():
+        c_values = cfg.c_delta_list
+        argmax_ok = all(abs(phi_argmax(c) - 1.0) <= 1e-9 for c in c_values)
+        value_ok = all(abs(phi_link(1.0, c) - c / 2.0) <= 1e-12 * c for c in c_values)
+        digamma_ok = abs((special.digamma(2.0) - special.digamma(3.0)) - (-0.5)) <= 1e-12
+        return {"verifier": "phi-link",
+                "passed": argmax_ok and value_ok and digamma_ok,
+                "argmax_ok": argmax_ok, "value_ok": value_ok,
+                "digamma_ok": digamma_ok, "c_values": c_values}
+
+    return [], report
 
 
-def _alone(share_of: Callable[[ExperimentConfig], EnsembleShare]):
-    """The verifier that runs share_of(cfg) in a pass of its own."""
-    return lambda cfg: next(shared_pass([share_of(cfg)]))
-
-
-#: The verifiers that read one ensemble chunk by chunk: name -> its share
-#: of the ensemble, from the config.  run_campaign gives the verifiers of
-#: one ensemble one pass, VERIFIERS each a pass of its own.
-SHARES = {
+VERIFIERS: dict[str, Callable[[ExperimentConfig], Plan]] = {
     "stability": _stability,
+    "esti-int": _esti_int,
     "fernique": _fernique,
     "hoeffding-small": _hoeffding_small,
+    "hoeffding-large": _hoeffding_large,
     "t1-moments": _t1_moments,
     "gaussian-tail": _gaussian_tail,
+    "phi-link": _phi_link,
 }
-
-VERIFIERS = {
-    "stability": _alone(_stability),
-    "esti-int": _verify_esti_int,
-    "fernique": _alone(_fernique),
-    "hoeffding-small": _alone(_hoeffding_small),
-    "hoeffding-large": _verify_hoeffding_large,
-    "t1-moments": _alone(_t1_moments),
-    "gaussian-tail": _alone(_gaussian_tail),
-    "phi-link": _verify_phi_link,
-}
-
-
-def _stamped(report: dict, cfg: ExperimentConfig) -> dict:
-    report["config_hash"] = cfg.config_hash
-    report["seed"] = cfg.get("experiment", "seed")
-    return report
-
-
-def run_verifier(name: str, cfg: ExperimentConfig) -> dict:
-    """The report of verifier `name` on cfg, stamped with its config_hash and
-    seed.  A PremiseError becomes a report with "passed": False,
-    "rejected": True and the reason; an unknown name is a ConfigError."""
-    if name not in VERIFIERS:
-        raise ConfigError(f"unknown verifier {name!r}")
-    try:
-        report = VERIFIERS[name](cfg)
-    except PremiseError as exc:
-        report = {"verifier": name, "passed": False, "rejected": True, "reason": str(exc)}
-    return _stamped(report, cfg)
 
 
 def run_campaign(cfg: ExperimentConfig, names: list[str]):
-    """(name, report) for each name in order, each report the one
-    run_verifier(name, cfg) gives.
-
-    The selected verifiers in SHARES are grouped by the ensemble they read,
-    and each group takes one shared_pass, whose rows are reduced as its
-    members are reached: fernique and hoeffding-small share the primary
-    ensemble, stability, t1-moments and gaussian-tail the pair ensemble.
-    Any other verifier, and one whose premise fails, runs as run_verifier
-    runs it.
-    """
-    shares: dict[str, EnsembleShare] = {}
+    """(name, report) for each name in order, stamped with the config_hash
+    and seed.  Every name is planned first, then the shares of each ensemble
+    take one shared_pass.  A PremiseError from a plan or a report gives the
+    report "passed": False, "rejected": True and its reason."""
+    stamp = {"config_hash": cfg.config_hash, "seed": cfg.get("experiment", "seed")}
+    plans: dict[str, Plan | PremiseError] = {}
     groups: dict[tuple, list[EnsembleShare]] = {}
     for name in names:
-        if name in SHARES:
-            try:
-                shares[name] = SHARES[name](cfg)
-            except PremiseError:
-                continue  # run_verifier reports the rejection
-            groups.setdefault(shares[name].ensemble, []).append(shares[name])
+        if name not in VERIFIERS:
+            raise ConfigError(f"unknown verifier {name!r}")
+        try:
+            plans[name] = VERIFIERS[name](cfg)
+        except PremiseError as exc:
+            plans[name] = exc  # reported in its turn
+            continue
+        for share in plans[name][0]:
+            groups.setdefault(share.ensemble, []).append(share)
     passes = {ensemble: shared_pass(group) for ensemble, group in groups.items()}
     for name in names:
-        if name in shares:
-            yield name, _stamped(next(passes[shares[name].ensemble]), cfg)
-        else:
-            yield name, run_verifier(name, cfg)
+        try:
+            if isinstance(plans[name], PremiseError):
+                raise plans[name]
+            shares, report = plans[name]
+            result = report(*(next(passes[s.ensemble]) for s in shares))
+        except PremiseError as exc:
+            result = {"verifier": name, "passed": False, "rejected": True, "reason": str(exc)}
+        yield name, {**result, **stamp}
+
+
+def run_verifier(name: str, cfg: ExperimentConfig) -> dict:
+    """The report of verifier `name` on cfg: run_campaign of that one name."""
+    return next(run_campaign(cfg, [name]))[1]

@@ -32,17 +32,19 @@ VERIFIER_NAMES = (
 
 
 def parse_verifiers(text: str) -> list[str]:
-    """A comma-separated verifier selection as its names; an unknown name or
-    an empty selection is a ConfigError."""
+    """A comma-separated verifier selection as its names; an unknown or
+    repeated name, or an empty selection, is a ConfigError."""
     names = [v.strip() for v in text.split(",") if v.strip()]
     if not names:
         raise ConfigError(f"empty verifier selection {text!r}; "
                           f"known: {', '.join(VERIFIER_NAMES)}")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in VERIFIER_NAMES:
             raise ConfigError(
                 f"unknown verifier {name!r}; known: {', '.join(VERIFIER_NAMES)}"
             )
+        if name in names[:i]:
+            raise ConfigError(f"verifier {name!r} selected twice in {text!r}")
     return names
 
 
@@ -202,9 +204,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("[grid] n_steps must be >= 1")
     if cfg.get("grid", "t_max") <= 0:
         raise ConfigError("[grid] t_max must be positive")
-    for key in ("n_paths",):
-        if cfg.get("fbm", key) < 1 or cfg.get("verify", key) < 1:
-            raise ConfigError(f"{key} must be >= 1")
+    for sec in ("fbm", "verify"):
+        if cfg.get(sec, "n_paths") < 1:
+            raise ConfigError(f"[{sec}] n_paths must be >= 1")
     beta = cfg.get("verify", "beta")
     if not 0.0 < beta < 1.0:
         raise ConfigError(f"[verify] beta must be in (0, 1), got {beta}")

@@ -394,7 +394,8 @@ def map_circulant_chunks(grid: TimeGrid, h: HurstParam, n_paths: int,
 
     Row i of a chunk is path i of the batch bit for bit (layout 2), so a
     statistic that computes each path from its own row alone returns exactly
-    what it would on the whole batch, whatever the chunking.
+    what it would on the whole batch, whatever the chunking.  Its one caller
+    is concentration.shared_pass, which all streamed sampling goes through.
     """
     seeds = seed if isinstance(seed, tuple) else (seed,)
     if not 0 <= start < n_paths:

@@ -1,6 +1,7 @@
 """The benchmark's pathwise workload drives the single-path API by name and
-keyword; pruning that API must not turn into failed benchmark operations,
-nor leave a span that `bench/run.py` reads unentered under `--trace 1`."""
+keyword, and its campaign workload runs `fbmlab verify`; pruning that API or
+rewiring the verifiers must not turn into failed benchmark operations, nor
+leave a span that `bench/run.py` reads unentered under `--trace 1`."""
 
 import importlib
 import importlib.util
@@ -29,11 +30,46 @@ def _pathwise_medians():
     return set(re.findall(r'median_ms\(\s*"pathwise",\s*"([^"]+)"\s*\)', source))
 
 
+def _lab():
+    """fbmlab's modules by layer name, all imported, as the tracer needs."""
+    return SimpleNamespace(**{m: importlib.import_module(f"fbmlab.{m}") for m in LAB_MODULES})
+
+
+def _campaign_reads():
+    """Span names whose spans `bench/run.py` `per_layer` reduces over the
+    traced campaign pass (a median, a path-count ratio, a sum of cost
+    models); a name never entered makes that reduction raise, and
+    `--trace 1` with it."""
+    source = (BENCH / "run.py").read_text()
+    return set(re.findall(r'(?:spans|median_ms)\(\s*"campaign",\s*"([^"]+)"\s*\)', source))
+
+
+def test_traced_verify_enters_the_campaign_spans(tmp_path):
+    tracer = _load("bench_tracing", BENCH / "tracing.py").Tracer()
+    cli = _lab().cli
+    ini = tmp_path / "c.ini"
+    ini.write_text("[grid]\nt_max = 0.5\nn_steps = 32\n"
+                   "[verify]\nn_paths = 200\nhorizons = 1,2\n")
+    tracer.install()
+    try:
+        tracer.phase = "campaign"
+        cli.main(["verify", "--config", str(ini), "--out", str(tmp_path / "out")])
+    finally:
+        tracer.phase = None
+        tracer.uninstall()
+    reads = _campaign_reads()
+    assert reads == {"fbm.sample_fbm_circulant_batch", "grid.holder_seminorm_ensemble",
+                     "grid.holder_norm"}  # the parse still finds run.py's reads
+    entered = {s.name for s in tracer.select("campaign")}
+    assert reads <= entered, sorted(reads - entered)
+    batch = tracer.select("campaign", "fbm.sample_fbm_circulant_batch")
+    assert sum(s.info["n_paths"] for s in batch) > 0
+
+
 def test_pathwise_pass_has_no_failed_operations(tmp_path):
     workloads = _load("bench_workloads", WORKLOADS)
     tracer = _load("bench_tracing", BENCH / "tracing.py").Tracer()
-    lab = SimpleNamespace(**{m: importlib.import_module(f"fbmlab.{m}")
-                             for m in LAB_MODULES})
+    lab = _lab()
     wl = workloads.Pathwise(lab, 0, str(tmp_path))
     wl.setup()
     tally = workloads.Tally()

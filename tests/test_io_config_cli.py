@@ -120,6 +120,9 @@ def test_config_domain_validation(tmp_path):
             load_config(_write_ini(tmp_path, f"[verify]\nverifiers = {raw}\n"))
     with pytest.raises(ConfigError):
         load_config(_write_ini(tmp_path, "[sde]\nmodel = scalar\n"))
+    for section in ("fbm", "verify"):  # the message names the section
+        with pytest.raises(ConfigError, match=re.escape(f"[{section}] n_paths must be >= 1")):
+            load_config(_write_ini(tmp_path, f"[{section}]\nn_paths = 0\n"))
     # number lists are parsed at load: non-numeric, non-positive, non-finite
     # or empty
     for key in ("horizons", "c_delta_values"):
@@ -332,9 +335,10 @@ def test_cli_verify_all_reports_pinned(tmp_path):
 
 
 def test_cli_grouped_verify_writes_the_bytes_of_single_runs(tmp_path, monkeypatch):
-    # one 8-name run takes one pass per shared ensemble (primary: fernique,
-    # hoeffding-small; pair: stability, t1-moments, gaussian-tail) and writes
-    # what eight --verifier runs write, the summary apart
+    # one 8-name run takes one pass per ensemble (primary: fernique,
+    # hoeffding-small; pair: stability, t1-moments, gaussian-tail; one per
+    # hoeffding-large horizon) and writes what eight --verifier runs write,
+    # the summary apart
     ini = _write_ini(tmp_path, PIN_INI)
     passes = []
     real = concentration.shared_pass
@@ -342,7 +346,7 @@ def test_cli_grouped_verify_writes_the_bytes_of_single_runs(tmp_path, monkeypatc
                         lambda shares: passes.append(shares[0].ensemble) or real(shares))
     grouped = tmp_path / "grouped"
     assert main(["verify", "--config", ini, "--out", str(grouped)]) == 1
-    assert len(passes) == len(set(passes)) == 2  # one pass per ensemble
+    assert len(passes) == len(set(passes)) == 4  # one pass per ensemble
     del passes[:]
     singles = {}
     for name in VERIFIER_NAMES:
@@ -350,7 +354,7 @@ def test_cli_grouped_verify_writes_the_bytes_of_single_runs(tmp_path, monkeypatc
         main(["verify", "--config", ini, "--out", str(out), "--verifier", name])
         singles.update((p.name, p.read_bytes()) for p in out.iterdir()
                        if p.name != "verify_summary.json")
-    assert len(passes) == 5  # each streamed verifier alone: a pass of its own
+    assert len(passes) == 7  # each share alone: a pass of its own
     written = {p.name: p.read_bytes() for p in grouped.iterdir()
                if p.name != "verify_summary.json"}
     assert written == singles
@@ -628,6 +632,7 @@ def test_cli_verify_unknown_verifier_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("selection,message", [
     ("phi-link,bogus", "unknown verifier 'bogus'"),  # not after phi-link's report
+    ("phi-link,phi-link", "verifier 'phi-link' selected twice"),  # not one report twice
     (",", "empty verifier selection"),               # not "run every verifier"
     ("", "empty verifier selection"),
 ])
@@ -637,6 +642,16 @@ def test_cli_verify_bad_selection_writes_nothing(tmp_path, capsys, selection, me
     assert main(["verify", "--config", _write_ini(tmp_path, SMALL_INI), "--out", str(out),
                  "--verifier", selection]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_verify_repeated_config_verifier_exit_2(tmp_path, capsys):
+    # [verify] verifiers goes through the same name check as --verifier
+    ini = _write_ini(tmp_path, SMALL_INI.replace("verifiers = phi-link",
+                                                 "verifiers = phi-link,phi-link"))
+    out = tmp_path / "vrf"
+    assert main(["verify", "--config", ini, "--out", str(out)]) == 2
+    assert "verifier 'phi-link' selected twice" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -8,7 +8,6 @@ import pytest
 from fbmlab import concentration
 from fbmlab.calibration import calibrate_k_hat, kappa_empirical
 from fbmlab.concentration import (
-    SHARES,
     VERIFIERS,
     PremiseError,
     esti_int_sweep,
@@ -73,20 +72,13 @@ def test_partner_is_not_an_offset_seed():
     assert not np.allclose(partner, primary)
 
 
-def test_close_horizons_draw_independent_drivers(tmp_path, monkeypatch):
+def test_close_horizons_draw_independent_drivers(tmp_path):
     # horizons are keyed by index, so the drivers of T = 1 and T = 1.0004
     # are not rescaled copies of each other
-    seeds = {}
-    real = concentration.verify_hoeffding_large_time
-
-    def record(**kw):
-        seeds[kw["T"]] = kw["seed"]
-        return real(**kw)
-
-    monkeypatch.setattr(concentration, "verify_hoeffding_large_time", record)
     ini = tmp_path / "h.ini"
     ini.write_text("[grid]\nn_steps = 16\n[verify]\nn_paths = 20\nhorizons = 1,1.0004\n")
-    VERIFIERS["hoeffding-large"](load_config(str(ini)))
+    shares, _ = VERIFIERS["hoeffding-large"](load_config(str(ini)))
+    seeds = {s.grid.t_max: s.seed for s in shares}
     hp = HurstParam(0.75)
     drivers = [sample_fbm_circulant_batch(TimeGrid(T, 16), hp, 20, s) / T**hp.h
                for T, s in seeds.items()]
@@ -111,7 +103,7 @@ def test_stability_horizon_boundary_is_one_comparison(tmp_path):
                        "[verify]\nn_paths = 8\n")
         cfg = load_config(str(ini))
         if inside:
-            assert VERIFIERS["stability"](cfg)["n_pairs"] == 8
+            assert run_verifier("stability", cfg)["n_pairs"] == 8
         else:
             with pytest.raises(PremiseError, match="stability premise violated"):
                 VERIFIERS["stability"](cfg)
@@ -132,8 +124,9 @@ PREMISE_VIOLATIONS = {
 def test_each_premise_guard_raises_premise_error(tmp_path, name):
     path = tmp_path / "p.ini"
     path.write_text(PREMISE_VIOLATIONS[name])
-    with pytest.raises(PremiseError):
-        VERIFIERS[name](load_config(str(path)))
+    with pytest.raises(PremiseError):  # by the plan, or by esti-int's or phi-link's report
+        shares, report = VERIFIERS[name](load_config(str(path)))
+        report(*(next(shared_pass([s])) for s in shares))
 
 
 def test_run_verifier_stamps_reports_and_records_rejections(tmp_path):
@@ -172,16 +165,20 @@ def test_shared_pass_equals_each_share_on_its_own(tmp_path, monkeypatch):
     ini = tmp_path / "s.ini"
     ini.write_text("[grid]\nt_max = 0.5\nn_steps = 16\n[verify]\nn_paths = 2000\n")
     cfg = load_config(str(ini))
-    pair = [SHARES[name](cfg) for name in ("stability", "t1-moments", "gaussian-tail")]
+    pair_names, primary_names = ("stability", "t1-moments", "gaussian-tail"), \
+        ("fernique", "hoeffding-small")
+    plans = {name: VERIFIERS[name](cfg) for name in pair_names + primary_names}
+    pair = [plans[name][0][0] for name in pair_names]
     assert [s.n for s in pair] == [1000, 2000, 2000]
-    primary = [SHARES[name](cfg) for name in ("fernique", "hoeffding-small")]
-    for shares in (pair, primary):
-        alone = [next(shared_pass([s])) for s in shares]
+    primary = [plans[name][0][0] for name in primary_names]
+    for names, shares in ((pair_names, pair), (primary_names, primary)):
+        reports = [plans[name][1] for name in names]
+        alone = [report(next(shared_pass([s]))) for s, report in zip(shares, reports)]
         solved = []
         real = concentration.solve_model
         monkeypatch.setattr(concentration, "solve_model",
                             lambda g, b, dt: solved.append(len(g)) or real(g, b, dt))
-        assert list(shared_pass(shares)) == alone
+        assert [report(r) for report, r in zip(reports, shared_pass(shares))] == alone
         monkeypatch.setattr(concentration, "solve_model", real)
         # each of the 2000 pairs is solved once: the distances of the first
         # 1000 come with stability's ratios
@@ -197,10 +194,10 @@ def test_pair_distance_pass_memory_below_four_ensembles(tmp_path):
     ini = tmp_path / "m.ini"
     ini.write_text(f"[grid]\nn_steps = {n_steps}\n[verify]\nn_paths = {n}\n")
     cfg = load_config(str(ini))
-    VERIFIERS["t1-moments"](cfg)  # per-grid arrays
+    run_verifier("t1-moments", cfg)  # per-grid arrays
     tracemalloc.start()
     try:
-        VERIFIERS["t1-moments"](cfg)
+        run_verifier("t1-moments", cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
