@@ -134,30 +134,17 @@ def role_seed(seed: int, role: Role, index: int = 0) -> int:
     return int(_seed_sequence(seed, role, index).generate_state(1, np.uint64)[0])
 
 
-def _path_streams(seed: int, component: int):
-    """Path selector of the (seed, component) Philox: the returned function
-    maps a path index i to the generator with its counter at the block
-    (0, 0, i, 0) and its buffer empty."""
-    bits = np.random.Philox(_seed_sequence(seed, _KEY, component))
-    gen = np.random.Generator(bits)
-    state = bits.state  # counter 0, empty buffer
-
-    def at(path_index: int) -> np.random.Generator:
-        state["state"]["counter"][2] = path_index
-        bits.state = state
-        return gen
-
-    return at
-
-
 def component_rng(seed: int, path_index: int, component: int) -> np.random.Generator:
-    """The stream of path `path_index`, component `component` of `seed`.
+    """The stream of path `path_index`, component `component` of `seed`: the
+    (seed, component) Philox at the counter block (0, 0, path_index, 0),
+    its buffer empty.
 
     Philox is a counter-based generator, so ensembles are reproducible under
     any schedule: a sampler keys one Philox per component and moves its
     counter from path to path.
     """
-    return _path_streams(seed, component)(path_index)
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, _KEY, component),
+                                                counter=[0, 0, path_index, 0]))
 
 
 def covariance_rh(s: float, t: float, h: HurstParam) -> float:
@@ -284,11 +271,13 @@ def _fgn_circulant_eigs(n: int, hurst: float, dt: float) -> np.ndarray:
     return _read_only(np.fft.fft(row).real)
 
 
-def _circulant_rows(grid: TimeGrid, h: HurstParam, seed: int,
-                    keys: list[tuple[int, int]]) -> np.ndarray:
-    """(len(keys), n_steps + 1) scalar fBm paths; row r uses the stream
-    component_rng(seed, *keys[r]), whose 2n normals are z_0, z_n and the
-    real, then imaginary parts of z_1..z_{n-1}.
+def _circulant_rows(grid: TimeGrid, h: HurstParam, seed: int, paths,
+                    component: int = 0) -> np.ndarray:
+    """(len(paths), n_steps + 1) scalar fBm paths; row r uses the stream
+    component_rng(seed, paths[r], component), whose 2n normals are z_0, z_n
+    and the real, then imaginary parts of z_1..z_{n-1}: per row, one state
+    dict of plain ints gets the path as counter[2] and is assigned to the
+    Philox, and one call draws the row.
 
     The Gaussian vector z, extended by z_{2n-k} = conj(z_k), is Hermitian,
     so its DFT is real: each row's fGn is np.fft.hfft(half, 2n) of the half
@@ -299,7 +288,10 @@ def _circulant_rows(grid: TimeGrid, h: HurstParam, seed: int,
     pass, and the block buffers are allocated once per call.  Rows are
     assembled and transformed BLOCK_PATHS at a time.
     """
-    streams = {c: _path_streams(seed, c) for c in {c for _, c in keys}}
+    bits = np.random.Philox(_seed_sequence(seed, _KEY, component))
+    normal, state = np.random.Generator(bits).standard_normal, bits.state
+    counter = state["state"]["counter"] = state["state"]["counter"].tolist()
+    state["state"]["key"], state["buffer"] = state["state"]["key"].tolist(), [0] * 4
     n = grid.n_steps
     eigs = _fgn_circulant_eigs(n, h.h, grid.dt)
     if eigs.min() < CIRCULANT_EIG_TOL:
@@ -307,17 +299,20 @@ def _circulant_rows(grid: TimeGrid, h: HurstParam, seed: int,
                               f"{eigs.min():.3e} < {CIRCULANT_EIG_TOL:g} (H={h.h}, n={n})")
     scale = np.sqrt(np.clip(eigs[:n + 1], 0.0, None) / (2 * n))
     scale[1:n] /= np.sqrt(2.0)
-    out = np.zeros((len(keys), n + 1))
-    rows = min(len(keys), BLOCK_PATHS)
+    out = np.empty((len(paths), n + 1))
+    out[:, 0] = 0.0
+    rows = min(len(paths), BLOCK_PATHS)
     draws = np.empty((rows, 2 * n))
     spec = np.zeros((rows, n + 1), dtype=complex)  # conj(half); imag 0 at k = 0, n
     fgn = np.empty((rows, 2 * n))
-    for lo in range(0, len(keys), BLOCK_PATHS):
-        block = keys[lo:lo + BLOCK_PATHS]
+    for lo in range(0, len(paths), BLOCK_PATHS):
+        block = paths[lo:lo + BLOCK_PATHS]
         k = len(block)
         d = draws[:k]
-        for row, (path, component) in zip(d, block):
-            streams[component](path).standard_normal(out=row)
+        for row, path in zip(d, block):
+            counter[2] = path
+            bits.state = state
+            normal(out=row)
         np.multiply(d[:, 0], scale[0], out=spec.real[:k, 0])
         np.multiply(d[:, 1], scale[n], out=spec.real[:k, n])
         np.multiply(d[:, 2:n + 1], scale[1:n], out=spec.real[:k, 1:n])
@@ -358,8 +353,8 @@ def cholesky_factor(grid: TimeGrid, h: HurstParam) -> np.ndarray:
 def sample_fbm_circulant(grid: TimeGrid, h: HurstParam, m: int, seed: int,
                          path_index: int = 0) -> FbmPath:
     """fBm by circulant embedding of the stationary increments (fGn)."""
-    rows = _circulant_rows(grid, h, seed, [(path_index, j) for j in range(m)])
-    return FbmPath(grid=grid, values=rows.T.copy(), generator_tag=GeneratorTag.circulant)
+    vals = np.column_stack([_circulant_rows(grid, h, seed, [path_index], j)[0] for j in range(m)])
+    return FbmPath(grid=grid, values=vals, generator_tag=GeneratorTag.circulant)
 
 
 def sample_fbm_circulant_batch(grid: TimeGrid, h: HurstParam, n_paths: int,
@@ -370,7 +365,7 @@ def sample_fbm_circulant_batch(grid: TimeGrid, h: HurstParam, n_paths: int,
     component `component`, so single-path and batch generation agree bit for
     bit.
     """
-    return _circulant_rows(grid, h, seed, [(i, component) for i in range(n_paths)])
+    return _circulant_rows(grid, h, seed, range(n_paths), component)
 
 
 #: Paths per chunk of map_circulant_chunks, a whole number of BLOCK_PATHS:
@@ -403,13 +398,13 @@ def map_circulant_chunks(grid: TimeGrid, h: HurstParam, n_paths: int,
     rows = CHUNK_PATHS // len(seeds)
     parts = []
     for lo in range(start, n_paths, rows):
-        keys = [(i, 0) for i in range(lo, min(lo + rows, n_paths))]
+        paths = range(lo, min(lo + rows, n_paths))
         if len(seeds) == 1:
             # passed on its own, the chunk is the statistic's to free (an
             # unpacked argument tuple would hold it until the call returns)
-            parts.append(statistic(_circulant_rows(grid, h, seeds[0], keys)))
+            parts.append(statistic(_circulant_rows(grid, h, seeds[0], paths)))
         else:
-            parts.append(statistic(*(_circulant_rows(grid, h, s, keys) for s in seeds)))
+            parts.append(statistic(*(_circulant_rows(grid, h, s, paths) for s in seeds)))
     return np.concatenate(parts, axis=-1)
 
 

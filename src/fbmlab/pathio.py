@@ -34,23 +34,21 @@ FBMP_VERSION = 1
 
 
 def _table(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
+    vals = np.asarray(values, dtype=float).reshape(len(values), -1)
     if vals.shape[0] != grid.n_steps + 1:
         raise ValueError("values do not match the grid")
     return np.column_stack([grid.points, vals])
 
 
 def write_path_csv(path: str, grid: TimeGrid, values: np.ndarray) -> None:
-    """Write one path as CSV with header t,x1..xm."""
+    """Write one path as CSV with header t,x1..xm, built as one string and
+    written once: the bytes of csv.writer's excel dialect (\\r\\n line ends;
+    repr floats never need quoting)."""
     table = _table(grid, values)
-    m = table.shape[1] - 1
+    lines = [",".join(["t"] + [f"x{j + 1}" for j in range(table.shape[1] - 1)])]
+    lines += [",".join(map(repr, row)) for row in table.tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x{j + 1}" for j in range(m)])
-        for row in table:
-            writer.writerow([repr(float(v)) for v in row])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def read_path_csv(path: str) -> tuple[TimeGrid, np.ndarray]:
@@ -60,7 +58,7 @@ def read_path_csv(path: str) -> tuple[TimeGrid, np.ndarray]:
         header = next(reader)
         if not header or header[0] != "t":
             raise ValueError(f"malformed path CSV header: {header}")
-        rows = np.array([[float(v) for v in row] for row in reader])
+        rows = np.array(list(reader), dtype=float)
     if rows.ndim != 2 or rows.shape[0] < 2:
         raise ValueError("path CSV needs at least two rows")
     t = rows[:, 0]

@@ -59,9 +59,9 @@ class TimeDiffusion:
     holder_beta: float = 1.0
 
     def matrix(self, t: float, d: int, m: int) -> np.ndarray:
-        out = np.atleast_2d(np.asarray(self.fn(t), dtype=float))
+        out = np.asarray(self.fn(t), dtype=float)
         if out.shape != (d, m):
-            out = np.broadcast_to(out, (d, m))
+            out = np.broadcast_to(np.atleast_2d(out), (d, m))
         return out
 
 
@@ -108,10 +108,7 @@ def _driver_array(driver) -> tuple[TimeGrid, np.ndarray]:
         return driver.grid, driver.values
     if isinstance(driver, tuple) and len(driver) == 2:
         grid, vals = driver
-        vals = np.asarray(vals, dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        return grid, vals
+        return grid, np.asarray(vals, dtype=float).reshape(len(vals), -1)
     raise TypeError(f"unsupported driver type {type(driver)}")
 
 
@@ -137,15 +134,22 @@ def _euler(x0, b: Callable, dt: float, noise: np.ndarray,
     return out
 
 
+def _additive_solves(x0, drift: DriftSpec, sigma_t: TimeDiffusion, grid: TimeGrid,
+                     *drivers: np.ndarray) -> list[SolutionPath]:
+    """Euler solutions from x0, one per (n_steps + 1, m) driver array, with
+    sigma(t) evaluated on the grid once for all of them."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    sig = np.array([sigma_t.matrix(t, len(x0), drivers[0].shape[1]) for t in grid.points[:-1]])
+    # sigma(t_k) (g_{k+1} - g_k) for every k; a batched matmul sums each
+    # product in the order of sig[k] @ dg[k], einsum does not
+    noises = (np.matmul(sig, np.diff(g, axis=0)[..., None])[..., 0] for g in drivers)
+    return [SolutionPath(grid=grid, values=_euler(x0, drift.fn, grid.dt, w.T).T) for w in noises]
+
+
 def solve_additive(x0, drift: DriftSpec, sigma_t: TimeDiffusion, driver) -> SolutionPath:
     """Euler solution of dX = b(X) dt + sigma(t) dg with time-only sigma."""
     grid, g = _driver_array(driver)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    sig = np.array([sigma_t.matrix(t, len(x0), g.shape[1]) for t in grid.points[:-1]])
-    # sigma(t_k) (g_{k+1} - g_k) for every k; a batched matmul sums each
-    # product in the order of sig[k] @ dg[k], einsum does not
-    noise = np.matmul(sig, np.diff(g, axis=0)[..., None])[..., 0]
-    return SolutionPath(grid=grid, values=_euler(x0, drift.fn, grid.dt, noise.T).T)
+    return _additive_solves(x0, drift, sigma_t, grid, g)[0]
 
 
 def solve_scalar(x0: float, drift: DriftSpec, sigma_x: ScalarDiffusion,
@@ -283,16 +287,14 @@ def drift_coupled_pair(x0, drift: DriftSpec, sigma_t: TimeDiffusion,
     `kernel` is redundant: transfer_kernel_matrix is cached per (grid, H).
     It is kept only because the benchmark's pathwise workload passes it.
     """
-    rho = np.asarray(rho, dtype=float)
-    if rho.ndim == 1:
-        rho = rho[:, None]
+    rho = np.asarray(rho, dtype=float).reshape(len(rho), -1)
     if kernel is None:
         kernel = transfer_kernel_matrix(grid, h)
     b_path = sample_fbm_circulant(grid, h, rho.shape[1], seed, path_index=path_index)
     cells = cell_values(rho)
     k_rho = transfer_from_wiener_increments(kernel, cells * grid.dt)
-    y = solve_additive(x0, drift, sigma_t, (grid, b_path.values))
-    x = solve_additive(x0, drift, sigma_t, (grid, b_path.values + k_rho))
+    x, y = _additive_solves(x0, drift, sigma_t, grid, b_path.values + k_rho,
+                            b_path.values)
     rho_energy = 0.5 * float(np.sum(cells**2) * grid.dt)
     return x, y, rho_energy
 
@@ -310,9 +312,7 @@ def gronwall_coupling_bound(grid: TimeGrid, rho: np.ndarray, one_sided_b: float,
     B = one_sided_b
     if B == 0.0:
         raise ValueError("one-sided constant B must be nonzero")
-    rho = np.asarray(rho, dtype=float)
-    if rho.ndim == 1:
-        rho = rho[:, None]
+    rho = np.asarray(rho, dtype=float).reshape(len(rho), -1)
     r2 = np.sum(cell_values(rho)**2, axis=1)
     c = 2 * B + abs(B)
     dt = grid.dt

@@ -1,13 +1,17 @@
 """The benchmark's pathwise workload drives the single-path API by name and
 keyword, and its campaign workload runs `fbmlab verify`; pruning that API or
 rewiring the verifiers must not turn into failed benchmark operations, nor
-leave a span that `bench/run.py` reads unentered under `--trace 1`."""
+leave a span that `bench/run.py` reads unentered under `--trace 1`.  The
+same holds for the transport workload and the solver spans it enters."""
 
 import importlib
 import importlib.util
 import re
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
+
+import numpy as np
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 WORKLOADS = BENCH / "workloads.py"
@@ -42,6 +46,54 @@ def _campaign_reads():
     `--trace 1` with it."""
     source = (BENCH / "run.py").read_text()
     return set(re.findall(r'(?:spans|median_ms)\(\s*"campaign",\s*"([^"]+)"\s*\)', source))
+
+
+def _transport_reads():
+    """Span names whose spans `bench/run.py` `per_layer` indexes or reduces
+    over the traced transport pass (the cost models and peak allocations of
+    the cost matrices, the primal of the last Sinkhorn call); a name never
+    entered makes that read raise, and `--trace 1` with it.  Its `total`
+    reads (LSA, LP) sum to 0 when not entered."""
+    source = (BENCH / "run.py").read_text()
+    return set(re.findall(r'spans\(\s*"transport",\s*"([^"]+)"\s*\)', source))
+
+
+def test_transport_pass_enters_the_spans_per_layer_reads(tmp_path, monkeypatch):
+    # counting stubs stand in for the solvers, so the pass costs its three
+    # cost matrices only; each case must still reach one solver call
+    tr, calls = _lab().transport, Counter()
+
+    def stub(name, result):
+        def solver(cost):
+            calls[name] += 1
+            return result(cost)
+        return solver
+
+    monkeypatch.setattr(tr, "optimize", SimpleNamespace(linear_sum_assignment=stub(
+        "lsa", lambda cost: (np.arange(len(cost)), np.arange(len(cost))))))
+    monkeypatch.setattr(tr, "_transport_lp", stub("lp", lambda cost: 1.0))
+    monkeypatch.setattr(tr, "_sinkhorn", stub("sinkhorn", lambda cost: (1.0, 0.0)))
+    workloads = _load("bench_workloads", WORKLOADS)
+    tracer = _load("bench_tracing", BENCH / "tracing.py").Tracer()
+    wl = workloads.Transport(_lab(), 0, str(tmp_path))
+    wl.setup()
+    tally = workloads.Tally()
+    tracer.install()
+    try:
+        tracer.phase = "transport"
+        wl.run_pass(tally)
+    finally:
+        tracer.phase = None
+        tracer.uninstall()
+    assert tally.attempted == len(wl.CASES) and tally.failed == 0, tally.errors
+    assert sum(calls.values()) == len(wl.CASES) and calls["sinkhorn"] == 1, calls
+    reads = _transport_reads()
+    assert reads == {"transport.pairwise_cost_matrix", "transport._sinkhorn"}
+    entered = {s.name for s in tracer.select("transport")}
+    assert reads <= entered, sorted(reads - entered)
+    cost = tracer.select("transport", "transport.pairwise_cost_matrix")
+    assert len(cost) == len(wl.CASES) and all("peak_alloc" in s.info for s in cost)
+    assert tracer.select("transport", "transport._sinkhorn")[-1].info["primal"] == 1.0
 
 
 def test_traced_verify_enters_the_campaign_spans(tmp_path):

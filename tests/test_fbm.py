@@ -192,10 +192,11 @@ def test_half_spectrum_rows_match_full_hermitian_fft(n, h):
     # of the Hermitian vector up to rounding (relative to the largest |value|
     # of the rows: a row that nearly returns to 0 has no scale of its own),
     # and np.fft.hfft of the half spectrum bit for bit
-    keys = [(i, c) for i in (0, 1, 7, 300) for c in (0, 2)]
+    paths, components = [0, 1, 7, 300], (0, 2)
+    keys = [(i, c) for c in components for i in paths]
     for t_max in (0.5, 1.0, 4.0):
         grid, hp = TimeGrid(t_max, n), HurstParam(h)
-        rows = fbm._circulant_rows(grid, hp, 17, keys)
+        rows = np.vstack([fbm._circulant_rows(grid, hp, 17, paths, c) for c in components])
         oracle = _full_spectrum_rows(grid, hp, 17, keys)
         assert rows.shape == oracle.shape == (len(keys), n + 1)
         assert np.all(rows[:, 0] == 0.0)

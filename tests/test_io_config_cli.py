@@ -1,6 +1,8 @@
 """Serialization formats, config parsing and the CLI contract."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -40,6 +42,26 @@ def test_csv_round_trip(tmp_path, sample_path):
     grid2, vals2 = read_path_csv(p)
     assert grid2.n_steps == grid.n_steps
     np.testing.assert_array_equal(vals2, vals)  # repr round-trips exactly
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_csv_bytes_are_the_csv_module_excel_dialect(tmp_path, m):
+    # the one-string writer gives csv.writer's bytes (\r\n line ends) and
+    # the file reads back bit for bit, signed zero and extremes included
+    grid = TimeGrid(2.0, 8)
+    vals = np.random.default_rng(m).standard_normal((9, m))
+    vals[1:7, 0] = [-0.0, 1e-300, 1e300, -1e300, 5e-324, 1 / 3]
+    p = tmp_path / "p.csv"
+    write_path_csv(str(p), grid, vals[:, 0] if m == 1 else vals)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["t"] + [f"x{j + 1}" for j in range(m)])
+    for row in np.column_stack([grid.points, vals]):
+        writer.writerow([repr(float(v)) for v in row])
+    assert p.read_bytes() == buf.getvalue().encode()
+    grid2, back = read_path_csv(str(p))
+    assert grid2.n_steps == 8 and grid2.t_max == 2.0
+    assert back.tobytes() == vals.tobytes()
 
 
 def test_binary_round_trip_and_header(tmp_path, sample_path):
@@ -265,8 +287,8 @@ def test_cli_sample_embedding_failure_exit_3(tmp_path, monkeypatch):
 
 def test_cli_sample_non_finite_path_exit_3(tmp_path, monkeypatch, capsys):
     # a NaN from the sampler fails closed in FbmPath before any file is written
-    def nan_rows(grid, h, seed, keys):
-        rows = np.zeros((len(keys), grid.n_steps + 1))
+    def nan_rows(grid, h, seed, paths, component=0):
+        rows = np.zeros((len(paths), grid.n_steps + 1))
         rows[:, -1] = np.nan
         return rows
 
@@ -599,10 +621,10 @@ def test_cli_pair_error_stops_verify_where_its_rows_are_read(tmp_path, monkeypat
     partner = fbm.role_seed(42, fbm.Role.partner)
     real = fbm._circulant_rows
 
-    def nan_row(grid, h, seed, keys):
-        rows = real(grid, h, seed, keys)
-        if seed == partner and (1500, 0) in keys:
-            rows[keys.index((1500, 0)), -1] = np.nan
+    def nan_row(grid, h, seed, paths, component=0):
+        rows = real(grid, h, seed, paths, component)
+        if seed == partner and 1500 in paths:
+            rows[paths.index(1500), -1] = np.nan
         return rows
 
     monkeypatch.setattr(fbm, "_circulant_rows", nan_row)

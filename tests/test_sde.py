@@ -5,7 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from fbmlab.fbm import HurstParam, sample_fbm_circulant
+from fbmlab.fbm import (
+    HurstParam,
+    sample_fbm_circulant,
+    transfer_from_wiener_increments,
+    transfer_kernel_matrix,
+)
 from fbmlab.grid import TimeGrid, cell_values
 from fbmlab.sde import (
     BlowUpError,
@@ -179,6 +184,22 @@ def test_drift_coupled_pair_under_gronwall_bound():
     assert energy == pytest.approx(0.5, rel=1e-12)
     d2 = (x.values[:, 0] - y.values[:, 0]) ** 2
     assert np.all(d2[1:] <= bound[1:])
+
+
+def test_drift_coupled_pair_is_two_additive_solves():
+    # one sigma grid serves both solves: x and y are solve_additive on the
+    # perturbed and the plain driver bit for bit, sigma(t) read once per node
+    grid, calls = TimeGrid(1.0, 64), []
+    sigma = TimeDiffusion(fn=lambda t: calls.append(t) or np.array([[1.0 + t, -0.5 * t]]))
+    rho = np.column_stack([np.ones(65), np.linspace(0.0, 1.0, 65)])
+    x, y, _ = drift_coupled_pair(0.3, DRIFT_OU, sigma, rho, H75, grid, seed=71, path_index=4)
+    assert calls == list(grid.points[:-1])
+    b = sample_fbm_circulant(grid, H75, 2, 71, path_index=4).values
+    k_rho = transfer_from_wiener_increments(transfer_kernel_matrix(grid, H75),
+                                            cell_values(rho) * grid.dt)
+    assert np.array_equal(y.values, solve_additive(0.3, DRIFT_OU, sigma, (grid, b)).values)
+    assert np.array_equal(x.values,
+                          solve_additive(0.3, DRIFT_OU, sigma, (grid, b + k_rho)).values)
 
 
 def test_gronwall_bound_shape_and_sign():

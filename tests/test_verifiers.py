@@ -4,9 +4,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from fbmlab import concentration
-from fbmlab.calibration import calibrate_k_hat, kappa_empirical
+from fbmlab.calibration import (
+    KAPPA_BETA_RANGE,
+    calibrate_k_hat,
+    k_alpha_beta,
+    k_inf_alpha,
+    kappa_analytic,
+    kappa_empirical,
+)
 from fbmlab.concentration import (
     VERIFIERS,
     PremiseError,
@@ -84,6 +92,23 @@ def test_close_horizons_draw_independent_drivers(tmp_path):
                for T, s in seeds.items()]
     assert len(drivers) == 2
     assert not np.allclose(*drivers)
+
+
+def test_kappa_ceiling_infima_are_the_bounded_scalar_searches_or_below():
+    # the vectorised golden-section infimum at every beta of the ceiling's
+    # grid is no larger than scipy's bounded scalar search over the same
+    # interval (which stops at xatol 1e-5 in alpha), and within 1e-4 of it
+    betas = np.linspace(*KAPPA_BETA_RANGE, 400)
+    infima = k_inf_alpha(betas)
+    for beta, value in zip(betas, infima):
+        pad = 1e-6 * (beta - 0.5)
+        ref = optimize.minimize_scalar(lambda a: k_alpha_beta(a, beta), method="bounded",
+                                       bounds=(1.0 - beta + pad, 0.5 - pad)).fun
+        assert value <= ref + 1e-12, beta
+        assert ref - value <= 1e-4 * ref, beta
+    assert kappa_analytic() == float(np.max((betas - 0.5) * infima))
+    with pytest.raises(ValueError, match="outside"):
+        k_alpha_beta(np.array([0.3, 0.1]), 0.8)
 
 
 def test_calibration_reproduces_frozen_constants():
