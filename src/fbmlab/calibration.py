@@ -27,6 +27,7 @@ from scipy import special
 
 from .concentration import (
     MODEL,
+    SAMPLE_CAPS,
     esti_int_sweep,
     estimate_t1_constant,
     shared_pass,
@@ -157,7 +158,8 @@ def calibrate_k_hat(n_pairs: int = 1000, seed: int = 0) -> dict:
 
 
 def run_calibration(n_pairs: int = 1000, seed: int = 0) -> dict:
-    """Full calibration: the frozen constants with their provenance."""
+    """The frozen constants, on at most SAMPLE_CAPS["calibrate"] pairs, with provenance."""
+    n_pairs = min(n_pairs, SAMPLE_CAPS["calibrate"])
     kap_an = kappa_analytic()
     kap_emp = kappa_empirical(n_pairs=n_pairs, seed=seed)
     k_info = calibrate_k_hat(n_pairs=n_pairs, seed=seed)

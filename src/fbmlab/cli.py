@@ -59,6 +59,15 @@ def _sample_one(grid, hp, m, seed, generator, path_index=0):
     return sample_fbm_circulant(grid, hp, m, seed, path_index=path_index)
 
 
+def _write_paths(out_dir: str, prefix: str, grid: TimeGrid, paths) -> None:
+    """Write the i-th of paths as <prefix>_<i:05d>.csv and .fbmp in out_dir."""
+    os.makedirs(out_dir, exist_ok=True)
+    for i, values in enumerate(paths):
+        stem = os.path.join(out_dir, f"{prefix}_{i:05d}")
+        write_path_csv(stem + ".csv", grid, values)
+        write_path_binary(stem + ".fbmp", grid, values)
+
+
 def cmd_sample(cfg: ExperimentConfig, out_dir: str) -> int:
     grid = TimeGrid(cfg.get("grid", "t_max"), cfg.get("grid", "n_steps"))
     hp = HurstParam(cfg.get("fbm", "hurst"))
@@ -66,12 +75,8 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: str) -> int:
     n_paths = cfg.get("fbm", "n_paths")
     m = cfg.get("fbm", "components")
     gen = cfg.get("fbm", "generator")
-    os.makedirs(out_dir, exist_ok=True)
-    for i in range(n_paths):
-        fp = _sample_one(grid, hp, m, seed, gen, path_index=i)
-        stem = os.path.join(out_dir, f"path_{i:05d}")
-        write_path_csv(stem + ".csv", grid, fp.values)
-        write_path_binary(stem + ".fbmp", grid, fp.values)
+    paths = (_sample_one(grid, hp, m, seed, gen, path_index=i).values for i in range(n_paths))
+    _write_paths(out_dir, "path", grid, paths)
     write_json_report(os.path.join(out_dir, "sample_manifest.json"), {
         "command": "sample", "experiment": cfg.get("experiment", "name"),
         "config_hash": cfg.config_hash, "seed": seed,
@@ -92,13 +97,9 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: str) -> int:
     B = cfg.get("sde", "drift_b")
     sigma = cfg.get("sde", "sigma")
     x0 = cfg.get("sde", "x0")
-    os.makedirs(out_dir, exist_ok=True)
     drivers = sigma * sample_fbm_circulant_batch(grid, hp, n_paths, seed)
     paths = euler_additive_ensemble(x0, lambda x: B * x, drivers, grid.dt)
-    for i in range(n_paths):
-        stem = os.path.join(out_dir, f"solution_{i:05d}")
-        write_path_csv(stem + ".csv", grid, paths[i])
-        write_path_binary(stem + ".fbmp", grid, paths[i])
+    _write_paths(out_dir, "solution", grid, paths)
     write_json_report(os.path.join(out_dir, "solve_manifest.json"), {
         "command": "solve", "experiment": cfg.get("experiment", "name"),
         "config_hash": cfg.config_hash, "seed": seed,
@@ -151,8 +152,7 @@ def cmd_calibrate(cfg: ExperimentConfig, out_dir: str) -> int:
     from .calibration import SUPPORTED_SETTINGS, run_calibration
     cfg.require("calibrate", **SUPPORTED_SETTINGS)
     os.makedirs(out_dir, exist_ok=True)
-    payload = run_calibration(n_pairs=min(cfg.get("verify", "n_paths"), 5000),
-                              seed=cfg.get("experiment", "seed"))
+    payload = run_calibration(cfg.get("verify", "n_paths"), cfg.get("experiment", "seed"))
     write_json_report(os.path.join(out_dir, "calibrated_constants.json"), payload)
     print(f"K_hat = {payload['K_hat']:.6g}  kappa_hat = {payload['kappa_hat']:.6g}")
     return EXIT_PASS

@@ -630,12 +630,21 @@ def _grid(cfg: ExperimentConfig) -> TimeGrid:
     return TimeGrid(cfg.get("grid", "t_max"), cfg.get("grid", "n_steps"))
 
 
+#: The most pairs or samples a verifier or calibrate draws, whatever [verify] n_paths asks
+SAMPLE_CAPS = {"stability": 1000, "esti-int": 200, "fernique": 20000,
+               "solution-distances": 2000, "calibrate": 5000}
+
+
+def _n_samples(cfg: ExperimentConfig, name: str) -> int:
+    return min(cfg.get("verify", "n_paths"), SAMPLE_CAPS[name])
+
+
 Plan = tuple[list[EnsembleShare], Callable[..., dict]]
 
 
 def _stability(cfg: ExperimentConfig) -> Plan:
     K_hat = calibrated_constants()["K_hat"]
-    n_pairs = min(cfg.get("verify", "n_paths"), 1000)
+    n_pairs = _n_samples(cfg, "stability")
 
     def report(result):
         worst = float(result[0].max())
@@ -656,7 +665,7 @@ def _esti_int(cfg: ExperimentConfig) -> Plan:
     if cfg.get("grid", "n_steps") < 2:
         raise PremiseError("esti-int premise violated: the window draw needs "
                            f"n_steps >= 2, got {cfg.get('grid', 'n_steps')}")
-    n_pairs = min(cfg.get("verify", "n_paths"), 200)
+    n_pairs = _n_samples(cfg, "esti-int")
 
     def report():
         reports = esti_int_sweep(_grid(cfg), HurstParam(H), beta, n_pairs,
@@ -669,7 +678,7 @@ def _esti_int(cfg: ExperimentConfig) -> Plan:
 
 def _fernique(cfg: ExperimentConfig) -> Plan:
     share = fernique_share(cfg.get("fbm", "hurst"), cfg.get("verify", "beta"),
-                           cfg.get("grid", "t_max"), min(cfg.get("verify", "n_paths"), 20000),
+                           cfg.get("grid", "t_max"), _n_samples(cfg, "fernique"),
                            n_steps=cfg.get("grid", "n_steps"),
                            seed=cfg.get("experiment", "seed"))
     return [share], lambda record: {"verifier": "fernique", **record}
@@ -717,12 +726,12 @@ def _hoeffding_large(cfg: ExperimentConfig) -> Plan:
 
 
 def _solution_distances(cfg: ExperimentConfig, report: Callable) -> Plan:
-    """The d_inf distances of up to 2000 solution pairs, reported by report."""
+    """The d_inf distances of the solution pairs, reported by report."""
     grid = _grid(cfg)
     B = cfg.get("sde", "drift_b")
     return [EnsembleShare(grid, HurstParam(cfg.get("fbm", "hurst")),
                           pair_seeds(cfg.get("experiment", "seed")),
-                          min(cfg.get("verify", "n_paths"), 2000), ("solution_d_inf",),
+                          _n_samples(cfg, "solution-distances"), ("solution_d_inf",),
                           lambda g1, g2: (solution_distances(grid, g1, g2, B),),
                           lambda dists: dists)], report
 

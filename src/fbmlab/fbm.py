@@ -147,9 +147,9 @@ def component_rng(seed: int, path_index: int, component: int) -> np.random.Gener
                                                 counter=[0, 0, path_index, 0]))
 
 
-def covariance_rh(s: float, t: float, h: HurstParam) -> float:
-    """fBm covariance (t^{2H} + s^{2H} - |t-s|^{2H}) / 2."""
-    if s < 0 or t < 0:
+def covariance_rh(s, t, h: HurstParam):
+    """fBm covariance (t^{2H} + s^{2H} - |t-s|^{2H}) / 2; s, t may be arrays."""
+    if np.any(np.less(s, 0)) or np.any(np.less(t, 0)):
         raise ValueError(f"time arguments must be nonnegative, got s={s}, t={t}")
     hh = 2.0 * h.h
     return 0.5 * (t**hh + s**hh - abs(t - s) ** hh)
@@ -158,9 +158,7 @@ def covariance_rh(s: float, t: float, h: HurstParam) -> float:
 def covariance_matrix(grid: TimeGrid, h: HurstParam) -> np.ndarray:
     """Covariance matrix of (B_{t_1}, ..., B_{t_n}); t_0 = 0 excluded."""
     t = grid.points[1:]
-    hh = 2.0 * h.h
-    s, u = np.meshgrid(t, t, indexing="ij")
-    return 0.5 * (s**hh + u**hh - np.abs(s - u) ** hh)
+    return covariance_rh(t[:, None], t[None, :], h)
 
 
 def kernel_normalization(h: HurstParam) -> float:

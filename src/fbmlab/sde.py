@@ -9,9 +9,9 @@ One private recursion, `_euler`, is the Euler loop of solve_additive,
 solve_scalar and euler_additive_ensemble; it raises BlowUpError (an
 ArithmeticError) at the first non-finite state.  For scalar state-dependent
 diffusion a second, independent discretization goes through the Lamperti
-change of variables F(y) = int_0^y dz / sigma(z), which turns the equation
-into one with unit diffusion; it keeps its own loop, so the two routes
-cross-validate each other.
+change of variables F(y) = int_0^y dz / sigma(z) to unit diffusion, in a loop
+of its own so that the two routes cross-validate: F is one adaptive
+quadrature, F^{-1} one Newton iteration inside the slope bracket of F'.
 
 The module also hosts the driver-stability horizon, the drift-coupled pair
 used to probe the Girsanov-type coupling bound and its Gronwall bound.  The
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate
 
 from .fbm import (
     FbmPath,
@@ -177,34 +177,50 @@ def euler_additive_ensemble(x0: float, b: Callable[[np.ndarray], np.ndarray],
 # Lamperti transform
 # ---------------------------------------------------------------------------
 
+def _inverse_sigma_integral(sigma_x: ScalarDiffusion, a: float, b: float) -> float:
+    """int_a^b dz / sigma(z): the one quadrature of the Lamperti route, which
+    fails closed when quad's error estimate exceeds 1e-10 max(|value|, 1)."""
+    val, err = integrate.quad(lambda u: 1.0 / sigma_x.fn(u), a, b,
+                              epsabs=1e-13, epsrel=1e-13, limit=200)
+    if err > 1e-10 * max(abs(val), 1.0):
+        raise ArithmeticError(f"Lamperti quadrature on [{a}, {b}] did not converge: abserr={err}")
+    return val
+
+
+def _invert_from(sigma_x: ScalarDiffusion, z: float, x: float, fx: float) -> tuple[float, float]:
+    """(F^{-1}(z), z) by Newton steps on F from a known point (x, fx = F(x)).
+
+    The slope bounds 1/sigma2 <= F' <= 1/sigma1 put the root in x - (fx - z)
+    [sigma1, sigma2]; iterates stay in the intersection of these padded
+    brackets, and a step that would leave it bisects, whatever sigma2/sigma1.
+    When the bounds do not hold the bracket empties: 100 iterations raise.
+    """
+    s1, s2 = sigma_x.sigma1, sigma_x.sigma2
+    lo, hi = -np.inf, np.inf
+    for _ in range(100):
+        err = fx - z
+        pad = 1e-9 * (1.0 + abs(x) + s2 * abs(err))
+        lo = max(lo, min(x - s1 * err, x - s2 * err) - pad)
+        hi = min(hi, max(x - s1 * err, x - s2 * err) + pad)
+        x_new = x - err * sigma_x.fn(x)
+        if not lo <= x_new <= hi:
+            x_new = 0.5 * (lo + hi)
+        elif abs(x_new - x) < 1e-9:  # this last step misses the root by O(step^2)
+            return x_new, z
+        fx += _inverse_sigma_integral(sigma_x, x, x_new)
+        x = x_new
+    raise ArithmeticError(f"Lamperti inverse failed at z={z}; sigma bounds "
+                          f"sigma1={s1}, sigma2={s2} may be violated")
+
+
 def lamperti_forward(sigma_x: ScalarDiffusion, y: float) -> float:
     """F(y) = int_0^y dz / sigma(z) by adaptive quadrature."""
-    if y == 0.0:
-        return 0.0
-    val, _ = integrate.quad(lambda z: 1.0 / sigma_x.fn(z), 0.0, y,
-                            epsabs=1e-13, epsrel=1e-13, limit=200)
-    return float(val)
+    return _inverse_sigma_integral(sigma_x, 0.0, y)
 
 
 def lamperti_inverse(sigma_x: ScalarDiffusion, z: float) -> float:
-    """F^{-1}(z) by monotone bracketing root-finding to 1e-12.
-
-    The slope bounds 1/sigma2 <= F' <= 1/sigma1 give the bracket
-    [sigma1 z, sigma2 z] (signed).
-    """
-    if z == 0.0:
-        return 0.0
-    lo, hi = sorted((sigma_x.sigma1 * z, sigma_x.sigma2 * z))
-    pad = 1e-9 * (abs(z) + 1.0)
-    lo, hi = lo - pad, hi + pad
-    f = lambda y: lamperti_forward(sigma_x, y) - z
-    try:
-        return float(optimize.brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16))
-    except ValueError as exc:
-        raise ArithmeticError(
-            f"Lamperti inverse bracketing failed at z={z}; sigma bounds "
-            f"sigma1={sigma_x.sigma1}, sigma2={sigma_x.sigma2} may be violated"
-        ) from exc
+    """F^{-1}(z): the iteration of _invert_from, started at (0, F(0) = 0)."""
+    return _invert_from(sigma_x, z, 0.0, 0.0)[0]
 
 
 def solve_scalar_via_lamperti(x0: float, drift: DriftSpec,
@@ -212,47 +228,21 @@ def solve_scalar_via_lamperti(x0: float, drift: DriftSpec,
     """Scalar equation through the unit-diffusion change of variables.
 
     Solves dY = b(F^{-1}(Y))/sigma(F^{-1}(Y)) dt + dg with Y_0 = F(x0) and
-    maps back X = F^{-1}(Y).  The inverse along the trajectory is tracked
-    with warm-started Newton steps (F' = 1/sigma known), falling back to
-    bracketed root-finding if Newton stalls.
+    maps back X = F^{-1}(Y), each step by _invert_from from (X_k, Y_k).
     """
     grid, g = _driver_array(driver)
     if g.shape[1] != 1:
         raise ValueError("scalar equation needs a one-component driver")
-    n = grid.n_steps
-    dt = grid.dt
-    dg = np.diff(g[:, 0])
-    y = lamperti_forward(sigma_x, x0)
-    x = float(x0)        # tracked F^{-1}(y)
-    fx = y               # F(x) for the incremental update
-    vals = np.empty(n + 1)
-    vals[0] = x0
-    for k in range(n):
-        btilde = float(np.atleast_1d(drift.fn(x))[0]) / sigma_x.fn(x)
-        y = y + btilde * dt + dg[k]
-        x, fx = _invert_warm(sigma_x, y, x, fx)
-        if not np.isfinite(x):
-            raise BlowUpError(k + 1)
-        vals[k + 1] = x
-    return SolutionPath(grid=grid, values=vals[:, None])
-
-
-def _invert_warm(sigma_x: ScalarDiffusion, z: float, x_guess: float,
-                 f_guess: float) -> tuple[float, float]:
-    """Solve F(x) = z starting from (x_guess, F(x_guess))."""
-    x, fx = x_guess, f_guess
-    for _ in range(50):
-        err = fx - z
-        if abs(err) < 1e-13:
-            return x, fx
-        x_new = x - err * sigma_x.fn(x)
-        step, _ = integrate.quad(lambda u: 1.0 / sigma_x.fn(u), x, x_new,
-                                 epsabs=1e-14, epsrel=1e-12, limit=100)
-        fx = fx + step
-        x = x_new
-    # Newton stalled; bracketed fallback
-    x = lamperti_inverse(sigma_x, z)
-    return x, z
+    x = float(x0)
+    y = lamperti_forward(sigma_x, x)
+    vals = [x]
+    for k, dw in enumerate(np.diff(g[:, 0]).tolist(), start=1):
+        z = y + float(np.atleast_1d(drift.fn(x))[0]) / sigma_x.fn(x) * grid.dt + dw
+        if not -np.inf < z < np.inf:  # z is inf or nan
+            raise BlowUpError(k)
+        x, y = _invert_from(sigma_x, z, x, y)
+        vals.append(x)
+    return SolutionPath(grid=grid, values=np.array(vals)[:, None])
 
 
 def lamperti_drift_lipschitz_bound(drift: DriftSpec, sigma_x: ScalarDiffusion) -> float:

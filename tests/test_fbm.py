@@ -49,6 +49,16 @@ def test_covariance_rh_values():
     assert covariance_rh(s, t, H75) == pytest.approx(expect)
 
 
+def test_covariance_matrix_is_bit_identical_to_the_meshgrid_formula():
+    # covariance_matrix evaluates covariance_rh on the grid, bit for bit the
+    # formula written out on a meshgrid
+    for h in (0.6, 0.75, 0.9):
+        grid = TimeGrid(1.0, 64)
+        s, u = np.meshgrid(grid.points[1:], grid.points[1:], indexing="ij")
+        expect = 0.5 * (s**(2 * h) + u**(2 * h) - np.abs(s - u) ** (2 * h))
+        assert np.array_equal(covariance_matrix(grid, HurstParam(h)), expect)
+
+
 def test_covariance_matrix_psd():
     for h in (0.55, 0.75, 0.9):
         grid = TimeGrid(1.0, 32)

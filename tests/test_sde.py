@@ -159,6 +159,40 @@ def test_lamperti_forward_monotone():
     assert np.all(np.diff(zs) > 0)
 
 
+def test_lamperti_forward_matches_closed_form():
+    # sigma = 1 + a / (1 + x^2): F(y) = y - a / sqrt(1 + a) atan(y / sqrt(1 + a))
+    a, r = 0.3, np.sqrt(1.3)
+    for y in np.linspace(-3.0, 3.0, 25):
+        assert abs(lamperti_forward(SIGMA_X, y) - (y - a / r * np.arctan(y / r))) <= 1e-14
+
+
+def test_lamperti_round_trip_wide_sigma_ratio():
+    # sigma in [1, 10]: Newton alone need not contract, the bracket bisects
+    wide = ScalarDiffusion(fn=lambda x: 1.0 + 4.5 * (1.0 + np.tanh(5.0 * x)),
+                           sigma1=1.0, sigma2=10.0)
+    for y in np.linspace(-3.0, 3.0, 25):
+        assert abs(lamperti_inverse(wide, lamperti_forward(wide, y)) - y) <= 1e-12
+
+
+def test_lamperti_violated_sigma_bounds_raise():
+    # sigma = 3 declared as [1, 1.3]: the root leaves the slope bracket
+    liar = ScalarDiffusion(fn=lambda x: 3.0, sigma1=1.0, sigma2=1.3)
+    with pytest.raises(ArithmeticError, match="sigma1=1.0, sigma2=1.3"):
+        lamperti_inverse(liar, 1.0)
+    with pytest.raises(ArithmeticError, match="sigma1=1.0, sigma2=1.3"):
+        solve_scalar_via_lamperti(0.5, DRIFT_OU, liar, _driver(n=64))
+
+
+def test_lamperti_quadrature_fails_closed():
+    # 1000 oscillations on [0, 3] exceed quad's 200 subintervals
+    rough = ScalarDiffusion(fn=lambda x: 1.0 + 0.3 * np.sin(2000.0 * x) ** 2,
+                            sigma1=1.0, sigma2=1.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # quad's own IntegrationWarning
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            lamperti_forward(rough, 3.0)
+
+
 def test_scalar_vs_lamperti_agreement():
     grid = TimeGrid(1.0, 1024)
     driver = sample_fbm_circulant(grid, H75, 1, seed=33)
