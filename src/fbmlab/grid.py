@@ -8,11 +8,15 @@ continuum norms; inequality checks built on them are necessary-condition
 checks.  `lag_reduce` holds the one loop over lags: the Holder seminorm and
 the Garsia-Rodemich-Rumsey double sum of fbmlab.concentration are two
 reductions of it, run on ensembles in blocks of BLOCK_PATHS (`by_blocks`).
+It walks the lags in groups of BLOCK_PATHS // k for a block of k paths, so a
+full block takes one lag per step and a single path or window all its lags
+in one slab, with the slab held to BLOCK_PATHS x n_nodes values either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -133,24 +137,56 @@ def lag_reduce(nodes_first: np.ndarray, dt: float, ufunc: np.ufunc, power: float
         ufunc.reduce over i of |v[i + lag] - v[i]|**power / (lag dt)**exponent.
 
     nodes_first is shaped (n_nodes, k), or (n_nodes, k, d) with Euclidean
-    increments over d.  Each (lag dt)**exponent is a scalar power that
-    divides its row (an array power or an inverse moves ulps).
+    increments over d.  The lags run in groups of width
+    max(1, BLOCK_PATHS // k): one group is one slab of increments for all its
+    lags at once, a strided view over a zero-padded copy of the nodes, with
+    the pairs past the last node (i + lag >= n_nodes) set to 0 before the
+    power and the reduction.  So a block of BLOCK_PATHS paths runs one lag
+    at a time, a single path all its lags in one group, and the slab never
+    holds more than BLOCK_PATHS x n_nodes increments (times d).  The
+    reduction runs over the nodes, on rows of g lags x k paths.  Each
+    (lag dt)**exponent is a Python-float power that divides its row (an
+    array power or an inverse moves ulps).  A max reduction is the same bit
+    for bit in any grouping, and a sum adds the nodes in order in any
+    grouping (numpy's own sum of one path would add them pairwise, a few
+    ulps apart).
     """
-    n = nodes_first.shape[0]
-    buf = np.empty_like(nodes_first)
-    out = np.empty((n - 1, nodes_first.shape[1]))
-    scale = np.empty((n - 1, 1))
-    for lag in range(1, n):
-        inc = np.subtract(nodes_first[lag:], nodes_first[:-lag], out=buf[:n - lag])
-        if inc.ndim == 3:
-            inc = np.linalg.norm(inc, axis=2)
+    n, k = nodes_first.shape[:2]
+    width = max(1, min(BLOCK_PATHS // k, n - 1))
+    # width 1 (a full block) needs no padding and reads its nodes in place
+    padded = np.ascontiguousarray(nodes_first, dtype=float) if width == 1 else np.concatenate(
+        [nodes_first, np.zeros((width - 1,) + nodes_first.shape[1:])])
+    # beyond[i, j]: node i + j is past the last node, so the pair
+    # (i - lag, i + j) of the group starting at lag does not exist
+    beyond = np.add.outer(np.arange(n), np.arange(width)) >= n
+    buf = np.empty(width * nodes_first.size)
+    out = np.empty((n - 1, k))
+    strides = (padded.strides[0],) + padded.strides
+    for lag in range(1, n, width):
+        g, m = min(width, n - lag), n - lag
+        # ahead[i, j] = padded[i + lag + j], a view; the reduction over i
+        # accumulates contiguous rows of g lags x k paths
+        ahead = np.ndarray((m, g) + padded.shape[1:], float, padded, lag * strides[0], strides)
+        inc = np.subtract(ahead, padded[:m, None], out=np.ndarray(ahead.shape, float, buf))
+        if inc.ndim == 4:
+            inc = np.linalg.norm(inc, axis=3)
         else:
             np.abs(inc, out=inc)
+        if g > 1:
+            np.copyto(inc, 0.0, where=beyond[lag:, :g, None])
         if power != 1.0:
             np.power(inc, power, out=inc)
-        ufunc.reduce(inc, axis=0, out=out[lag - 1])
-        scale[lag - 1] = (lag * dt) ** exponent
-    return np.divide(out, scale, out=out)
+        ufunc.reduce(inc, axis=0, out=out[lag - 1:lag - 1 + g])
+    return np.divide(out, _lag_divisors(n, dt, exponent), out=out)
+
+
+@lru_cache(maxsize=64)
+def _lag_divisors(n: int, dt: float, exponent: float) -> np.ndarray:
+    """The column of Python-float powers (lag dt)**exponent, lag = 1 .. n - 1,
+    read-only because it is cached."""
+    col = np.array([(lag * dt) ** exponent for lag in range(1, n)])[:, None]
+    col.flags.writeable = False
+    return col
 
 
 def _lag_seminorms(nodes_first: np.ndarray, dt: float, beta: float) -> np.ndarray:

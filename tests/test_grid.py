@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from fbmlab.grid import (
+    BLOCK_PATHS,
     GridFunction,
     TimeGrid,
     holder_norm,
     holder_seminorm_ensemble,
+    lag_reduce,
 )
 
 
@@ -132,3 +134,78 @@ def test_holder_norm_vector_values_match_per_lag_norm():
     assert hn.seminorm_beta == expect
     assert hn.seminorm_beta == pytest.approx(
         holder_seminorm(grid.points[4:34], win, 0.6), rel=1e-12)
+
+
+def _lag_rows(nodes_first, dt, ufunc, power, exponent):
+    """Per-lag oracle of lag_reduce: one lag at a time over all paths."""
+    rows = []
+    for lag in range(1, nodes_first.shape[0]):
+        inc = nodes_first[lag:] - nodes_first[:-lag]
+        inc = np.linalg.norm(inc, axis=2) if inc.ndim == 3 else np.abs(inc)
+        rows.append(ufunc.reduce(inc**power, axis=0) / (lag * dt) ** exponent)
+    return np.array(rows)
+
+
+# k = 1 and 2 take the 256 lags in one and two groups, 44 in groups of 5
+# with a last group of one lag, 128 in pairs, 255 and 256 one lag at a time
+@pytest.mark.parametrize("k", [1, 2, 44, 128, 255, 256])
+def test_lag_reduce_rows_match_the_per_lag_oracle(k):
+    grid = TimeGrid(0.7, 256)  # non-dyadic spacing
+    nodes = 0.1 * np.cumsum(np.random.default_rng(k).standard_normal((257, k)), axis=0)
+    assert np.array_equal(lag_reduce(nodes, grid.dt, np.maximum, 1.0, 0.6),
+                          _lag_rows(nodes, grid.dt, np.maximum, 1.0, 0.6))
+    # the GRR sum reduction, to a few ulps: the oracle sums one path pairwise
+    q = 2.0 / (0.75 - 0.6)
+    np.testing.assert_allclose(lag_reduce(nodes, grid.dt, np.add, q, q * 0.75),
+                               _lag_rows(nodes, grid.dt, np.add, q, q * 0.75),
+                               rtol=1e-14, atol=0.0)
+
+
+def test_lag_reduce_vector_rows_in_lag_groups():
+    # (n, k, d) nodes with k = 44: lag groups of width 5 on Euclidean increments
+    grid = TimeGrid(0.7, 256)
+    nodes = np.cumsum(np.random.default_rng(9).standard_normal((257, 44, 3)), axis=0)
+    assert BLOCK_PATHS // 44 == 5
+    assert np.array_equal(lag_reduce(nodes, grid.dt, np.maximum, 1.0, 0.6),
+                          _lag_rows(nodes, grid.dt, np.maximum, 1.0, 0.6))
+
+
+@pytest.mark.parametrize("lo,hi", [(100, 101), (100, 102), (0, 256)])
+def test_holder_norm_windows_equal_the_per_lag_loop(lo, hi):
+    # windows of 2, 3 and all 257 nodes, each one lag group
+    grid = TimeGrid(0.7, 256)
+    vals = np.cumsum(np.random.default_rng(hi - lo).standard_normal(257))
+    hn = holder_norm(grid, vals, 0.6, window=(grid.points[lo], grid.points[hi]))
+    expect = _ensemble_by_lag(grid.points[lo:hi + 1], vals[None, lo:hi + 1], 0.6)[0]
+    assert hn.seminorm_beta == expect
+
+
+def test_holder_norm_vector_values_on_a_grouped_window():
+    grid = TimeGrid(0.7, 256)
+    vals = np.cumsum(np.random.default_rng(4).standard_normal((257, 3)), axis=0)
+    win = vals[60:190]  # 130 nodes, all 129 lags in one group
+    dt = grid.points[61] - grid.points[60]
+    expect = max(np.linalg.norm(win[lag:] - win[:-lag], axis=1).max() / (lag * dt) ** 0.6
+                 for lag in range(1, len(win)))
+    hn = holder_norm(grid, vals, 0.6, window=(grid.points[60], grid.points[189]))
+    assert hn.seminorm_beta == expect
+
+
+@pytest.mark.parametrize("at", [0, 23, 50])
+def test_nan_node_gives_a_nan_seminorm_and_leaves_other_paths(at):
+    # fail closed: masking the pairs past the last node never turns a
+    # non-finite pair into 0
+    grid = TimeGrid(0.7, 50)
+    paths = np.cumsum(np.random.default_rng(at).standard_normal((300, 51)), axis=1)
+    clean = holder_seminorm_ensemble(grid.points, paths, 0.6)
+    bad = (7, 290)  # one in a full block, one in the short last block
+    paths[bad, at] = np.nan
+    ens = holder_seminorm_ensemble(grid.points, paths, 0.6)
+    assert np.isnan(ens[list(bad)]).all()
+    keep = np.setdiff1d(np.arange(300), bad)
+    assert np.array_equal(ens[keep], clean[keep])
+    window = (grid.points[max(at - 5, 0)], grid.points[min(at + 5, 50)])
+    for i in bad:
+        assert np.isnan(holder_norm(grid, paths[i], 0.6).seminorm_beta)
+        assert np.isnan(holder_norm(grid, paths[i], 0.6, window=window).seminorm_beta)
+    assert holder_norm(grid, paths[8], 0.6).seminorm_beta == clean[8]

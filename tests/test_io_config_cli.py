@@ -7,6 +7,7 @@ import json
 import os
 import re
 import struct
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ import pytest
 from fbmlab import concentration, fbm
 from fbmlab.cli import main
 from fbmlab.config import VERIFIER_NAMES, ConfigError, load_config
-from fbmlab.fixtures import calibrated_constants
 from fbmlab.grid import TimeGrid
 from fbmlab.pathio import (
     FBMP_MAGIC,
@@ -548,14 +548,12 @@ def test_cli_calibrate_rejects_settings_it_cannot_honour(tmp_path, capsys, text,
 
 def test_cli_calibrate_default_config_reproduces_the_fixture(tmp_path):
     # without --config, calibrate runs the shipped calibrate.ini: the 1000
-    # pairs of seed 0 that produced the frozen constants
+    # pairs of seed 0 that produced the frozen constants, and writes the
+    # shipped fixture byte for byte
     out = tmp_path / "cal"
     assert main(["calibrate", "--out", str(out)]) == 0
-    payload = json.loads((out / "calibrated_constants.json").read_text())
-    frozen = calibrated_constants()
-    assert payload["K_hat"] == frozen["K_hat"]
-    assert payload["kappa_hat"] == frozen["kappa_hat"]
-    assert payload["provenance"] == frozen["provenance"]
+    shipped = resources.files("fbmlab.fixtures") / "calibrated_constants.json"
+    assert (out / "calibrated_constants.json").read_bytes() == shipped.read_bytes()
 
 
 @pytest.mark.parametrize("text,message", [
