@@ -639,6 +639,16 @@ def _n_samples(cfg: ExperimentConfig, name: str) -> int:
     return min(cfg.get("verify", "n_paths"), SAMPLE_CAPS[name])
 
 
+def _require_standard_error(cfg: ExperimentConfig, name: str) -> None:
+    """The premise of a verifier that reports a ddof=1 standard error of its
+    samples: two samples at least.  Every cap is at least 2, so [verify]
+    n_paths decides, before any path is drawn."""
+    n_paths = cfg.get("verify", "n_paths")
+    if n_paths < 2:
+        raise PremiseError(f"{name} premise violated: a standard error needs "
+                           f"[verify] n_paths >= 2, got {n_paths}")
+
+
 Plan = tuple[list[EnsembleShare], Callable[..., dict]]
 
 
@@ -677,6 +687,7 @@ def _esti_int(cfg: ExperimentConfig) -> Plan:
 
 
 def _fernique(cfg: ExperimentConfig) -> Plan:
+    _require_standard_error(cfg, "fernique")
     share = fernique_share(cfg.get("fbm", "hurst"), cfg.get("verify", "beta"),
                            cfg.get("grid", "t_max"), _n_samples(cfg, "fernique"),
                            n_steps=cfg.get("grid", "n_steps"),
@@ -685,6 +696,8 @@ def _fernique(cfg: ExperimentConfig) -> Plan:
 
 
 def _hoeffding_small(cfg: ExperimentConfig) -> Plan:
+    _require_standard_error(cfg, "hoeffding-small")
+
     def report(records):
         rep_avg, rep_sup = records
         return {"verifier": "hoeffding-small",
@@ -698,6 +711,7 @@ def _hoeffding_small(cfg: ExperimentConfig) -> Plan:
 
 
 def _hoeffding_large(cfg: ExperimentConfig) -> Plan:
+    _require_standard_error(cfg, "hoeffding-large")
     seed = cfg.get("experiment", "seed")
     horizons = cfg.horizon_list
     shares = [hoeffding_large_share(
@@ -737,6 +751,7 @@ def _solution_distances(cfg: ExperimentConfig, report: Callable) -> Plan:
 
 
 def _t1_moments(cfg: ExperimentConfig) -> Plan:
+    _require_standard_error(cfg, "t1-moments")
     delta = cfg.get("verify", "delta")
 
     def report(dists):

@@ -1,11 +1,13 @@
 """Fractional derivatives, Young integrals and the Volterra-kernel operators.
 
-The left Riemann-Liouville derivative is evaluated by product integration:
-on each grid cell the function is replaced by its linear interpolant and
-the singular weight (t-s)^{-alpha-1} is integrated exactly.  On a uniform
-grid the resulting weights depend only on the lag, so the derivative at
-every node costs one convolution.  The right derivative is the same kernel
-applied to the reflected path.
+The left Riemann-Liouville derivative is that of the piecewise-linear
+interpolant of the nodes, in closed form: the interpolant is absolutely
+continuous with a constant slope on each cell, so its derivative is the
+f(a) term plus the slopes weighted by the exact cell integrals of
+(t-s)^{-alpha}.  On a uniform grid those weights depend only on the lag,
+so the derivative at every node is one (direct, O(n^2)) convolution of
+the increments.  The right derivative is the same kernel applied to the
+reflected path.
 
 Two routes to the Young integral int f dg are provided: the left-point
 Riemann-Stieltjes sum (the oracle) and the fractional-derivative
@@ -70,44 +72,34 @@ class BoundReport:
 
 
 # ---------------------------------------------------------------------------
-# Riemann-Liouville derivatives by product integration (lag-indexed weights)
+# Riemann-Liouville derivatives of the piecewise-linear interpolant
 # ---------------------------------------------------------------------------
 
 def frac_deriv_left_nodes(values: np.ndarray, h: float, alpha: float) -> np.ndarray:
-    """D^alpha_{a+} f at every grid node of a uniform grid.
+    """D^alpha_{a+} f at every node of a uniform grid, f the piecewise-linear
+    interpolant of values (values[0] at t = a).
 
-    values[0] corresponds to t = a.  At the left endpoint the derivative is
-    the a.e. limit 0 when f(a) = 0 and diverges otherwise; the returned
-    array stores the f(a)/(t-a)^alpha term evaluated at the nodes t > a and
-    0 at t = a.
+    For absolutely continuous f,
+
+        D^alpha_{a+} f(t) = [f(a) (t-a)^{-alpha}
+                             + int_a^t f'(s) (t-s)^{-alpha} ds] / Gamma(1-alpha),
+
+    and the interpolant's slope is constant on each cell, so node i holds
+    h^{-alpha} / Gamma(2-alpha) times sum_j (f_{i-j} - f_{i-j-1}) w_j with
+    w_j = (j+1)^{1-alpha} - j^{1-alpha}: one convolution, exact up to
+    rounding.  At t = a the derivative is 0 when f(a) = 0 and diverges
+    otherwise (NaN); the f(a) term is added only when f(a) != 0.
     """
     f = np.asarray(values, dtype=float)
     n = len(f) - 1
     if n < 1:
         raise ValueError("need at least two nodes")
-    m = np.diff(f) / h
-    # lag kernels of the compensated integral
-    w = np.arange(n + 1, dtype=float) * h
-    with np.errstate(divide="ignore"):
-        p1 = np.zeros(n + 1)
-        p1[2:] = (w[1:n] ** -alpha - w[2:] ** -alpha) / alpha
-        p2 = np.zeros(n + 1)
-        p2[2:] = (w[2:] ** (1 - alpha) - w[1:n] ** (1 - alpha)) / (1 - alpha)
-
-    # integral I_i = sum over cells; split into convolutions over the lag.
-    sum_p1 = np.cumsum(p1)                                   # sum_{l<=i} p1_l
-    conv_f = np.convolve(f, p1)[: n + 1]                     # sum_l f_{i-l} p1_l
-    g_ker = p2 - w * p1
-    conv_m = np.convolve(m, g_ker)[: n + 1]                  # sum_l m_{i-l} g_l
-    integral = f * sum_p1 - conv_f + conv_m
-    # final cell (lag 1): singular part cancels exactly for the interpolant
-    integral[1:] += m * h ** (1 - alpha) / (1 - alpha)
-
+    lags = np.arange(n + 1, dtype=float)
+    w = np.diff(lags ** (1 - alpha))
     out = np.zeros(n + 1)
-    t_rel = w  # t_i - a
-    out[1:] = (f[1:] / t_rel[1:] ** alpha + alpha * integral[1:]) / special.gamma(1 - alpha)
+    out[1:] = np.convolve(np.diff(f), w)[:n] * (h ** -alpha / special.gamma(2 - alpha))
     if f[0] != 0.0:
-        # limit at t=a is infinite; keep the node finite only for f(a)=0
+        out[1:] += f[0] * (lags[1:] * h) ** -alpha / special.gamma(1 - alpha)
         out[0] = np.nan
     return out
 

@@ -40,6 +40,20 @@ def _table(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
     return np.column_stack([grid.points, vals])
 
 
+def _path_from_table(path: str, table: np.ndarray) -> tuple[TimeGrid, np.ndarray]:
+    """(grid, values) of a table read from `path`, time in column 0: at least
+    two rows, at least one component column and a uniform time grid from 0,
+    else ValueError."""
+    if table.ndim != 2 or table.shape[0] < 2 or table.shape[1] < 2:
+        raise ValueError(f"{path}: a path needs at least 2 rows and 1 component "
+                         f"column besides t, got a table of shape {table.shape}")
+    t = table[:, 0]
+    grid = TimeGrid(float(t[-1]), len(t) - 1)
+    if not np.allclose(grid.points, t, atol=1e-9):
+        raise ValueError(f"{path}: time column is not a uniform grid from 0")
+    return grid, table[:, 1:].copy()
+
+
 def write_path_csv(path: str, grid: TimeGrid, values: np.ndarray) -> None:
     """Write one path as CSV with header t,x1..xm, built as one string and
     written once: the bytes of csv.writer's excel dialect (\\r\\n line ends;
@@ -59,13 +73,7 @@ def read_path_csv(path: str) -> tuple[TimeGrid, np.ndarray]:
         if not header or header[0] != "t":
             raise ValueError(f"malformed path CSV header: {header}")
         rows = np.array(list(reader), dtype=float)
-    if rows.ndim != 2 or rows.shape[0] < 2:
-        raise ValueError("path CSV needs at least two rows")
-    t = rows[:, 0]
-    grid = TimeGrid(float(t[-1]), len(t) - 1)
-    if not np.allclose(grid.points, t, atol=1e-9):
-        raise ValueError("path CSV time column is not a uniform grid from 0")
-    return grid, rows[:, 1:]
+    return _path_from_table(path, rows)
 
 
 def write_path_binary(path: str, grid: TimeGrid, values: np.ndarray) -> None:
@@ -90,12 +98,7 @@ def read_path_binary(path: str) -> tuple[TimeGrid, np.ndarray]:
         payload = fh.read(8 * n_rows * n_cols)
     if len(payload) != 8 * n_rows * n_cols:
         raise ValueError(f"{path}: truncated FBMP payload")
-    table = np.frombuffer(payload, dtype="<f8").reshape(n_rows, n_cols)
-    t = table[:, 0]
-    grid = TimeGrid(float(t[-1]), n_rows - 1)
-    if not np.allclose(grid.points, t, atol=1e-9):
-        raise ValueError(f"{path}: time column is not a uniform grid from 0")
-    return grid, table[:, 1:].copy()
+    return _path_from_table(path, np.frombuffer(payload, dtype="<f8").reshape(n_rows, n_cols))
 
 
 def tail_report_csv(report: dict) -> str:

@@ -76,8 +76,8 @@ class PathMetric(str, Enum):
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """i.i.d. collection of paths on one grid; a non-finite entry is a
-    numerical failure (ArithmeticError)."""
+    """i.i.d. collection of at least one path on one grid; a non-finite
+    entry is a numerical failure (ArithmeticError)."""
 
     grid: TimeGrid
     paths: np.ndarray           # (n_paths, n_nodes) or (n_paths, n_nodes, d)
@@ -88,6 +88,8 @@ class PathEnsemble:
             p = p[:, :, None]
         if p.shape[1] != self.grid.n_steps + 1:
             raise ValueError("paths do not match the grid")
+        if p.shape[0] == 0:
+            raise ValueError("path ensemble needs at least one path")
         if not np.all(np.isfinite(p)):
             raise ArithmeticError("path ensemble contains non-finite entries")
         object.__setattr__(self, "paths", p)

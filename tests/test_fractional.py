@@ -61,6 +61,30 @@ def test_left_derivative_of_constant_zero_base():
     np.testing.assert_allclose(d, 0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("alpha", [0.1, 0.45, 0.9])
+def test_left_derivative_of_nonzero_constant(alpha):
+    # D^alpha c = c (t-a)^{-alpha} / Gamma(1-alpha): only the f(a) term, and
+    # the derivative diverges at t = a (NaN)
+    grid = TimeGrid(1.0, 64)
+    d = frac_deriv_left_nodes(np.full(65, 2.5), grid.dt, alpha)
+    assert np.isnan(d[0])
+    t = grid.points[1:]
+    np.testing.assert_allclose(d[1:], 2.5 * t ** -alpha / gamma(1 - alpha), rtol=1e-14)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("alpha", [0.1, 0.45, 0.9])
+def test_left_derivative_of_power(p, alpha):
+    # D^alpha t^p = Gamma(p+1)/Gamma(p+1-alpha) t^{p-alpha}; the interpolant
+    # of t^p is within O(h^{2-alpha}) of it at every node
+    grid = TimeGrid(1.0, 1024)
+    t = grid.points
+    d = frac_deriv_left_nodes(t ** p, grid.dt, alpha)
+    exact = gamma(p + 1) / gamma(p + 1 - alpha) * t ** (p - alpha)
+    assert d[0] == 0.0
+    np.testing.assert_allclose(d, exact, rtol=0, atol=p ** 2 * grid.dt ** (2 - alpha))
+
+
 def test_right_derivative_of_terminal_anchored_linear():
     # g(t) = t - 1 vanishes at b = 1; D^alpha_{b-}g_{b-}(t) =
     # -(1-t)^{1-alpha}/Gamma(2-alpha) under the real convention

@@ -97,6 +97,27 @@ def test_binary_rejects_truncation(tmp_path, sample_path):
         read_path_binary(p)
 
 
+@pytest.mark.parametrize("n_rows, n_cols", [(0, 3), (17, 0), (1, 2), (17, 1)])
+def test_binary_rejects_a_table_without_a_path(tmp_path, n_rows, n_cols):
+    # fewer than 2 rows or no component column besides t: a ValueError that
+    # names the file, not an IndexError or a path with no components
+    p = str(tmp_path / "empty.fbmp")
+    table = np.repeat(np.linspace(0.0, 1.0, n_rows)[:, None], n_cols, axis=1)
+    with open(p, "wb") as fh:
+        fh.write(FBMP_MAGIC + struct.pack("<HII", FBMP_VERSION, n_rows, n_cols)
+                 + table.astype("<f8").tobytes())
+    with pytest.raises(ValueError, match=re.escape(p)):
+        read_path_binary(p)
+
+
+@pytest.mark.parametrize("text", ["t\r\n", "t\r\n0.0\r\n1.0\r\n", "t,x1\r\n0.0,1.5\r\n"])
+def test_csv_rejects_a_table_without_a_path(tmp_path, text):
+    p = tmp_path / "empty.csv"
+    p.write_bytes(text.encode())
+    with pytest.raises(ValueError, match=re.escape(str(p))):
+        read_path_csv(str(p))
+
+
 # ---------------------------------------------------------------------------
 # config
 # ---------------------------------------------------------------------------
@@ -425,6 +446,37 @@ def test_cli_esti_int_one_step_grid_rejected(tmp_path):
     rep = json.load(open(os.path.join(out, "verify_esti-int.json")))
     assert rep["rejected"] is True
     assert "n_steps >= 2" in rep["reason"]
+
+
+STANDARD_ERROR_VERIFIERS = ("fernique", "hoeffding-small", "hoeffding-large", "t1-moments")
+
+
+def test_cli_one_path_is_a_premise_error(tmp_path, monkeypatch):
+    # a ddof=1 standard error of one sample is NaN: the four verifiers that
+    # report one reject n_paths = 1 (exit 1) before any path is drawn,
+    # instead of a NaN report (exit 3)
+    def no_paths(*args, **kwargs):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr(fbm, "_circulant_rows", no_paths)
+    ini = _write_ini(tmp_path, SMALL_INI.replace("n_paths = 100", "n_paths = 1").replace(
+        "verifiers = phi-link", "verifiers = " + ",".join(STANDARD_ERROR_VERIFIERS)))
+    out = tmp_path / "one"
+    assert main(["verify", "--config", ini, "--out", str(out)]) == 1
+    for name in STANDARD_ERROR_VERIFIERS:
+        rep = json.loads((out / f"verify_{name}.json").read_text())
+        assert rep["rejected"] is True
+        assert rep["reason"] == (f"{name} premise violated: a standard error needs "
+                                 "[verify] n_paths >= 2, got 1")
+
+
+def test_cli_two_paths_run_the_standard_error_verifiers(tmp_path):
+    ini = _write_ini(tmp_path, SMALL_INI.replace("n_paths = 100", "n_paths = 2").replace(
+        "verifiers = phi-link", "verifiers = " + ",".join(STANDARD_ERROR_VERIFIERS)))
+    out = tmp_path / "two"
+    assert main(["verify", "--config", ini, "--out", str(out)]) in (0, 1)
+    for name in STANDARD_ERROR_VERIFIERS:
+        assert "rejected" not in json.loads((out / f"verify_{name}.json").read_text())
 
 
 @pytest.mark.parametrize("generator, cached", [

@@ -293,6 +293,14 @@ def test_cost_matrix_rejects_nonfinite():
             pairwise_cost_matrix(mu, nu, metric, 1)
 
 
+@pytest.mark.parametrize("shape", [(0, 5), (0, 5, 2)])
+def test_empty_ensemble_rejected(shape):
+    # zero paths have no empirical law: rejected where the ensemble is built,
+    # not by a ZeroDivisionError in the transport solvers
+    with pytest.raises(ValueError, match="at least one path"):
+        PathEnsemble(TimeGrid(1.0, 4), np.zeros(shape))
+
+
 def test_relative_entropy_values():
     assert relative_entropy_discrete([0.5, 0.5], [0.5, 0.5]) == 0.0
     val = relative_entropy_discrete([0.5, 0.5], [0.25, 0.75])
