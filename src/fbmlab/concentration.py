@@ -22,10 +22,10 @@ The verifiers run one model, `MODEL` (solved by `solve_model`); the command
 line rejects a config that sets it otherwise.  No verifier builds an
 ensemble it only reduces: the 20 000-path campaigns (Fernique and both
 Hoeffding regimes) keep one or two numbers per path and the pair verifiers
-(stability, t1-moments, gaussian-tail) one number per pair, so they stream
-their paths through `shared_pass`: each chunk is sampled, solved where the
-verifier needs it and reduced to its per-path or per-pair statistic, and
-moments, quantiles and tails are taken on the concatenated vector.  A
+(stability, t1-moments, gaussian-tail) one or two per pair, so they stream
+their paths through `shared_pass`: each chunk is sampled, solved where a
+verifier needs it and reduced by the one statistic of each named per-row
+quantity it reads, and moments, tails and ratios take the whole vectors.  A
 campaign's memory is a few chunks, not a few ensembles, and its reports are
 those of a whole-batch run byte for byte.  The campaigns return the
 JSON-ready records that the reports hold: a tail record per functional and
@@ -44,11 +44,12 @@ with the config hash and seed; a PremiseError, from a plan or a report,
 makes a "rejected" one.  `run_verifier` is the campaign of one name.
 Fernique and hoeffding-small share the primary ensemble of the seed,
 stability, t1-moments and gaussian-tail the pair ensemble (`pair_seeds`)
-and its solution distances, and each large-time horizon is an ensemble of
-its own.  Two kernels are also the Monte Carlo oracles of the calibration:
-the stability share behind K_hat (`stability_share`) and the sweep of the
-Young-integral estimate behind kappa_hat (`esti_int_sweep`, which draws its
-200 pairs whole through `independent_pairs`).  Every ensemble other than
+and its `solution_d_inf` (stability also its `driver_gap`), and each
+large-time horizon is an ensemble of its own.  Two kernels are also the
+Monte Carlo oracles of the calibration: the stability share behind K_hat
+(`stability_share`) and the sweep of the Young-integral estimate behind
+kappa_hat (`esti_int_sweep`, which draws its 200 pairs whole through
+`independent_pairs`).  Every ensemble other than
 the primary one of the config seed is drawn from `fbm.role_seed`: the
 independent partner, the esti-int windows and each large-time horizon, by
 its index in `[verify] horizons`.
@@ -133,19 +134,19 @@ class EnsembleShare(NamedTuple):
 
     The ensemble is the circulant fBm drawn from `seed` on (grid, hp); a
     tuple of seeds is a pair ensemble (`pair_seeds`).  The verifier reads its
-    first n rows, which `statistic` reduces chunk by chunk to one value per
-    row for each name in `values` (a sequence of 1-d arrays, in that order).
-    A name stands for one per-row quantity of the config, so verifiers that
-    read it compute it once (`shared_pass`).  finish(*arrays) turns the
-    share's values into its result.
+    first n rows: `reads` maps the name of each per-row quantity it needs to
+    the statistic that makes it, reducing a chunk of rows (one chunk per
+    seed) to one value per row.  A name stands for one quantity of the
+    config, made by one builder, so verifiers that read it compute it once
+    (`shared_pass`).  finish(*arrays), one array per name in `reads` order,
+    turns the quantities into the share's result.
     """
 
     grid: TimeGrid
     hp: HurstParam
     seed: int | tuple[int, ...]
     n: int
-    values: tuple[str, ...]
-    statistic: Callable[..., tuple]
+    reads: dict[str, Callable[..., np.ndarray]]
     finish: Callable[..., object]
 
     @property
@@ -161,30 +162,24 @@ def shared_pass(shares: list[EnsembleShare]):
     row is reduced for a share that does not read it, and a segment is
     reduced when the first share that reads it is finished: an error in a
     later segment stops the run only when a share reading it is reached.
-    In a segment each value name is computed once, by the statistic of a
-    share that reads it there, the one giving most names first (stability's
-    ratios come with the distances).  A share finishes on its own first n
-    rows, bit for bit what a pass of its own would reduce.
+    A segment computes the union of the `reads` of the shares that read it,
+    each name once.  A share finishes on its own first n rows, bit for bit
+    what a pass of its own would reduce.
     """
     first = shares[0]
     if any(s.ensemble != first.ensemble for s in shares):
         raise ValueError("shares of one pass must read one ensemble")
-    parts: dict[str, list[np.ndarray]] = {name: [] for s in shares for name in s.values}
+    parts: dict[str, list[np.ndarray]] = {name: [] for s in shares for name in s.reads}
 
     def reduce(lo: int, hi: int) -> None:
-        makers, names = [], []
-        for s in sorted((s for s in shares if s.n >= hi), key=lambda s: -len(s.values)):
-            if not set(s.values) <= set(names):
-                makers.append(s)
-                names += s.values
-        # a lone maker gets each chunk itself, free to release it early
-        statistic = makers[0].statistic if len(makers) == 1 else (
-            lambda *chunks: [v for s in makers for v in s.statistic(*chunks)])
+        reads = {name: stat for s in shares if s.n >= hi for name, stat in s.reads.items()}
+        # a lone statistic gets each chunk itself, free to release it early
+        statistic = next(iter(reads.values())) if len(reads) == 1 else (
+            lambda *chunks: [stat(*chunks) for stat in reads.values()])
         # a pass from row 0 is the plain call of a campaign of its own
         rows = {"start": lo} if lo else {}
         got = map_circulant_chunks(first.grid, first.hp, hi, first.seed, statistic, **rows)
-        # a name given by two makers is one quantity: either copy will do
-        for name, part in dict(zip(names, got)).items():
+        for name, part in zip(reads, np.atleast_2d(got)):
             parts[name].append(part)
 
     done = 0
@@ -192,7 +187,7 @@ def shared_pass(shares: list[EnsembleShare]):
         for hi in sorted({s.n for s in shares if done < s.n <= share.n}):
             reduce(done, hi)
             done = hi
-        yield share.finish(*(np.concatenate(parts[name])[:share.n] for name in share.values))
+        yield share.finish(*(np.concatenate(parts[name])[:share.n] for name in share.reads))
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +317,9 @@ def hoeffding_small_share(H: float, T: float, n_paths: int, n_steps: int,
         return (_tail_report(avg, 2.0 * C, {"functional": "time_average", "C": C, "K": K}),
                 _tail_report(sup, 2.0 * C, {"functional": "sup_displacement", "C": C, "K": K}))
 
-    return EnsembleShare(grid, HurstParam(H), seed, n_paths, ("time_average", "sup_displacement"),
-                         lambda paths: (time_average(paths, grid, clip=10.0),
-                                        sup_displacement(paths, grid)), records)
+    return EnsembleShare(grid, HurstParam(H), seed, n_paths, {
+        "time_average": lambda paths: time_average(paths, grid, clip=10.0),
+        "sup_displacement": lambda paths: sup_displacement(paths, grid)}, records)
 
 
 def verify_hoeffding_small_time(H: float, T: float, n_paths: int,
@@ -353,7 +348,7 @@ def hoeffding_large_share(H: float, T: float, n_paths: int, n_steps: int,
     def chunk_average(drivers):
         paths = solve_model(drivers, B, grid.dt)
         del drivers  # at most three (chunk, n_nodes) arrays live at once
-        return (time_average(paths, grid, clip=50.0),)
+        return time_average(paths, grid, clip=50.0)
 
     def records(samples):
         sigma = MODEL["sde"]["sigma"]
@@ -365,8 +360,8 @@ def hoeffding_large_share(H: float, T: float, n_paths: int, n_steps: int,
                 _tail_report(samples, 2.0 * c_two * (1.0 / np.sqrt(T)) ** 2,
                              {"metric": "d_two", **notes}))
 
-    return EnsembleShare(grid, HurstParam(H), seed, n_paths, ("solution_time_average",),
-                         chunk_average, records)
+    return EnsembleShare(grid, HurstParam(H), seed, n_paths,
+                         {"solution_time_average": chunk_average}, records)
 
 
 def verify_hoeffding_large_time(H: float, T: float, n_paths: int,
@@ -452,9 +447,9 @@ def fernique_share(H: float, beta: float, T: float, n_samples: int,
                 "exp_upper_confidence": exp_upper, "exp_bound": exp_bound,
                 "n_samples": n_samples, "passed": passed}
 
-    return EnsembleShare(grid, HurstParam(H), seed, n_samples, ("holder_seminorm",),
-                         lambda paths: (holder_seminorm_ensemble(grid.points, paths, beta),),
-                         record)
+    return EnsembleShare(grid, HurstParam(H), seed, n_samples,
+                         {"holder_seminorm": lambda paths: holder_seminorm_ensemble(
+                             grid.points, paths, beta)}, record)
 
 
 def verify_fernique(H: float, beta: float, T: float, n_samples: int,
@@ -568,46 +563,38 @@ def independent_pairs(grid: TimeGrid, hp: HurstParam, n_pairs: int,
     return tuple(sample_fbm_circulant_batch(grid, hp, n_pairs, s) for s in pair_seeds(seed))
 
 
-def solution_distances(grid: TimeGrid, g1: np.ndarray, g2: np.ndarray,
-                       drift_b: float) -> np.ndarray:
-    """d_inf(x, x~) per row, where x and x~ solve the MODEL equation with
-    the drivers g1[i] and g2[i]."""
-    x1 = solve_model(g1, drift_b, grid.dt)
-    x2 = solve_model(g2, drift_b, grid.dt)
-    return pair_distances(PathEnsemble(grid, x1), PathEnsemble(grid, x2),
-                          PathMetric.d_infinity)
-
-
-def stability_ratios(grid: TimeGrid, g1: np.ndarray, g2: np.ndarray,
-                     beta: float, drift_b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Driver-stability ratios of dx = drift_b x dt + dg over driver pairs,
-
-        ||x - x~||_inf / (||g1[i] - g2[i]||_beta T^beta)
-
-    (||sigma||_beta = 1), or 0 where the driver gap vanishes.  Returns the
-    ratios and the solution_distances they are built from.
-    """
-    sup_dist = solution_distances(grid, g1, g2, drift_b)
-    gap = holder_seminorm_ensemble(grid.points, g1 - g2, beta)
-    ratios = np.divide(sup_dist, gap * grid.t_max**beta,
-                       out=np.zeros_like(sup_dist), where=gap > 0)
-    return ratios, sup_dist
+def solution_d_inf(grid: TimeGrid, drift_b: float) -> Callable[..., np.ndarray]:
+    """The statistic of the per-pair quantity "solution_d_inf": d_inf(x, x~)
+    per row, where x and x~ solve the MODEL equation with the drivers g1[i]
+    and g2[i]."""
+    def d_inf(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+        x1 = solve_model(g1, drift_b, grid.dt)
+        x2 = solve_model(g2, drift_b, grid.dt)
+        return pair_distances(PathEnsemble(grid, x1), PathEnsemble(grid, x2),
+                              PathMetric.d_infinity)
+    return d_inf
 
 
 def stability_share(grid: TimeGrid, hp: HurstParam, beta: float, drift_b: float,
                     n_pairs: int, seed: int) -> EnsembleShare:
-    """The share of the stability verifier and of calibrate_k_hat: the
-    stability_ratios arrays of the first n_pairs pairs of the pair ensemble
-    of `seed`.  Raises its PremiseError before any path is drawn."""
+    """The share of the stability verifier and of calibrate_k_hat on the
+    first n_pairs pairs of the pair ensemble of `seed`: the driver-stability
+    ratios ||x - x~||_inf / (||g1[i] - g2[i]||_beta T^beta) of
+    dx = drift_b x dt + dg (||sigma||_beta = 1; 0 where the driver gap
+    vanishes) and the solution distances they divide.  Raises its
+    PremiseError before any path is drawn."""
     delta = stability_horizon(abs(drift_b))
     if grid.t_max > delta:
         raise PremiseError(f"stability premise violated: T={grid.t_max} > Delta={delta}")
-    # the ratios come with the solution distances they divide, which the
-    # t1-moments and gaussian-tail shares then read on these rows
-    return EnsembleShare(grid, hp, pair_seeds(seed), n_pairs,
-                         ("stability_ratio", "solution_d_inf"),
-                         lambda g1, g2: stability_ratios(grid, g1, g2, beta, drift_b),
-                         lambda ratios, dists: (ratios, dists))
+
+    def ratios(dists, gaps):
+        return np.divide(dists, gaps * grid.t_max**beta,
+                         out=np.zeros_like(dists), where=gaps > 0), dists
+
+    return EnsembleShare(grid, hp, pair_seeds(seed), n_pairs, {
+        "solution_d_inf": solution_d_inf(grid, drift_b),
+        "driver_gap": lambda g1, g2: holder_seminorm_ensemble(grid.points, g1 - g2, beta)},
+        ratios)
 
 
 def esti_int_sweep(grid: TimeGrid, hp: HurstParam, beta: float,
@@ -639,14 +626,20 @@ def _n_samples(cfg: ExperimentConfig, name: str) -> int:
     return min(cfg.get("verify", "n_paths"), SAMPLE_CAPS[name])
 
 
-def _require_standard_error(cfg: ExperimentConfig, name: str) -> None:
-    """The premise of a verifier that reports a ddof=1 standard error of its
-    samples: two samples at least.  Every cap is at least 2, so [verify]
+def _require_samples(cfg: ExperimentConfig, name: str, minimum: int = 2,
+                     statistic: str = "a standard error") -> None:
+    """The premise of a verifier that reports `statistic` of its samples:
+    `minimum` of them, two for a ddof=1 standard error and three (TAIL_SHARE)
+    for gaussian_tail_c_delta's top-share flag (of two values the larger
+    carries half their sum or more).  Every cap is at least 3, so [verify]
     n_paths decides, before any path is drawn."""
     n_paths = cfg.get("verify", "n_paths")
-    if n_paths < 2:
-        raise PremiseError(f"{name} premise violated: a standard error needs "
-                           f"[verify] n_paths >= 2, got {n_paths}")
+    if n_paths < minimum:
+        raise PremiseError(f"{name} premise violated: {statistic} needs "
+                           f"[verify] n_paths >= {minimum}, got {n_paths}")
+
+
+TAIL_SHARE = (3, "the tail-share diagnostic")
 
 
 Plan = tuple[list[EnsembleShare], Callable[..., dict]]
@@ -687,7 +680,7 @@ def _esti_int(cfg: ExperimentConfig) -> Plan:
 
 
 def _fernique(cfg: ExperimentConfig) -> Plan:
-    _require_standard_error(cfg, "fernique")
+    _require_samples(cfg, "fernique")
     share = fernique_share(cfg.get("fbm", "hurst"), cfg.get("verify", "beta"),
                            cfg.get("grid", "t_max"), _n_samples(cfg, "fernique"),
                            n_steps=cfg.get("grid", "n_steps"),
@@ -696,7 +689,7 @@ def _fernique(cfg: ExperimentConfig) -> Plan:
 
 
 def _hoeffding_small(cfg: ExperimentConfig) -> Plan:
-    _require_standard_error(cfg, "hoeffding-small")
+    _require_samples(cfg, "hoeffding-small")
 
     def report(records):
         rep_avg, rep_sup = records
@@ -711,7 +704,7 @@ def _hoeffding_small(cfg: ExperimentConfig) -> Plan:
 
 
 def _hoeffding_large(cfg: ExperimentConfig) -> Plan:
-    _require_standard_error(cfg, "hoeffding-large")
+    _require_samples(cfg, "hoeffding-large")
     seed = cfg.get("experiment", "seed")
     horizons = cfg.horizon_list
     shares = [hoeffding_large_share(
@@ -742,16 +735,16 @@ def _hoeffding_large(cfg: ExperimentConfig) -> Plan:
 def _solution_distances(cfg: ExperimentConfig, report: Callable) -> Plan:
     """The d_inf distances of the solution pairs, reported by report."""
     grid = _grid(cfg)
-    B = cfg.get("sde", "drift_b")
     return [EnsembleShare(grid, HurstParam(cfg.get("fbm", "hurst")),
                           pair_seeds(cfg.get("experiment", "seed")),
-                          _n_samples(cfg, "solution-distances"), ("solution_d_inf",),
-                          lambda g1, g2: (solution_distances(grid, g1, g2, B),),
+                          _n_samples(cfg, "solution-distances"),
+                          {"solution_d_inf": solution_d_inf(grid, cfg.get("sde", "drift_b"))},
                           lambda dists: dists)], report
 
 
 def _t1_moments(cfg: ExperimentConfig) -> Plan:
-    _require_standard_error(cfg, "t1-moments")
+    _require_samples(cfg, "t1-moments")
+    _require_samples(cfg, "t1-moments", *TAIL_SHARE)
     delta = cfg.get("verify", "delta")
 
     def report(dists):
@@ -767,6 +760,7 @@ def _t1_moments(cfg: ExperimentConfig) -> Plan:
 
 
 def _gaussian_tail(cfg: ExperimentConfig) -> Plan:
+    _require_samples(cfg, "gaussian-tail", *TAIL_SHARE)
     delta = cfg.get("verify", "delta")
 
     def report(dists):

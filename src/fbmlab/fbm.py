@@ -34,8 +34,9 @@ seed offsets.
 
 Arrays that depend only on (t_max, n_steps, H) are built once, in bounded
 `functools.lru_cache`s keyed on the frozen TimeGrid and HurstParam (or on
-(n, H, dt)), and returned read-only: `_fgn_circulant_eigs` keeps 32 entries
-of 32 n bytes; `transfer_kernel_matrix` and `cholesky_factor` keep 2 entries
+(n, H, dt)), and returned read-only: `fgn_autocovariance` and
+`_fgn_circulant_eigs` keep 32 entries of 8 n and 32 n bytes;
+`transfer_kernel_matrix` and `cholesky_factor` keep 2 entries
 of 8 n^2 bytes each (0.5 MiB at n = 256, 128 MiB at CHOLESKY_MAX_STEPS).
 
 A campaign that keeps a few numbers per path (or per pair of paths) needs
@@ -250,6 +251,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
+def fgn_autocovariance(n: int, hurst: float, dt: float) -> np.ndarray:
+    """gamma(k) = dt^{2H} (|k+1|^{2H} + |k-1|^{2H} - 2|k|^{2H}) / 2, k = 0..n:
+    the autocovariance of the fGn increments of step dt, cached, read-only."""
+    k, hh = np.arange(n + 1), 2 * hurst
+    return _read_only(0.5 * dt**hh * (np.abs(k + 1) ** hh + np.abs(k - 1) ** hh
+                                      - 2.0 * np.abs(k) ** hh))
+
+
+@functools.lru_cache(maxsize=32)
 def _fgn_circulant_eigs(n: int, hurst: float, dt: float) -> np.ndarray:
     """The 2n eigenvalues of the circulant embedding of the fGn covariance,
     cached and read-only; `_circulant_rows` checks the sign of all of them
@@ -260,11 +270,7 @@ def _fgn_circulant_eigs(n: int, hurst: float, dt: float) -> np.ndarray:
     and convex, hence a constant plus a nonnegative sum of tents
     (1 - |k|/m)_+, m <= n, whose DFTs on the 2n-cycle are Fejer kernels.
     """
-    k = np.arange(n + 1)
-    gamma = 0.5 * dt ** (2 * hurst) * (
-        np.abs(k + 1) ** (2 * hurst) + np.abs(k - 1) ** (2 * hurst)
-        - 2.0 * np.abs(k) ** (2 * hurst)
-    )
+    gamma = fgn_autocovariance(n, hurst, dt)
     row = np.concatenate([gamma[:n], gamma[n:n + 1], gamma[n - 1:0:-1]])
     return _read_only(np.fft.fft(row).real)
 

@@ -30,6 +30,7 @@ from scipy import special
 
 from .fbm import (
     HurstParam,
+    fgn_autocovariance,
     kernel_kh_fast,
     transfer_from_wiener_increments,
     transfer_kernel_matrix,
@@ -244,16 +245,13 @@ def scalar_product_h_cells(phi_cells: np.ndarray, psi_cells: np.ndarray,
                            grid: TimeGrid, h: HurstParam) -> float:
     """<phi, psi>_H for piecewise-constant functions, exact cell integration.
 
-    The double integral of H(2H-1)|s-t|^{2H-2} over a cell pair has the
-    closed-form double primitive -|s-t|^{2H}/2, so the sum below is exact
-    for step functions (no singular quadrature).
+    The double integral of H(2H-1)|s-t|^{2H-2} over cells i and j is the
+    double difference of -|s-t|^{2H}/2 over their corners, the fGn
+    autocovariance gamma(|i - j|): phi Gamma psi is exact for step functions.
     """
-    pts = grid.points
-    hh = 2.0 * h.h
-    d = np.abs(pts[:, None] - pts[None, :]) ** hh
-    # double difference over the cell corners
-    block = d[1:, 1:] - d[1:, :-1] - d[:-1, 1:] + d[:-1, :-1]
-    return float(-0.5 * phi_cells @ block @ psi_cells)
+    gamma = fgn_autocovariance(grid.n_steps, h.h, grid.dt)
+    cells = np.arange(grid.n_steps)
+    return float(phi_cells @ gamma[np.abs(cells[:, None] - cells)] @ psi_cells)
 
 
 def scalar_product_h(phi: GridFunction, psi: GridFunction,

@@ -15,7 +15,7 @@ quadrature, F^{-1} one Newton iteration inside the slope bracket of F'.
 
 The module also hosts the driver-stability horizon, the drift-coupled pair
 used to probe the Girsanov-type coupling bound and its Gronwall bound.  The
-driver-stability ratio itself is `concentration.stability_ratios`.
+driver-stability ratio itself is formed by `concentration.stability_share`.
 """
 
 from __future__ import annotations

@@ -217,6 +217,7 @@ def test_half_spectrum_rows_match_full_hermitian_fft(n, h):
 
 # the arrays built once per (t_max, n_steps, H)
 PER_GRID_ARRAYS = {
+    "fgn_autocovariance": lambda t, n, h: fbm.fgn_autocovariance(n, h, t / n),
     "circulant_eigs": lambda t, n, h: fbm._fgn_circulant_eigs(n, h, t / n),
     "transfer_kernel": lambda t, n, h: transfer_kernel_matrix(TimeGrid(t, n), HurstParam(h)),
     "cholesky_factor": lambda t, n, h: cholesky_factor(TimeGrid(t, n), HurstParam(h)),

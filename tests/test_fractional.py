@@ -218,6 +218,21 @@ def test_scalar_product_h_indicators_give_covariance():
     assert val == pytest.approx(covariance_rh(s, t, H75), rel=1e-12)
 
 
+@pytest.mark.parametrize("hurst", [0.6, 0.75, 0.9])
+@pytest.mark.parametrize("n", [1, 7, 512])
+def test_scalar_product_h_cells_is_the_corner_double_difference(hurst, n):
+    # the Toeplitz form of the fGn autocovariance against the double
+    # difference of -|t_i - t_j|^{2H}/2 over the cell corners
+    grid, h = TimeGrid(1.3, n), HurstParam(hurst)
+    rng = np.random.default_rng(n)
+    phi, psi = rng.standard_normal((2, n))
+    d = np.abs(grid.points[:, None] - grid.points[None, :]) ** (2 * hurst)
+    block = d[1:, 1:] - d[1:, :-1] - d[:-1, 1:] + d[:-1, :-1]
+    corner = -0.5 * phi @ block @ psi
+    scale = np.sqrt(-0.5 * phi @ block @ phi * -0.5 * psi @ block @ psi)
+    assert abs(scalar_product_h_cells(phi, psi, grid, h) - corner) <= 1e-10 * scale
+
+
 def test_scalar_product_h_bound():
     grid = TimeGrid(1.0, 128)
     rng = np.random.default_rng(3)

@@ -8,6 +8,7 @@ import os
 import re
 import struct
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ def test_binary_rejects_truncation(tmp_path, sample_path):
     grid, vals = sample_path
     p = str(tmp_path / "t.fbmp")
     write_path_binary(p, grid, vals)
-    data = open(p, "rb").read()
+    data = Path(p).read_bytes()
     with open(p, "wb") as fh:
         fh.write(data[:-16])
     with pytest.raises(ValueError):
@@ -238,7 +239,7 @@ def test_cli_sample_and_solve(tmp_path):
     out = str(tmp_path / "samp")
     assert main(["sample", "--config", ini, "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "path_00001.fbmp"))
-    manifest = json.load(open(os.path.join(out, "sample_manifest.json")))
+    manifest = json.loads(Path(out, "sample_manifest.json").read_text())
     assert manifest["seed"] == 42
     assert manifest["experiment"] == "smoke"
     assert manifest["stream_layout"] == fbm.STREAM_LAYOUT
@@ -247,7 +248,7 @@ def test_cli_sample_and_solve(tmp_path):
     assert main(["solve", "--config", ini, "--out", out2]) == 0
     grid, vals = read_path_binary(os.path.join(out2, "solution_00000.fbmp"))
     assert np.all(np.isfinite(vals))
-    manifest = json.load(open(os.path.join(out2, "solve_manifest.json")))
+    manifest = json.loads(Path(out2, "solve_manifest.json").read_text())
     assert manifest["experiment"] == "smoke"
     assert manifest["stream_layout"] == fbm.STREAM_LAYOUT == 2
 
@@ -324,9 +325,9 @@ def test_cli_verify_pass_and_reports(tmp_path):
     ini = _write_ini(tmp_path, SMALL_INI)
     out = str(tmp_path / "vrf")
     assert main(["verify", "--config", ini, "--out", out]) == 0
-    rep = json.load(open(os.path.join(out, "verify_phi-link.json")))
+    rep = json.loads(Path(out, "verify_phi-link.json").read_text())
     assert rep["passed"] is True
-    summary = json.load(open(os.path.join(out, "verify_summary.json")))
+    summary = json.loads(Path(out, "verify_summary.json").read_text())
     assert summary["passed"] is True
 
 
@@ -335,8 +336,8 @@ def test_cli_verify_deterministic_reports(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["verify", "--config", ini, "--out", out1]) == 0
     assert main(["verify", "--config", ini, "--out", out2]) == 0
-    a = open(os.path.join(out1, "verify_summary.json"), "rb").read()
-    b = open(os.path.join(out2, "verify_summary.json"), "rb").read()
+    a = Path(out1, "verify_summary.json").read_bytes()
+    b = Path(out2, "verify_summary.json").read_bytes()
     assert a == b
 
 
@@ -432,7 +433,7 @@ def test_cli_stability_uses_drift_b(tmp_path):
                      + "\n[sde]\ndrift_b = -4\n")
     out = str(tmp_path / "stab")
     assert main(["verify", "--config", ini, "--out", out]) == 1
-    rep = json.load(open(os.path.join(out, "verify_stability.json")))
+    rep = json.loads(Path(out, "verify_stability.json").read_text())
     assert rep["rejected"] is True
     assert "Delta=0.125" in rep["reason"]
 
@@ -443,7 +444,7 @@ def test_cli_esti_int_one_step_grid_rejected(tmp_path):
                      .replace("verifiers = phi-link", "verifiers = esti-int"))
     out = str(tmp_path / "esti")
     assert main(["verify", "--config", ini, "--out", out]) == 1
-    rep = json.load(open(os.path.join(out, "verify_esti-int.json")))
+    rep = json.loads(Path(out, "verify_esti-int.json").read_text())
     assert rep["rejected"] is True
     assert "n_steps >= 2" in rep["reason"]
 
@@ -471,11 +472,49 @@ def test_cli_one_path_is_a_premise_error(tmp_path, monkeypatch):
 
 
 def test_cli_two_paths_run_the_standard_error_verifiers(tmp_path):
+    # two paths give a standard error; t1-moments is then rejected only by
+    # the three pairs its tail-share diagnostic needs
     ini = _write_ini(tmp_path, SMALL_INI.replace("n_paths = 100", "n_paths = 2").replace(
         "verifiers = phi-link", "verifiers = " + ",".join(STANDARD_ERROR_VERIFIERS)))
     out = tmp_path / "two"
     assert main(["verify", "--config", ini, "--out", str(out)]) in (0, 1)
     for name in STANDARD_ERROR_VERIFIERS:
+        rep = json.loads((out / f"verify_{name}.json").read_text())
+        if name == "t1-moments":
+            assert "the tail-share diagnostic needs" in rep["reason"]
+        else:
+            assert "rejected" not in rep
+
+
+TAIL_SHARE_VERIFIERS = ("t1-moments", "gaussian-tail")
+
+
+def test_cli_two_pairs_are_a_tail_share_premise_error(tmp_path, monkeypatch):
+    # of two pairs the larger carries half the mean or more, so the
+    # top-share flag would fail any data: two pairs are rejected (exit 1)
+    # before any path is drawn, three are run
+    real = fbm._circulant_rows
+
+    def no_paths(*args, **kwargs):
+        raise AssertionError("a path was drawn")
+
+    def ini(n_paths):
+        return _write_ini(tmp_path, SMALL_INI.replace("n_paths = 100", f"n_paths = {n_paths}")
+                          .replace("verifiers = phi-link",
+                                   "verifiers = " + ",".join(TAIL_SHARE_VERIFIERS)))
+
+    monkeypatch.setattr(fbm, "_circulant_rows", no_paths)
+    out = tmp_path / "two"
+    assert main(["verify", "--config", ini(2), "--out", str(out)]) == 1
+    for name in TAIL_SHARE_VERIFIERS:
+        rep = json.loads((out / f"verify_{name}.json").read_text())
+        assert rep["rejected"] is True
+        assert rep["reason"] == (f"{name} premise violated: the tail-share diagnostic "
+                                 "needs [verify] n_paths >= 3, got 2")
+    monkeypatch.setattr(fbm, "_circulant_rows", real)
+    out = tmp_path / "three"
+    assert main(["verify", "--config", ini(3), "--out", str(out)]) in (0, 1)
+    for name in TAIL_SHARE_VERIFIERS:
         assert "rejected" not in json.loads((out / f"verify_{name}.json").read_text())
 
 
@@ -541,7 +580,7 @@ n_paths = 100
 """)
     out = str(tmp_path / "neg")
     assert main(["verify", "--config", ini, "--out", out]) == 1
-    rep = json.load(open(os.path.join(out, "verify_fernique.json")))
+    rep = json.loads(Path(out, "verify_fernique.json").read_text())
     assert rep["passed"] is False
     assert rep["rejected"] is True
 
@@ -574,7 +613,7 @@ def test_cli_calibrate_smoke(tmp_path):
     ini = _write_ini(tmp_path, CALIBRATE_INI)
     out = str(tmp_path / "cal")
     assert main(["calibrate", "--config", ini, "--out", out]) == 0
-    raw = open(os.path.join(out, "calibrated_constants.json")).read()
+    raw = Path(out, "calibrated_constants.json").read_text()
     payload = json.loads(raw)
     assert payload["K_hat"] > 0
     assert payload["kappa_hat"] > 0

@@ -23,8 +23,7 @@ from fbmlab.concentration import (
     pair_seeds,
     run_verifier,
     shared_pass,
-    solution_distances,
-    stability_ratios,
+    stability_share,
 )
 from fbmlab.config import VERIFIER_NAMES, ConfigError, load_config
 from fbmlab.fbm import (
@@ -45,10 +44,13 @@ def test_registry_follows_config_names():
 
 
 def test_stability_ratios_match_per_pair_holder_norm():
-    grid, beta, B = TimeGrid(0.5, 64), 0.6, -2.0
-    g1, g2 = independent_pairs(grid, HurstParam(0.75), 40, 5)
+    # T = Delta = 1/4 for B = -2: the stability share's premise holds
+    grid, hp, beta, B = TimeGrid(0.25, 64), HurstParam(0.75), 0.6, -2.0
+    g1, g2 = independent_pairs(grid, hp, 40, 5)
     g2[0] = g1[0]  # a vanishing driver gap gives ratio 0
-    ratios, sup_dist = stability_ratios(grid, g1, g2, beta, B)
+    share = stability_share(grid, hp, beta, B, 40, 5)
+    assert list(share.reads) == ["solution_d_inf", "driver_gap"]
+    ratios, sup_dist = share.finish(*(stat(g1, g2) for stat in share.reads.values()))
     x1 = euler_additive_ensemble(0.0, lambda x: B * x, g1, grid.dt)
     x2 = euler_additive_ensemble(0.0, lambda x: B * x, g2, grid.dt)
     for i in range(len(g1)):
@@ -173,14 +175,14 @@ PAIR_CHUNK = CHUNK_PATHS // 2  # pairs per chunk of a pair ensemble
 def test_streamed_pair_values_equal_whole_ensemble_kernels(n_pairs):
     grid, hp, beta, B, seed = TimeGrid(0.5, 64), HurstParam(0.75), 0.6, -1.0, 11
     g1, g2 = independent_pairs(grid, hp, n_pairs, seed)
-    ratios, dists = stability_ratios(grid, g1, g2, beta, B)
-    s_ratios, s_dists = map_circulant_chunks(
-        grid, hp, n_pairs, pair_seeds(seed),
-        lambda c1, c2: np.stack(stability_ratios(grid, c1, c2, beta, B)))
+    share = stability_share(grid, hp, beta, B, n_pairs, seed)
+    whole = [stat(g1, g2) for stat in share.reads.values()]
+    for stat, values in zip(share.reads.values(), whole):
+        assert np.array_equal(map_circulant_chunks(grid, hp, n_pairs, pair_seeds(seed), stat),
+                              values)
+    ratios, dists = share.finish(*whole)
+    s_ratios, s_dists = next(shared_pass([share]))
     assert np.array_equal(s_ratios, ratios) and np.array_equal(s_dists, dists)
-    assert np.array_equal(map_circulant_chunks(
-        grid, hp, n_pairs, pair_seeds(seed),
-        lambda c1, c2: solution_distances(grid, c1, c2, B)), dists)
 
 
 def test_shared_pass_equals_each_share_on_its_own(tmp_path, monkeypatch):
@@ -199,15 +201,21 @@ def test_shared_pass_equals_each_share_on_its_own(tmp_path, monkeypatch):
     for names, shares in ((pair_names, pair), (primary_names, primary)):
         reports = [plans[name][1] for name in names]
         alone = [report(next(shared_pass([s]))) for s, report in zip(shares, reports)]
-        solved = []
-        real = concentration.solve_model
+        solved, seminorms = [], []
+        real, real_seminorm = concentration.solve_model, concentration.holder_seminorm_ensemble
         monkeypatch.setattr(concentration, "solve_model",
                             lambda g, b, dt: solved.append(len(g)) or real(g, b, dt))
+        monkeypatch.setattr(concentration, "holder_seminorm_ensemble",
+                            lambda t, v, beta: seminorms.append(len(v))
+                            or real_seminorm(t, v, beta))
         assert [report(r) for report, r in zip(reports, shared_pass(shares))] == alone
         monkeypatch.setattr(concentration, "solve_model", real)
-        # each of the 2000 pairs is solved once: the distances of the first
-        # 1000 come with stability's ratios
+        monkeypatch.setattr(concentration, "holder_seminorm_ensemble", real_seminorm)
+        # each of the 2000 pairs is solved once, stability's first 1000
+        # included, and only stability's 1000 pairs take a driver-gap
+        # seminorm; fernique's seminorm is taken once per path
         assert sum(solved) == (2 * 2000 if shares is pair else 0)
+        assert sum(seminorms) == (1000 if shares is pair else 2000)
     with pytest.raises(ValueError, match="one ensemble"):
         list(shared_pass(pair + primary))
 
