@@ -23,11 +23,12 @@ line rejects a config that sets it otherwise.  No verifier builds an
 ensemble it only reduces: the 20 000-path campaigns (Fernique and both
 Hoeffding regimes) keep one or two numbers per path and the pair verifiers
 (stability, t1-moments, gaussian-tail) one or two per pair, so they stream
-their paths through `shared_pass`: each chunk is sampled, solved where a
-verifier needs it and reduced by the one statistic of each named per-row
-quantity it reads, and moments, tails and ratios take the whole vectors.  A
-campaign's memory is a few chunks, not a few ensembles, and its reports are
-those of a whole-batch run byte for byte.  The campaigns return the
+their paths through `shared_pass`, which draws them `fbm.CHUNK_PATHS` at
+a time: each chunk is sampled, solved where a verifier needs it and reduced
+by the one statistic of each named per-row quantity it reads, and moments,
+tails and ratios take the whole vectors.  A campaign's memory is a few
+chunks, not a few ensembles, and its reports are those of a whole-batch run
+byte for byte.  The campaigns return the
 JSON-ready records that the reports hold: a tail record per functional and
 metric (r-grid, empirical tail, upper confidence, bound, per-threshold
 "passed", n_samples, notes), and one Fernique record with an overall
@@ -67,12 +68,13 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special, stats
 
+from . import fbm
 from .config import ConfigError, ExperimentConfig
 from .fbm import (
+    CHUNK_PATHS,
     HurstParam,
     Role,
     component_rng,
-    map_circulant_chunks,
     role_seed,
     sample_fbm_circulant_batch,
 )
@@ -163,24 +165,32 @@ def shared_pass(shares: list[EnsembleShare]):
     reduced when the first share that reads it is finished: an error in a
     later segment stops the run only when a share reading it is reached.
     A segment computes the union of the `reads` of the shares that read it,
-    each name once.  A share finishes on its own first n rows, bit for bit
-    what a pass of its own would reduce.
+    each name once, on chunks of CHUNK_PATHS paths over all seeds (row i
+    of each seed's chunk is path i of its ensemble bit for bit, as
+    `fbm._circulant_rows` addresses paths by index).  A share finishes on
+    its own first n rows, bit for bit what a pass of its own would reduce.
     """
     first = shares[0]
     if any(s.ensemble != first.ensemble for s in shares):
         raise ValueError("shares of one pass must read one ensemble")
+    seeds = first.seed if isinstance(first.seed, tuple) else (first.seed,)
+    rows = CHUNK_PATHS // len(seeds)
     parts: dict[str, list[np.ndarray]] = {name: [] for s in shares for name in s.reads}
 
     def reduce(lo: int, hi: int) -> None:
         reads = {name: stat for s in shares if s.n >= hi for name, stat in s.reads.items()}
-        # a lone statistic gets each chunk itself, free to release it early
-        statistic = next(iter(reads.values())) if len(reads) == 1 else (
-            lambda *chunks: [stat(*chunks) for stat in reads.values()])
-        # a pass from row 0 is the plain call of a campaign of its own
-        rows = {"start": lo} if lo else {}
-        got = map_circulant_chunks(first.grid, first.hp, hi, first.seed, statistic, **rows)
-        for name, part in zip(reads, np.atleast_2d(got)):
-            parts[name].append(part)
+        for start in range(lo, hi, rows):
+            paths = range(start, min(start + rows, hi))
+            if len(seeds) == 1 and len(reads) == 1:
+                # passed on its own, the chunk is the statistic's to free (a
+                # name bound here would hold it until the call returns)
+                [(name, stat)] = reads.items()
+                parts[name].append(stat(fbm._circulant_rows(first.grid, first.hp, seeds[0],
+                                                            paths)))
+            else:
+                chunks = [fbm._circulant_rows(first.grid, first.hp, s, paths) for s in seeds]
+                for name, stat in reads.items():
+                    parts[name].append(stat(*chunks))
 
     done = 0
     for share in shares:

@@ -14,6 +14,8 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
+from .fbm import DENSE_MAX_STEPS
+
 
 class ConfigError(ValueError):
     """Invalid configuration file (maps to CLI exit code 2)."""
@@ -132,7 +134,8 @@ class ExperimentConfig:
         return self._positive_list("c_delta_values")
 
     def _positive_list(self, key: str) -> list[float]:
-        """[verify] key as a non-empty list of positive finite numbers."""
+        """[verify] key as a non-empty list of distinct positive finite
+        numbers; values are compared as parsed, so 1 and 1.0 are repeats."""
         raw = self.get("verify", key)
         try:
             values = [float(v) for v in raw.split(",") if v.strip()]
@@ -141,6 +144,9 @@ class ExperimentConfig:
         if not values or not all(0.0 < v < math.inf for v in values):
             raise ConfigError(f"[verify] {key} = {raw!r}: expected a non-empty "
                               "list of positive finite numbers")
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise ConfigError(f"[verify] {key} = {raw!r}: {v:g} given twice")
         return values
 
 
@@ -197,11 +203,17 @@ def _validate(cfg: ExperimentConfig) -> None:
     gen = cfg.get("fbm", "generator")
     if gen not in _GENERATORS:
         raise ConfigError(f"[fbm] generator must be one of {_GENERATORS}, got {gen!r}")
+    if cfg.get("fbm", "components") < 1:
+        raise ConfigError("[fbm] components must be >= 1")
     model = cfg.get("sde", "model")
     if model not in _MODELS:
         raise ConfigError(f"[sde] model must be one of {_MODELS}, got {model!r}")
-    if cfg.get("grid", "n_steps") < 1:
+    n_steps = cfg.get("grid", "n_steps")
+    if n_steps < 1:
         raise ConfigError("[grid] n_steps must be >= 1")
+    if gen != "circulant" and n_steps > DENSE_MAX_STEPS:
+        raise ConfigError(f"[fbm] generator = {gen} builds an (n_steps, n_steps) array, "
+                          f"capped at {DENSE_MAX_STEPS} steps; got [grid] n_steps = {n_steps}")
     if cfg.get("grid", "t_max") <= 0:
         raise ConfigError("[grid] t_max must be positive")
     for sec in ("fbm", "verify"):

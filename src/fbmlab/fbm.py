@@ -36,16 +36,16 @@ Arrays that depend only on (t_max, n_steps, H) are built once, in bounded
 `functools.lru_cache`s keyed on the frozen TimeGrid and HurstParam (or on
 (n, H, dt)), and returned read-only: `fgn_autocovariance` and
 `_fgn_circulant_eigs` keep 32 entries of 8 n and 32 n bytes;
-`transfer_kernel_matrix` and `cholesky_factor` keep 2 entries
-of 8 n^2 bytes each (0.5 MiB at n = 256, 128 MiB at CHOLESKY_MAX_STEPS).
+`transfer_kernel_matrix` and `cholesky_factor` keep 2 entries of 8 n^2
+bytes each (0.5 MiB at n = 256), and both refuse grids above
+DENSE_MAX_STEPS, so an entry is at most 128 MiB.
 
 A campaign that keeps a few numbers per path (or per pair of paths) needs
-no ensemble: `map_circulant_chunks` draws the rows of
-`sample_fbm_circulant_batch` CHUNK_PATHS at a time, from one seed or from
-the seeds of a pair ensemble, reduces each chunk with a per-path statistic
-and concatenates the results, bit for bit what the statistic gives on the
-whole batch.  Its memory is a few chunks (4 MiB of paths per chunk at 256
-steps), whatever the number of paths.
+no ensemble: `concentration.shared_pass` draws the rows of
+`sample_fbm_circulant_batch` CHUNK_PATHS at a time through
+`_circulant_rows`, which addresses each path by its index, so a statistic
+of each row alone gives on a chunk bit for bit what it gives on the whole
+batch.
 """
 
 from __future__ import annotations
@@ -59,8 +59,9 @@ from scipy import integrate, special
 
 from .grid import BLOCK_PATHS, TimeGrid
 
-#: Largest grid for the O(n^3) Cholesky sampler.
-CHOLESKY_MAX_STEPS = 4096
+#: Largest grid for the two (n_steps, n_steps) arrays, `cholesky_factor` and
+#: `transfer_kernel_matrix`: 128 MiB each.
+DENSE_MAX_STEPS = 4096
 
 #: Embedding eigenvalues below this fail the circulant construction with
 #: ArithmeticError; values in [tol, 0) are roundoff and clipped.
@@ -250,6 +251,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_dense(grid: TimeGrid, name: str) -> None:
+    """ValueError if `name`, an (n_steps, n_steps) array, would exceed
+    DENSE_MAX_STEPS; raised before anything is built."""
+    if grid.n_steps > DENSE_MAX_STEPS:
+        raise ValueError(f"{name} builds an (n_steps, n_steps) array, capped at "
+                         f"{DENSE_MAX_STEPS} steps; got {grid.n_steps}")
+
+
 @functools.lru_cache(maxsize=32)
 def fgn_autocovariance(n: int, hurst: float, dt: float) -> np.ndarray:
     """gamma(k) = dt^{2H} (|k+1|^{2H} + |k-1|^{2H} - 2|k|^{2H}) / 2, k = 0..n:
@@ -340,12 +349,8 @@ def sample_fbm_cholesky(grid: TimeGrid, h: HurstParam, m: int, seed: int,
 @functools.lru_cache(maxsize=2)
 def cholesky_factor(grid: TimeGrid, h: HurstParam) -> np.ndarray:
     """Lower-triangular factor of the grid covariance, cached per (grid, H)
-    and read-only; refused above CHOLESKY_MAX_STEPS, so at most 128 MiB."""
-    if grid.n_steps > CHOLESKY_MAX_STEPS:
-        raise ValueError(
-            f"Cholesky sampler capped at {CHOLESKY_MAX_STEPS} steps "
-            f"(O(n^3) factorization); got {grid.n_steps}"
-        )
+    and read-only; refused above DENSE_MAX_STEPS."""
+    _check_dense(grid, "cholesky_factor")
     try:
         return _read_only(np.linalg.cholesky(covariance_matrix(grid, h)))
     except np.linalg.LinAlgError as exc:
@@ -372,44 +377,11 @@ def sample_fbm_circulant_batch(grid: TimeGrid, h: HurstParam, n_paths: int,
     return _circulant_rows(grid, h, seed, range(n_paths), component)
 
 
-#: Paths per chunk of map_circulant_chunks, a whole number of BLOCK_PATHS:
+#: Paths per chunk of concentration.shared_pass, a whole number of BLOCK_PATHS:
 #: 4 MiB per (chunk, 257) float64 array.  Measured on the large-time
 #: campaign: smaller chunks pay the Euler loop's per-step overhead more
 #: often, larger ones add memory and no speed.
 CHUNK_PATHS = 8 * BLOCK_PATHS
-
-
-def map_circulant_chunks(grid: TimeGrid, h: HurstParam, n_paths: int,
-                         seed: int | tuple[int, ...], statistic, start: int = 0):
-    """statistic(paths) of rows start..n_paths - 1 of the ensemble
-    sample_fbm_circulant_batch(grid, h, n_paths, seed), without building it:
-    the paths are drawn CHUNK_PATHS rows at a time, each chunk goes to
-    statistic, and the results are concatenated along their last axis.
-
-    A tuple of seeds draws one ensemble per seed, e.g. a pair ensemble of a
-    primary and a partner seed: statistic(*chunks) then gets the same rows of
-    each, so row i of every chunk is pair i, and a chunk holds CHUNK_PATHS
-    paths over all seeds.
-
-    Row i of a chunk is path i of the batch bit for bit (layout 2), so a
-    statistic that computes each path from its own row alone returns exactly
-    what it would on the whole batch, whatever the chunking.  Its one caller
-    is concentration.shared_pass, which all streamed sampling goes through.
-    """
-    seeds = seed if isinstance(seed, tuple) else (seed,)
-    if not 0 <= start < n_paths:
-        raise ValueError(f"need 0 <= start < n_paths, got start={start}, n_paths={n_paths}")
-    rows = CHUNK_PATHS // len(seeds)
-    parts = []
-    for lo in range(start, n_paths, rows):
-        paths = range(lo, min(lo + rows, n_paths))
-        if len(seeds) == 1:
-            # passed on its own, the chunk is the statistic's to free (an
-            # unpacked argument tuple would hold it until the call returns)
-            parts.append(statistic(_circulant_rows(grid, h, seeds[0], paths)))
-        else:
-            parts.append(statistic(*(_circulant_rows(grid, h, s, paths) for s in seeds)))
-    return np.concatenate(parts, axis=-1)
 
 
 @functools.lru_cache(maxsize=2)
@@ -418,8 +390,9 @@ def transfer_kernel_matrix(grid: TimeGrid, h: HurstParam) -> np.ndarray:
     per (grid, H) and read-only.
 
     Row i holds the kernel at target time t_i against all cell midpoints with
-    mid_k < t_i; other entries are 0.
+    mid_k < t_i; other entries are 0.  Refused above DENSE_MAX_STEPS.
     """
+    _check_dense(grid, "transfer_kernel_matrix")
     return _read_only(kernel_kh_fast(grid.points[1:, None], grid.midpoints[None, :], h))
 
 

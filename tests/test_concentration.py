@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import digamma, factorial
 
-from fbmlab import concentration
+from fbmlab import concentration, fbm
 from fbmlab.concentration import (
     clopper_pearson_upper,
     estimate_t1_constant,
@@ -23,12 +23,7 @@ from fbmlab.concentration import (
     verify_hoeffding_large_time,
     verify_hoeffding_small_time,
 )
-from fbmlab.fbm import (
-    CHUNK_PATHS,
-    HurstParam,
-    map_circulant_chunks,
-    sample_fbm_circulant_batch,
-)
+from fbmlab.fbm import CHUNK_PATHS, HurstParam, sample_fbm_circulant_batch
 from fbmlab.grid import TimeGrid
 from fbmlab.transport import PathEnsemble, PathMetric
 
@@ -246,25 +241,29 @@ CAMPAIGNS = {
 
 @pytest.mark.parametrize("campaign", sorted(CAMPAIGNS))
 def test_campaign_statistic_chunked_equals_whole_batch(monkeypatch, campaign):
-    # the statistic each campaign streams, applied chunk by chunk (a full
+    # the statistics each campaign streams, applied chunk by chunk (a full
     # chunk and a ragged one) and to the whole batch at once
-    seen = []
+    drawn, wholes = [], []
+    real_rows, real_pass = fbm._circulant_rows, concentration.shared_pass
 
-    def spy(grid, h, n_paths, seed, statistic):
-        chunked = map_circulant_chunks(grid, h, n_paths, seed, statistic)
-        whole = statistic(sample_fbm_circulant_batch(grid, h, n_paths, seed))
-        seen.append((chunked.shape[-1], np.array_equal(chunked, whole)))
-        return chunked
+    def rows(grid, h, seed, paths, component=0):
+        drawn.append(len(paths))
+        return real_rows(grid, h, seed, paths, component)
 
-    monkeypatch.setattr(concentration, "map_circulant_chunks", spy)
+    def shared_pass(shares):
+        [share] = shares
+        batch = sample_fbm_circulant_batch(share.grid, share.hp, share.n, share.seed)
+        wholes.append([stat(batch) for stat in share.reads.values()])
+        return real_pass([share._replace(finish=lambda *values: values)])
+
+    monkeypatch.setattr(fbm, "_circulant_rows", rows)
+    monkeypatch.setattr(concentration, "shared_pass", shared_pass)
     n = CHUNK_PATHS + 37
-    CAMPAIGNS[campaign](n)
-    assert seen == [(n, True)]
-
-
-def test_chunk_driver_needs_a_path():
-    with pytest.raises(ValueError):
-        map_circulant_chunks(TimeGrid(1.0, 8), HurstParam(0.75), 0, 0, lambda p: p[:, 0])
+    streamed = CAMPAIGNS[campaign](n)
+    assert drawn == [n, CHUNK_PATHS, 37]  # the whole batch, then the two chunks
+    [whole] = wholes
+    assert len(streamed) == len(whole)
+    assert all(np.array_equal(s, w) for s, w in zip(streamed, whole))
 
 
 def test_large_time_campaign_memory_below_one_ensemble():

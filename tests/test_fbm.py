@@ -7,6 +7,7 @@ from scipy import stats
 from fbmlab import fbm
 from fbmlab.fbm import (
     CIRCULANT_EIG_TOL,
+    DENSE_MAX_STEPS,
     HurstParam,
     cholesky_factor,
     covariance_matrix,
@@ -232,6 +233,16 @@ def test_per_grid_arrays_cached_and_read_only(build):
     assert build(1.0, 16, 0.75) is arr
     for other in ((2.0, 16, 0.75), (1.0, 17, 0.75), (1.0, 16, 0.8)):
         assert not np.array_equal(build(*other), arr)
+
+
+@pytest.mark.parametrize("build, inner", [(transfer_kernel_matrix, "kernel_kh_fast"),
+                                          (cholesky_factor, "covariance_matrix")])
+def test_dense_arrays_refused_above_the_cap(monkeypatch, build, inner):
+    # one cap for both (n_steps, n_steps) arrays, checked before either is built
+    monkeypatch.setattr(fbm, inner, lambda *args: pytest.fail(f"{inner} called"))
+    with pytest.raises(ValueError, match=f"capped at {DENSE_MAX_STEPS} steps; got "
+                                         f"{DENSE_MAX_STEPS + 1}"):
+        build(TimeGrid(1.0, DENSE_MAX_STEPS + 1), H75)
 
 
 def test_paths_start_at_zero_and_finite():

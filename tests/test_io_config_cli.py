@@ -167,10 +167,10 @@ def test_config_domain_validation(tmp_path):
     for section in ("fbm", "verify"):  # the message names the section
         with pytest.raises(ConfigError, match=re.escape(f"[{section}] n_paths must be >= 1")):
             load_config(_write_ini(tmp_path, f"[{section}]\nn_paths = 0\n"))
-    # number lists are parsed at load: non-numeric, non-positive, non-finite
-    # or empty
+    # number lists are parsed at load: non-numeric, non-positive, non-finite,
+    # empty or repeated
     for key in ("horizons", "c_delta_values"):
-        for raw in ("1,two", "", " , ", "1,0", "-2", "1,nan", "inf"):
+        for raw in ("1,two", "", " , ", "1,0", "-2", "1,nan", "inf", "1,1", "2,1,2.0"):
             with pytest.raises(ConfigError, match=key):
                 load_config(_write_ini(tmp_path, f"[verify]\n{key} = {raw}\n"))
 
@@ -763,6 +763,44 @@ def test_cli_verify_repeated_config_verifier_exit_2(tmp_path, capsys):
     out = tmp_path / "vrf"
     assert main(["verify", "--config", ini, "--out", str(out)]) == 2
     assert "verifier 'phi-link' selected twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("horizons", ["1,1,2", "1,1.0"])
+def test_cli_verify_repeated_horizon_exit_2(tmp_path, capsys, horizons):
+    # a repeated horizon would be drawn and judged twice but reported once
+    ini = _write_ini(tmp_path, SMALL_INI.replace(
+        "verifiers = phi-link", f"verifiers = hoeffding-large\nhorizons = {horizons}"))
+    out = tmp_path / "vrf"
+    assert main(["verify", "--config", ini, "--out", str(out)]) == 2
+    assert f"[verify] horizons = '{horizons}': 1 given twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("generator", ["cholesky", "circulant", "transfer"])
+def test_cli_sample_without_components_exit_2(tmp_path, capsys, generator):
+    # no component would write t-only files that the path readers reject
+    ini = _write_ini(tmp_path, SMALL_INI.replace(
+        "[fbm]\n", f"[fbm]\ngenerator = {generator}\ncomponents = 0\n"))
+    out = tmp_path / "samp"
+    assert main(["sample", "--config", ini, "--out", str(out)]) == 2
+    assert "[fbm] components must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("generator, dense", [("cholesky", "cholesky_factor"),
+                                              ("transfer", "transfer_kernel_matrix")])
+def test_cli_sample_above_the_dense_cap_exit_2(tmp_path, capsys, monkeypatch, generator,
+                                               dense):
+    # the generator's (n_steps, n_steps) array is refused at load, before any file
+    monkeypatch.setattr(fbm, dense, lambda grid, h: pytest.fail(f"{dense} called"))
+    ini = _write_ini(tmp_path, SMALL_INI.replace("n_steps = 32",
+                                                 f"n_steps = {fbm.DENSE_MAX_STEPS + 1}")
+                     .replace("[fbm]\n", f"[fbm]\ngenerator = {generator}\n"))
+    out = tmp_path / "samp"
+    assert main(["sample", "--config", ini, "--out", str(out)]) == 2
+    assert (f"[fbm] generator = {generator} builds an (n_steps, n_steps) array, capped at "
+            f"{fbm.DENSE_MAX_STEPS} steps") in capsys.readouterr().err
     assert not out.exists()
 
 

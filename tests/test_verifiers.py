@@ -20,18 +20,12 @@ from fbmlab.concentration import (
     PremiseError,
     esti_int_sweep,
     independent_pairs,
-    pair_seeds,
     run_verifier,
     shared_pass,
     stability_share,
 )
 from fbmlab.config import VERIFIER_NAMES, ConfigError, load_config
-from fbmlab.fbm import (
-    CHUNK_PATHS,
-    HurstParam,
-    map_circulant_chunks,
-    sample_fbm_circulant_batch,
-)
+from fbmlab.fbm import CHUNK_PATHS, HurstParam, sample_fbm_circulant_batch
 from fbmlab.fixtures import calibrated_constants
 from fbmlab.fractional import lemma_esti_int_check
 from fbmlab.grid import GridFunction, TimeGrid, holder_norm
@@ -173,14 +167,20 @@ PAIR_CHUNK = CHUNK_PATHS // 2  # pairs per chunk of a pair ensemble
 
 @pytest.mark.parametrize("n_pairs", [1, PAIR_CHUNK - 1, PAIR_CHUNK, PAIR_CHUNK + 1, 2000])
 def test_streamed_pair_values_equal_whole_ensemble_kernels(n_pairs):
+    # both quantities of the stability share in one pass, and each in a pass
+    # of its own, against the statistics of the whole pair ensemble
     grid, hp, beta, B, seed = TimeGrid(0.5, 64), HurstParam(0.75), 0.6, -1.0, 11
     g1, g2 = independent_pairs(grid, hp, n_pairs, seed)
     share = stability_share(grid, hp, beta, B, n_pairs, seed)
-    whole = [stat(g1, g2) for stat in share.reads.values()]
-    for stat, values in zip(share.reads.values(), whole):
-        assert np.array_equal(map_circulant_chunks(grid, hp, n_pairs, pair_seeds(seed), stat),
-                              values)
-    ratios, dists = share.finish(*whole)
+    whole = {name: stat(g1, g2) for name, stat in share.reads.items()}
+    values = share._replace(finish=lambda *values: values)
+    both = next(shared_pass([values]))
+    assert [len(v) for v in both] == [n_pairs, n_pairs]
+    for name, streamed in zip(share.reads, both):
+        assert np.array_equal(streamed, whole[name])
+        [alone] = next(shared_pass([values._replace(reads={name: share.reads[name]})]))
+        assert np.array_equal(alone, whole[name])
+    ratios, dists = share.finish(*whole.values())
     s_ratios, s_dists = next(shared_pass([share]))
     assert np.array_equal(s_ratios, ratios) and np.array_equal(s_dists, dists)
 
