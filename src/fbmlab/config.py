@@ -153,17 +153,21 @@ class ExperimentConfig:
 def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig:
     """Parse and validate an INI config file, fail-closed."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        items = {sec: parser.items(sec) for sec in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found or unreadable: {path}")
     sections: dict = {}
-    for sec in parser.sections():
+    for sec, pairs in items.items():
         if sec not in _SCHEMA:
             raise ConfigError(
                 f"unknown section [{sec}]; known: {', '.join(sorted(_SCHEMA))}"
             )
         sections[sec] = {}
-        for key, raw in parser.items(sec):
+        for key, raw in pairs:
             if key not in _SCHEMA[sec]:
                 raise ConfigError(
                     f"unknown key {key!r} in section [{sec}]; "

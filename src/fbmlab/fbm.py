@@ -14,12 +14,11 @@ grid:
   B_t = int_0^t K(t,s) dW_s, returning the underlying Wiener increments so
   that drift-perturbation experiments can act on W directly.
 
-The module also evaluates the Volterra kernel K(t,s) and its t-derivative,
-both as careful single-point quadratures and as fast vectorized closed forms
-through the Gauss hypergeometric function.  `transfer_from_wiener_increments`
-is the one place the discretized kernel is applied to increments: the
-transfer sampler, `fractional.operator_kh` and `sde.drift_coupled_pair`
-all go through it.
+The module also evaluates the Volterra kernel K(t,s), vectorized, in closed
+form through the Gauss hypergeometric function.
+`transfer_from_wiener_increments` is the one place the discretized kernel
+is applied to increments: the transfer sampler, `fractional.operator_kh`
+and `sde.drift_coupled_pair` all go through it.
 
 Random streams (layout 2).  Every normal a sampler draws comes from one
 Philox per (seed, component), keyed by `SeedSequence(seed, spawn_key=(0,
@@ -55,7 +54,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .grid import BLOCK_PATHS, TimeGrid
 
@@ -169,45 +168,14 @@ def kernel_normalization(h: HurstParam) -> float:
     return float(np.sqrt(hv * (2 * hv - 1) / special.beta(2 - 2 * hv, hv - 0.5)))
 
 
-def kernel_kh(t: float, s: float, h: HurstParam) -> float:
-    """Volterra kernel K(t, s) by adaptive quadrature.
-
-    K(t,s) = c_H s^{1/2-H} int_s^t (u-s)^{H-3/2} u^{H-1/2} du for s < t and
-    0 for s >= t.  The endpoint singularity at u = s (exponent H - 3/2 in
-    (-1, -1/2)) is removed by the substitution u = s + w^{1/(H-1/2)}, after
-    which the integrand is smooth and a plain adaptive Gauss rule converges.
-    """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    if s <= 0:
-        raise ValueError(f"s must be positive (kernel diverges at s=0), got {s}")
-    if s >= t:
-        return 0.0
-    hv = h.h
-    gamma = hv - 0.5  # in (0, 1/2)
-
-    # u = s + w^{1/gamma}: (u-s)^{H-3/2} du = (1/gamma) w^{0} ... dw exactly,
-    # i.e. the integrand becomes (1/gamma) (s + w^{1/gamma})^{H-1/2}.
-    def integrand(w):
-        return (s + w ** (1.0 / gamma)) ** (hv - 0.5) / gamma
-
-    w_max = (t - s) ** gamma
-    val, err = integrate.quad(integrand, 0.0, w_max, epsabs=0.0, epsrel=1e-12, limit=200)
-    if abs(err) > 1e-8 * max(abs(val), 1.0):
-        raise ArithmeticError(
-            f"kernel quadrature did not converge: value={val}, abserr={err}"
-        )
-    return kernel_normalization(h) * s ** (0.5 - hv) * val
-
-
 def kernel_kh_fast(t, s, h: HurstParam):
-    """Vectorized K(t, s) via the Gauss hypergeometric closed form.
+    """Vectorized Volterra kernel
+    K(t, s) = c_H s^{1/2-H} int_s^t (u-s)^{H-3/2} u^{H-1/2} du for s < t,
+    0 for s >= t, via the Gauss hypergeometric closed form:
 
     int_s^t (u-s)^{H-3/2} u^{H-1/2} du
         = s^{H-1/2} x^{H-1/2} / (H-1/2) * 2F1(1/2-H, H-1/2; H+1/2; -x/s)
     with x = t - s, which cancels the s^{1/2-H} prefactor entirely.
-    Agrees with kernel_kh to ~1e-12 relative; used wherever the kernel is
-    needed on whole grids at once.
     """
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -222,23 +190,6 @@ def kernel_kh_fast(t, s, h: HurstParam):
         sm = np.broadcast_to(s, out.shape)[mask]
         f = special.hyp2f1(0.5 - hv, hv - 0.5, hv + 0.5, -xm / sm)
         out[mask] = kernel_normalization(h) * xm ** (hv - 0.5) / (hv - 0.5) * f
-    return out if out.ndim else float(out)
-
-
-def kernel_kh_partial(u: float, s: float, h: HurstParam):
-    """dK/du (u, s) = c_H (u/s)^{H-1/2} (u-s)^{H-3/2}, for 0 < s < u.
-
-    Diverges like (u-s)^{H-3/2} as u approaches s; gaps below 1e-12 are
-    refused rather than returning astronomically large values.
-    """
-    u = np.asarray(u, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if np.any(s <= 0) or np.any(u - s <= 0):
-        raise ValueError("kernel_kh_partial requires 0 < s < u")
-    if np.any(u - s < 1e-12):
-        raise ValueError("u - s below the documented floor 1e-12")
-    hv = h.h
-    out = kernel_normalization(h) * (u / s) ** (hv - 0.5) * (u - s) ** (hv - 1.5)
     return out if out.ndim else float(out)
 
 

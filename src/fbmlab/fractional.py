@@ -1,4 +1,4 @@
-"""Fractional derivatives, Young integrals and the Volterra-kernel operators.
+"""Fractional derivatives, Young integrals and the Volterra-kernel operator.
 
 The left Riemann-Liouville derivative is that of the piecewise-linear
 interpolant of the nodes, in closed form: the interpolant is absolutely
@@ -16,9 +16,8 @@ right derivative of order 1-alpha.  The two complex phases of the right
 derivative and of the representation cancel, so everything here is real:
 the composed formula carries a single overall minus sign.
 
-The Volterra-kernel operators are K (`operator_kh`, the transfer of the
-cell values rho(mid_k) dt) and its adjoint K* at given points
-(`operator_kh_star_at`, exact for piecewise-constant phi).
+The Volterra-kernel operator K (`operator_kh`) is the transfer of the cell
+values rho(mid_k) dt.
 """
 
 from __future__ import annotations
@@ -28,15 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .fbm import (
-    HurstParam,
-    fgn_autocovariance,
-    kernel_kh_fast,
-    transfer_from_wiener_increments,
-    transfer_kernel_matrix,
-)
+from .fbm import HurstParam, transfer_from_wiener_increments, transfer_kernel_matrix
 from .fixtures import calibrated_constants
-from .grid import GridFunction, TimeGrid, cell_values, holder_norm
+from .grid import GridFunction, cell_values, holder_norm
 
 
 @dataclass(frozen=True)
@@ -128,14 +121,6 @@ def _window(f: GridFunction, a: float, b: float):
     return ia, ib
 
 
-def frac_deriv_left(f: GridFunction, alpha: FracOrder, a: float, t: float) -> float:
-    """Left fractional derivative of order alpha at a single node t > a."""
-    ia, it = _window(f, a, t)
-    vals = f.values[ia:it + 1]
-    out = frac_deriv_left_nodes(vals, f.grid.dt, alpha.alpha)
-    return float(out[-1])
-
-
 def young_integral_rs(f: GridFunction, g: GridFunction, a: float, b: float) -> float:
     """Left-point Riemann-Stieltjes sum sum f(t_k)(g(t_{k+1}) - g(t_k))."""
     if f.grid != g.grid:
@@ -206,21 +191,8 @@ def esti_int_bound(f: GridFunction, g: GridFunction, g_seminorm: float,
 
 
 # ---------------------------------------------------------------------------
-# Volterra-kernel operators
+# Volterra-kernel operator
 # ---------------------------------------------------------------------------
-
-def operator_kh_star_at(phi_cells: np.ndarray, grid: TimeGrid, h: HurstParam,
-                        s: np.ndarray) -> np.ndarray:
-    """(K* phi)(s) = int_s^T phi(r) dK/dr (r, s) dr for piecewise-constant
-    phi, exact per cell.
-
-    Uses int_{r0}^{r1} dK/dr (r, s) dr = K(r1, s) - K(r0, s), so each cell
-    contributes a kernel difference and no singular quadrature is needed.
-    """
-    s = np.asarray(s, dtype=float)
-    k = kernel_kh_fast(grid.points[:, None], s.reshape(1, -1), h)
-    return (phi_cells @ np.diff(k, axis=0)).reshape(s.shape)
-
 
 def operator_kh(rho: GridFunction, h: HurstParam) -> GridFunction:
     """K operator: (K rho)(t) = int_0^t K(t, s) rho(s) ds on the grid.
@@ -233,38 +205,3 @@ def operator_kh(rho: GridFunction, h: HurstParam) -> GridFunction:
     vals = transfer_from_wiener_increments(transfer_kernel_matrix(grid, h),
                                            cell_values(rho.values) * grid.dt)
     return GridFunction(grid=grid, values=vals)
-
-
-def l2_norm_cells(f: GridFunction) -> float:
-    """L2(0, T) norm using cell-midpoint values."""
-    cells = cell_values(f.values)
-    return float(np.sqrt(np.sum(cells**2) * f.grid.dt))
-
-
-def scalar_product_h_cells(phi_cells: np.ndarray, psi_cells: np.ndarray,
-                           grid: TimeGrid, h: HurstParam) -> float:
-    """<phi, psi>_H for piecewise-constant functions, exact cell integration.
-
-    The double integral of H(2H-1)|s-t|^{2H-2} over cells i and j is the
-    double difference of -|s-t|^{2H}/2 over their corners, the fGn
-    autocovariance gamma(|i - j|): phi Gamma psi is exact for step functions.
-    """
-    gamma = fgn_autocovariance(grid.n_steps, h.h, grid.dt)
-    cells = np.arange(grid.n_steps)
-    return float(phi_cells @ gamma[np.abs(cells[:, None] - cells)] @ psi_cells)
-
-
-def scalar_product_h(phi: GridFunction, psi: GridFunction,
-                     h: HurstParam) -> tuple[float, float]:
-    """Scalar product <phi, psi>_H and the L2 comparison bound.
-
-    Returns (value, bound) where bound = 2 H T^{2H-1} ||phi|| ||psi|| in L2
-    with T the grid horizon; for phi = psi this is the upper bound the
-    scalar product must respect.
-    """
-    grid = phi.grid
-    if psi.grid != grid:
-        raise ValueError("phi and psi must share one grid")
-    val = scalar_product_h_cells(cell_values(phi.values), cell_values(psi.values), grid, h)
-    bound = 2.0 * h.h * grid.t_max ** (2 * h.h - 1) * l2_norm_cells(phi) * l2_norm_cells(psi)
-    return val, bound

@@ -95,10 +95,6 @@ class HolderNorm:
     sup_norm: float
     seminorm_beta: float
 
-    @property
-    def total(self) -> float:
-        return self.sup_norm + self.seminorm_beta
-
 
 def holder_norm(
     grid: TimeGrid,

@@ -66,14 +66,17 @@ def write_path_csv(path: str, grid: TimeGrid, values: np.ndarray) -> None:
 
 
 def read_path_csv(path: str) -> tuple[TimeGrid, np.ndarray]:
-    """Read a t,x1..xm CSV back into (grid, values)."""
+    """Read a t,x1..xm CSV back into (grid, values); anything else is a
+    ValueError naming the file."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "t":
-            raise ValueError(f"malformed path CSV header: {header}")
-        rows = np.array(list(reader), dtype=float)
-    return _path_from_table(path, rows)
+        try:
+            header, *rows = list(csv.reader(fh)) or [[]]
+            table = np.array(rows, dtype=float)
+        except ValueError as exc:  # ragged or non-numeric rows, or not UTF-8 text
+            raise ValueError(f"{path}: not a numeric path CSV: {exc}") from exc
+    if not header or header[0] != "t":
+        raise ValueError(f"{path}: malformed path CSV header: {header}")
+    return _path_from_table(path, table)
 
 
 def write_path_binary(path: str, grid: TimeGrid, values: np.ndarray) -> None:

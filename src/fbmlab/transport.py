@@ -109,17 +109,6 @@ def path_metric(diff: np.ndarray, dt: float, metric: PathMetric) -> np.ndarray:
     return np.sqrt(np.trapezoid(dist**2, dx=dt, axis=-1))
 
 
-def path_distance(gamma1: np.ndarray, gamma2: np.ndarray, grid: TimeGrid,
-                  metric: PathMetric) -> float:
-    """d_inf or d_2 between two paths sampled on the same grid."""
-    g1 = np.asarray(gamma1, dtype=float)
-    g2 = np.asarray(gamma2, dtype=float)
-    if g1.shape != g2.shape or g1.shape[0] != grid.n_steps + 1:
-        raise ValueError("paths must share the grid and shape")
-    diff = g1 - g2
-    return float(path_metric(diff.reshape(len(diff), -1), grid.dt, metric))
-
-
 def pairwise_cost_matrix(mu: PathEnsemble, nu: PathEnsemble,
                          metric: PathMetric, p: int) -> np.ndarray:
     """Cost matrix C[i, j] = d(path_i, path_j)^p, one row per path of mu;

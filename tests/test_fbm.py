@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from fbmlab import fbm
 from fbmlab.fbm import (
@@ -12,9 +12,7 @@ from fbmlab.fbm import (
     cholesky_factor,
     covariance_matrix,
     covariance_rh,
-    kernel_kh,
     kernel_kh_fast,
-    kernel_kh_partial,
     kernel_normalization,
     sample_fbm_cholesky,
     sample_fbm_circulant,
@@ -27,10 +25,24 @@ from fbmlab.grid import TimeGrid
 
 H75 = HurstParam(0.75)
 
-# frozen oracle values (quadrature route, cross-checked against the
+# frozen oracle value (quadrature route, cross-checked against the
 # hypergeometric closed form to ~4e-16)
 KERNEL_KH_1_025 = 1.0982815801571657
-KERNEL_PARTIAL_1_05 = 0.5348223175159952  # FD of kernel_kh in t agrees to 5e-11
+
+
+def kernel_kh_quad(t, s, h):
+    """K(t, s) = c_H s^{1/2-H} int_s^t (u-s)^{H-3/2} u^{H-1/2} du, 0 < s < t,
+    by adaptive quadrature: the oracle of the closed form kernel_kh_fast.
+
+    The endpoint singularity at u = s (exponent H - 3/2 in (-1, -1/2)) is
+    removed by the substitution u = s + w^{1/(H-1/2)}, after which the
+    integrand (s + w^{1/(H-1/2)})^{H-1/2} / (H-1/2) is smooth.
+    """
+    gamma = h.h - 0.5
+    val, err = integrate.quad(lambda w: (s + w ** (1.0 / gamma)) ** gamma / gamma,
+                              0.0, (t - s) ** gamma, epsabs=0.0, epsrel=1e-12, limit=200)
+    assert abs(err) <= 1e-8 * max(abs(val), 1.0)
+    return kernel_normalization(h) * s ** (0.5 - h.h) * val
 
 
 def test_hurst_param_domain():
@@ -68,37 +80,24 @@ def test_covariance_matrix_psd():
 
 
 def test_kernel_kh_frozen_oracle():
-    assert kernel_kh(1.0, 0.25, H75) == pytest.approx(KERNEL_KH_1_025, rel=1e-12)
+    assert kernel_kh_quad(1.0, 0.25, H75) == pytest.approx(KERNEL_KH_1_025, rel=1e-12)
+    assert kernel_kh_fast(1.0, 0.25, H75) == pytest.approx(KERNEL_KH_1_025, rel=1e-12)
 
 
 def test_kernel_fast_matches_quadrature():
     for t, s, h in [(1.0, 0.25, 0.75), (0.7, 0.3, 0.6), (2.0, 1.5, 0.9)]:
         hp = HurstParam(h)
         assert kernel_kh_fast(t, s, hp) == pytest.approx(
-            kernel_kh(t, s, hp), rel=1e-10)
+            kernel_kh_quad(t, s, hp), rel=1e-10)
 
 
 def test_kernel_domain():
-    assert kernel_kh(0.5, 0.7, H75) == 0.0  # s >= t
+    assert kernel_kh_fast(0.5, 0.7, H75) == 0.0  # s >= t
+    assert kernel_kh_fast(0.5, 0.5, H75) == 0.0
     with pytest.raises(ValueError):
-        kernel_kh(1.0, 0.0, H75)
+        kernel_kh_fast(1.0, 0.0, H75)
     with pytest.raises(ValueError):
-        kernel_kh(1.0, -0.1, H75)
-
-
-def test_kernel_partial_frozen_oracle():
-    assert kernel_kh_partial(1.0, 0.5, H75) == pytest.approx(
-        KERNEL_PARTIAL_1_05, rel=1e-9)
-
-
-def test_kernel_partial_divergence_floor():
-    # (u - s)^{H - 3/2} diverges as u drops to s; gaps below the documented
-    # floor are refused instead of returning astronomically large values
-    with pytest.raises(ValueError):
-        kernel_kh_partial(0.5 + 1e-13, 0.5, H75)
-    near = kernel_kh_partial(0.5 + 1e-11, 0.5, H75)
-    ref = kernel_kh_partial(0.5 + 1e-6, 0.5, H75)
-    assert np.isfinite(near) and near >= ref > 0
+        kernel_kh_fast(1.0, -0.1, H75)
 
 
 def test_kernel_normalization_value():

@@ -6,23 +6,17 @@ from scipy.special import gamma
 
 from fbmlab.fbm import (
     HurstParam,
-    covariance_rh,
-    kernel_kh,
-    kernel_kh_fast,
+    covariance_matrix,
+    fgn_autocovariance,
     sample_fbm_circulant,
 )
 from fbmlab.fractional import (
     FracOrder,
     default_frac_order,
-    frac_deriv_left,
     frac_deriv_left_nodes,
     frac_deriv_right_nodes,
     lemma_esti_int_check,
-    l2_norm_cells,
     operator_kh,
-    operator_kh_star_at,
-    scalar_product_h,
-    scalar_product_h_cells,
     young_integral_frac,
     young_integral_rs,
 )
@@ -133,9 +127,9 @@ def test_right_derivative_matches_mirrored_weights(n, alpha):
 
 
 def test_frac_deriv_left_wrapper():
+    # D^0.3 of f(t) = t at the last node t = 1 is 1 / Gamma(1.7)
     grid = TimeGrid(1.0, 512)
-    f = GridFunction(grid, grid.points)
-    val = frac_deriv_left(f, FracOrder(0.3), 0.0, 1.0)
+    val = frac_deriv_left_nodes(grid.points, grid.dt, 0.3)[-1]
     assert val == pytest.approx(1.0 / gamma(1.7), rel=1e-5)
 
 
@@ -184,38 +178,20 @@ def test_lemma_esti_int_holds_on_fbm_pair():
     assert 0.0 <= rep.ratio <= 1.0
 
 
-def test_operator_kh_star_indicator_is_kernel():
-    # (K* 1_[0, t))(s) = K(t, s) exactly by telescoping
-    grid = TimeGrid(1.0, 64)
-    t = 0.75
-    phi_cells = (grid.midpoints < t).astype(float)
-    s = 0.3
-    assert operator_kh_star_at(phi_cells, grid, H75, s) == pytest.approx(
-        kernel_kh(t, s, H75), rel=1e-12)
-
-
-def test_operator_kh_star_matches_per_cell_loop():
-    grid = TimeGrid(1.0, 64)
-    phi = np.random.default_rng(5).standard_normal(64)
-    phi[10:20] = 0.0
-    s = np.linspace(0.004, 0.996, 41)
-    loop = np.zeros(s.shape)
-    for k in range(grid.n_steps):
-        if phi[k] != 0.0:
-            loop += phi[k] * (kernel_kh_fast(grid.points[k + 1], s, H75)
-                              - kernel_kh_fast(grid.points[k], s, H75))
-    np.testing.assert_allclose(operator_kh_star_at(phi, grid, H75, s), loop,
-                               rtol=0, atol=1e-14 * np.abs(loop).max())
+def _fgn_gram(grid, h):
+    """Gamma[i, j] = gamma(|i - j|) from fbm.fgn_autocovariance: the Gram
+    matrix of the cell indicators under <phi, psi>_H = E[int phi dB int psi dB]."""
+    cells = np.arange(grid.n_steps)
+    gamma_k = fgn_autocovariance(grid.n_steps, h.h, grid.dt)
+    return gamma_k[np.abs(cells[:, None] - cells)]
 
 
 def test_scalar_product_h_indicators_give_covariance():
-    # <1_[0,s), 1_[0,t)>_H = R_H(s, t) exactly for step functions
+    # <1_[0,s), 1_[0,t)>_H = R_H(s, t): the double cumulative sum of the
+    # fGn table is the fBm covariance at the grid nodes
     grid = TimeGrid(1.0, 64)
-    s, t = 0.5, 0.75
-    phi = (grid.midpoints < s).astype(float)
-    psi = (grid.midpoints < t).astype(float)
-    val = scalar_product_h_cells(phi, psi, grid, H75)
-    assert val == pytest.approx(covariance_rh(s, t, H75), rel=1e-12)
+    cov = np.cumsum(np.cumsum(_fgn_gram(grid, H75), axis=0), axis=1)
+    np.testing.assert_allclose(cov, covariance_matrix(grid, H75), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("hurst", [0.6, 0.75, 0.9])
@@ -230,22 +206,7 @@ def test_scalar_product_h_cells_is_the_corner_double_difference(hurst, n):
     block = d[1:, 1:] - d[1:, :-1] - d[:-1, 1:] + d[:-1, :-1]
     corner = -0.5 * phi @ block @ psi
     scale = np.sqrt(-0.5 * phi @ block @ phi * -0.5 * psi @ block @ psi)
-    assert abs(scalar_product_h_cells(phi, psi, grid, h) - corner) <= 1e-10 * scale
-
-
-def test_scalar_product_h_bound():
-    grid = TimeGrid(1.0, 128)
-    rng = np.random.default_rng(3)
-    phi = GridFunction(grid, rng.standard_normal(129))
-    psi = GridFunction(grid, rng.standard_normal(129))
-    val, bound = scalar_product_h(phi, psi, H75)
-    assert abs(val) <= bound * (1 + 1e-9)
-
-
-def test_l2_norm_cells():
-    grid = TimeGrid(1.0, 2048)
-    f = GridFunction(grid, grid.points)
-    assert l2_norm_cells(f) == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-5)
+    assert abs(phi @ _fgn_gram(grid, h) @ psi - corner) <= 1e-10 * scale
 
 
 def test_operator_kh_holder_regularity_frozen_ratio():

@@ -67,7 +67,6 @@ def test_holder_seminorm_linear_function():
     hn = holder_norm(grid, grid.points, beta)
     assert hn.seminorm_beta == pytest.approx(1.0)
     assert hn.sup_norm == pytest.approx(1.0)
-    assert hn.total == pytest.approx(2.0)
 
 
 def test_holder_seminorm_window():

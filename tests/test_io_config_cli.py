@@ -111,10 +111,21 @@ def test_binary_rejects_a_table_without_a_path(tmp_path, n_rows, n_cols):
         read_path_binary(p)
 
 
-@pytest.mark.parametrize("text", ["t\r\n", "t\r\n0.0\r\n1.0\r\n", "t,x1\r\n0.0,1.5\r\n"])
+@pytest.mark.parametrize("text", ["", "t\r\n", "t\r\n0.0\r\n1.0\r\n",
+                                  "t,x1\r\n0.0,1.5\r\n"])
 def test_csv_rejects_a_table_without_a_path(tmp_path, text):
     p = tmp_path / "empty.csv"
     p.write_bytes(text.encode())
+    with pytest.raises(ValueError, match=re.escape(str(p))):
+        read_path_csv(str(p))
+
+
+@pytest.mark.parametrize("rows", [b"0.0,0.0\r\n1.0\r\n", b"0.0,0.0\r\n1.0,a\r\n",
+                                  b"0.0,0.0\r\n1.0,\xff\r\n"],
+                         ids=["ragged", "non-numeric", "not-utf-8"])
+def test_csv_malformed_rows_name_the_file(tmp_path, rows):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(b"t,x1\r\n" + rows)
     with pytest.raises(ValueError, match=re.escape(str(p))):
         read_path_csv(str(p))
 
@@ -231,6 +242,20 @@ n_paths = 100
 def test_cli_config_error_exit_2(tmp_path):
     bad = _write_ini(tmp_path, "[grid]\nbogus = 1\n")
     assert main(["verify", "--config", bad]) == 2
+
+
+@pytest.mark.parametrize("text", [b"[experiment]\nseed = 1\nseed = 2\n", b"seed = 1\n",
+                                  b"[experiment]\nname = 50%\n",
+                                  b"[experiment]\nname = \xff\n"],
+                         ids=["repeated-key", "no-section-header", "lone-percent", "not-utf-8"])
+def test_cli_malformed_ini_exit_2(tmp_path, capsys, text):
+    # a file INI syntax does not parse is a config error naming the file
+    ini = tmp_path / "c.ini"
+    ini.write_bytes(text)
+    out = tmp_path / "samp"
+    assert main(["sample", "--config", str(ini), "--out", str(out)]) == 2
+    assert f"config error: malformed config file {ini}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_sample_and_solve(tmp_path):

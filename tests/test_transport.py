@@ -22,7 +22,7 @@ from fbmlab.transport import (
     PathMetric,
     c_bt,
     pairwise_cost_matrix,
-    path_distance,
+    path_metric,
     relative_entropy_discrete,
     t1_constant,
     t2_constant_d2,
@@ -32,19 +32,11 @@ from fbmlab.transport import (
 
 
 def test_path_distance_hand_values():
-    grid = TimeGrid(1.0, 2)
-    a = np.array([0.0, 0.0, 0.0])
-    b = np.array([0.0, 1.0, 0.0])
-    assert path_distance(a, b, grid, PathMetric.d_infinity) == 1.0
+    # the difference of two scalar paths, shaped (n_nodes, d = 1)
+    diff = np.array([[0.0], [1.0], [0.0]])
+    assert path_metric(diff, 0.5, PathMetric.d_infinity) == 1.0
     # trapezoid of (0, 1, 0)^2 with dt = 1/2 -> 1/2
-    assert path_distance(a, b, grid, PathMetric.d_two) == pytest.approx(
-        np.sqrt(0.5))
-
-
-def test_path_distance_shape_guard():
-    grid = TimeGrid(1.0, 2)
-    with pytest.raises(ValueError):
-        path_distance(np.zeros(3), np.zeros(4), grid, PathMetric.d_two)
+    assert path_metric(diff, 0.5, PathMetric.d_two) == pytest.approx(np.sqrt(0.5))
 
 
 def test_wasserstein_matches_bruteforce_n4():
