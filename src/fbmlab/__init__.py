@@ -61,7 +61,6 @@ from .concentration import (
     phi_argmax,
     phi_link,
     verify_fernique,
-    verify_hoeffding_large_time,
     verify_hoeffding_small_time,
 )
 from .config import ConfigError, ExperimentConfig, load_config
@@ -81,7 +80,6 @@ __all__ = [
     "relative_entropy_discrete", "sample_fbm_cholesky", "sample_fbm_circulant",
     "sample_fbm_transfer", "solve_additive", "solve_scalar",
     "solve_scalar_via_lamperti", "t1_constant", "t2_constant_d2",
-    "t2_constant_dinf", "verify_fernique", "verify_hoeffding_large_time",
-    "verify_hoeffding_small_time", "wasserstein_empirical",
-    "young_integral_frac", "young_integral_rs",
+    "t2_constant_dinf", "verify_fernique", "verify_hoeffding_small_time",
+    "wasserstein_empirical", "young_integral_frac", "young_integral_rs",
 ]

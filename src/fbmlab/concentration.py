@@ -43,17 +43,17 @@ it plans every selected name, gives the shares of each ensemble one
 `shared_pass`, reduced as its members are reached, and stamps each report
 with the config hash and seed; a PremiseError, from a plan or a report,
 makes a "rejected" one.  `run_verifier` is the campaign of one name.
-Fernique and hoeffding-small share the primary ensemble of the seed,
+Fernique, hoeffding-small and every large-time horizon share the primary
+ensemble of the seed, drawn on the config grid (a horizon T reads it scaled
+by (T / t_max)^H, by self-similarity: `hoeffding_large_share`), and
 stability, t1-moments and gaussian-tail the pair ensemble (`pair_seeds`)
-and its `solution_d_inf` (stability also its `driver_gap`), and each
-large-time horizon is an ensemble of its own.  Two kernels are also the
-Monte Carlo oracles of the calibration: the stability share behind K_hat
-(`stability_share`) and the sweep of the Young-integral estimate behind
-kappa_hat (`esti_int_sweep`, which draws its 200 pairs whole through
-`independent_pairs`).  Every ensemble other than
-the primary one of the config seed is drawn from `fbm.role_seed`: the
-independent partner, the esti-int windows and each large-time horizon, by
-its index in `[verify] horizons`.
+and its `solution_d_inf` (stability also its `driver_gap`).  Two kernels
+are also the Monte Carlo oracles of the calibration: the stability share
+behind K_hat (`stability_share`) and the sweep of the Young-integral
+estimate behind kappa_hat (`esti_int_sweep`, which draws its 200 pairs
+whole through `independent_pairs`).  Every ensemble other than the primary
+one of the config seed is drawn from `fbm.role_seed`: the independent
+partner and the esti-int windows.
 
 Negative controls are first class: every verifier refuses configurations
 that violate its premises (e.g. beta > H) rather than producing vacuous
@@ -81,6 +81,7 @@ from .fbm import (
 from .fixtures import calibrated_constants
 from .fractional import BoundReport, esti_int_bound
 from .grid import (
+    BLOCK_PATHS,
     GridFunction,
     TimeGrid,
     by_blocks,
@@ -110,9 +111,12 @@ MODEL = {"fbm": {"generator": "circulant", "components": 1},
          "sde": {"sigma": 1.0, "x0": 0.0}}
 
 
-def solve_model(drivers: np.ndarray, drift_b: float, dt: float) -> np.ndarray:
-    """Euler solutions of the MODEL equation, one per row of drivers."""
-    return euler_additive_ensemble(MODEL["sde"]["x0"], lambda x: drift_b * x, drivers, dt)
+def solve_model(drivers: np.ndarray, drift_b: float, dt: float,
+                scale: float = 1.0) -> np.ndarray:
+    """Euler solutions of the MODEL equation, one per row of scale * drivers
+    (the increments are scaled, not the drivers: no scaled copy is made)."""
+    return euler_additive_ensemble(MODEL["sde"]["x0"], lambda x: drift_b * x, drivers, dt,
+                                   sigma=scale)
 
 
 CONFIDENCE = 0.99  # one-sided level of every upper confidence bound here
@@ -135,13 +139,17 @@ class EnsembleShare(NamedTuple):
     """What a verifier reads off one ensemble.
 
     The ensemble is the circulant fBm drawn from `seed` on (grid, hp); a
-    tuple of seeds is a pair ensemble (`pair_seeds`).  The verifier reads its
-    first n rows: `reads` maps the name of each per-row quantity it needs to
-    the statistic that makes it, reducing a chunk of rows (one chunk per
-    seed) to one value per row.  A name stands for one quantity of the
-    config, made by one builder, so verifiers that read it compute it once
-    (`shared_pass`).  finish(*arrays), one array per name in `reads` order,
-    turns the quantities into the share's result.
+    tuple of seeds is a pair ensemble (`pair_seeds`).  grid is the grid the
+    rows are drawn on, not always the one a statistic solves on: a
+    large-time horizon reads the primary ensemble and rescales it to its own
+    horizon (`hoeffding_large_share`).  The verifier reads its first n rows:
+    `reads` maps the name of each per-row quantity it needs to the statistic
+    that makes it, reducing a chunk of rows (one chunk per seed) to one
+    value per row.  A name stands for one quantity of the config, made by one
+    builder, so verifiers that read it compute it once (`shared_pass`); a
+    quantity that depends on a horizon carries it in its name.
+    finish(*arrays), one array per name in `reads` order, turns the
+    quantities into the share's result.
     """
 
     grid: TimeGrid
@@ -279,9 +287,15 @@ def time_average(paths: np.ndarray, grid: TimeGrid, clip: float) -> np.ndarray:
     [-clip, clip], per row of an (n_paths, n_nodes) ensemble.
 
     V is 1-Lipschitz, so F is 1-Lipschitz under d_inf and
-    (1/sqrt(T))-Lipschitz under d_2.
+    (1/sqrt(T))-Lipschitz under d_2.  Taken BLOCK_PATHS rows at a time, so
+    the clipped copy and the trapezoid's temporaries are a block's, not the
+    ensemble's; each row's value is that of the whole-array rule bit for bit.
     """
-    return np.trapezoid(np.clip(paths, -clip, clip), dx=grid.dt, axis=1) / grid.t_max
+    out = np.empty(len(paths))
+    for lo in range(0, len(paths), BLOCK_PATHS):
+        block = np.clip(paths[lo:lo + BLOCK_PATHS], -clip, clip)
+        out[lo:lo + BLOCK_PATHS] = np.trapezoid(block, dx=grid.dt, axis=1)
+    return out / grid.t_max
 
 
 def sup_displacement(paths: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -347,17 +361,30 @@ def verify_hoeffding_small_time(H: float, T: float, n_paths: int,
 
 
 def hoeffding_large_share(H: float, T: float, n_paths: int, n_steps: int,
-                          seed: int, B: float) -> EnsembleShare:
-    """The ensemble share of verify_hoeffding_large_time: the clipped time
-    average of the solution per path, finished into its two tail records.
-    Raises its PremiseError before any path is drawn."""
+                          seed: int, B: float, t_draw: float | None = None) -> EnsembleShare:
+    """The ensemble share of horizon T of hoeffding-large: the clipped time
+    average of the solution on TimeGrid(T, n_steps) per path, named
+    "solution_time_average(T)" and finished into its two tail records.
+
+    The share reads the ensemble of `seed` drawn on TimeGrid(t_draw,
+    n_steps) (t_draw = T by default) and drives horizon T with its rows
+    scaled by (T / t_draw)^H.  fBm is H-self-similar, and so is the
+    circulant sampler, whose fGn autocovariance scales as dt^{2H}: the
+    scaled rows are the rows drawn on [0, T] up to rounding, so every
+    horizon can read one ensemble.  At T = t_draw the scale is exactly 1.0
+    and the solve is that of the rows themselves, bit for bit.  The scale
+    multiplies the increments (`solve_model`), since the chunk stays live
+    for the other horizons.  Raises its PremiseError before any path is
+    drawn."""
     if B >= 0:
         raise PremiseError(f"large-time bounds require B < 0, got B={B}")
+    t_draw = T if t_draw is None else t_draw
     grid = TimeGrid(T, n_steps)
+    scale = (T / t_draw) ** H
 
     def chunk_average(drivers):
-        paths = solve_model(drivers, B, grid.dt)
-        del drivers  # at most three (chunk, n_nodes) arrays live at once
+        paths = solve_model(drivers, B, grid.dt, scale)
+        del drivers  # alone in its pass, at most three (chunk, n_nodes) arrays live at once
         return time_average(paths, grid, clip=50.0)
 
     def records(samples):
@@ -370,15 +397,16 @@ def hoeffding_large_share(H: float, T: float, n_paths: int, n_steps: int,
                 _tail_report(samples, 2.0 * c_two * (1.0 / np.sqrt(T)) ** 2,
                              {"metric": "d_two", **notes}))
 
-    return EnsembleShare(grid, HurstParam(H), seed, n_paths,
-                         {"solution_time_average": chunk_average}, records)
+    return EnsembleShare(TimeGrid(t_draw, n_steps), HurstParam(H), seed, n_paths,
+                         {f"solution_time_average({T})": chunk_average}, records)
 
 
 def verify_hoeffding_large_time(H: float, T: float, n_paths: int,
                                 n_steps: int, seed: int,
                                 B: float = -1.0) -> tuple[dict, dict]:
     """Large-horizon tail records for the dissipative MODEL with drift_b = B:
-    dX = B X dt + dB^H from 0 (sigma = 1).
+    dX = B X dt + dB^H from 0 (sigma = 1), driven by the ensemble of `seed`
+    drawn on [0, T] itself (scale 1.0).
 
     One functional, the time average of X clipped to [-50, 50], two
     metrics: under d_inf the tail bound is exp(-r^2 |B| / (4 H T^{2H-1}))
@@ -715,12 +743,11 @@ def _hoeffding_small(cfg: ExperimentConfig) -> Plan:
 
 def _hoeffding_large(cfg: ExperimentConfig) -> Plan:
     _require_samples(cfg, "hoeffding-large")
-    seed = cfg.get("experiment", "seed")
     horizons = cfg.horizon_list
     shares = [hoeffding_large_share(
         H=cfg.get("fbm", "hurst"), T=T, n_paths=cfg.get("verify", "n_paths"),
-        n_steps=cfg.get("grid", "n_steps"), seed=role_seed(seed, Role.horizon, k),
-        B=cfg.get("sde", "drift_b")) for k, T in enumerate(horizons)]
+        n_steps=cfg.get("grid", "n_steps"), seed=cfg.get("experiment", "seed"),
+        B=cfg.get("sde", "drift_b"), t_draw=cfg.get("grid", "t_max")) for T in horizons]
 
     def report(*records):
         out: dict = {"verifier": "hoeffding-large", "horizons": {}}

@@ -25,11 +25,14 @@ Philox per (seed, component), keyed by `SeedSequence(seed, spawn_key=(0,
 component))`.  Path i is the counter block (0, 0, i, 0) of that Philox
 (`component_rng`), so each path is addressable on its own and the single-path
 and batch samplers agree bit for bit.  Ensembles other than the primary one
-of a seed -- the independent partner, the esti-int window draw, one ensemble
-per large-time horizon index -- use the u64 seed `role_seed(seed, role,
-index)`, derived through the same SeedSequence under a different spawn key,
-so their independence comes from how the streams are built rather than from
-seed offsets.
+of a seed -- the independent partner and the esti-int window draw -- use
+the u64 seed `role_seed(seed, role)`, derived through the same SeedSequence
+under a different spawn key, so their independence comes from how the
+streams are built rather than from seed offsets.  A large-time horizon
+needs no ensemble of its own: fBm is H-self-similar, and so is this
+sampler (the fGn eigenvalues scale as dt^{2H}), so the rows of a seed on
+[0, T] are (T / T0)^H times its rows on [0, T0] up to rounding, and
+`concentration.hoeffding_large_share` reads the primary ensemble scaled.
 
 Arrays that depend only on (t_max, n_steps, H) are built once, in bounded
 `functools.lru_cache`s keyed on the frozen TimeGrid and HurstParam (or on
@@ -117,7 +120,6 @@ class Role(IntEnum):
 
     partner = 1   # the independent partner of the primary ensemble
     windows = 2   # the esti-int window draw
-    horizon = 3   # one large-time ensemble per horizon index
 
 
 #: Spawn-key tag of the Philox key of one (seed, component); Role tags start
@@ -130,9 +132,9 @@ def _seed_sequence(seed: int, tag: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(int(seed), spawn_key=(int(tag), int(index)))
 
 
-def role_seed(seed: int, role: Role, index: int = 0) -> int:
-    """u64 seed of the ensemble `role` (number `index` of it) of `seed`."""
-    return int(_seed_sequence(seed, role, index).generate_state(1, np.uint64)[0])
+def role_seed(seed: int, role: Role) -> int:
+    """u64 seed of the ensemble `role` of `seed` (spawn key (role, 0))."""
+    return int(_seed_sequence(seed, role, 0).generate_state(1, np.uint64)[0])
 
 
 def component_rng(seed: int, path_index: int, component: int) -> np.random.Generator:

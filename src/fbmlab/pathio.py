@@ -6,6 +6,9 @@ Two path formats:
   repr-precision floats;
 * the FBMP binary fixture format for golden tests — byte-exact.
 
+Both hold finite values only: a writer or reader that meets a NaN or an
+infinity raises ValueError naming the file.
+
 FBMP layout (all little-endian):
 
     offset 0   4 bytes   magic b"FBMP"
@@ -33,20 +36,30 @@ FBMP_MAGIC = b"FBMP"
 FBMP_VERSION = 1
 
 
-def _table(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
+def _require_finite(path: str, table: np.ndarray) -> None:
+    if not np.all(np.isfinite(table)):
+        raise ValueError(f"{path}: a path holds finite values only, got a NaN or infinity")
+
+
+def _table(path: str, grid: TimeGrid, values: np.ndarray) -> np.ndarray:
+    """The table to write to `path`: time in column 0, then the components;
+    values off the grid or not finite are a ValueError."""
     vals = np.asarray(values, dtype=float).reshape(len(values), -1)
     if vals.shape[0] != grid.n_steps + 1:
         raise ValueError("values do not match the grid")
-    return np.column_stack([grid.points, vals])
+    table = np.column_stack([grid.points, vals])
+    _require_finite(path, table)
+    return table
 
 
 def _path_from_table(path: str, table: np.ndarray) -> tuple[TimeGrid, np.ndarray]:
     """(grid, values) of a table read from `path`, time in column 0: at least
-    two rows, at least one component column and a uniform time grid from 0,
-    else ValueError."""
+    two rows, at least one component column, finite values and a uniform
+    time grid from 0, else ValueError."""
     if table.ndim != 2 or table.shape[0] < 2 or table.shape[1] < 2:
         raise ValueError(f"{path}: a path needs at least 2 rows and 1 component "
                          f"column besides t, got a table of shape {table.shape}")
+    _require_finite(path, table)
     t = table[:, 0]
     grid = TimeGrid(float(t[-1]), len(t) - 1)
     if not np.allclose(grid.points, t, atol=1e-9):
@@ -58,7 +71,7 @@ def write_path_csv(path: str, grid: TimeGrid, values: np.ndarray) -> None:
     """Write one path as CSV with header t,x1..xm, built as one string and
     written once: the bytes of csv.writer's excel dialect (\\r\\n line ends;
     repr floats never need quoting)."""
-    table = _table(grid, values)
+    table = _table(path, grid, values)
     lines = [",".join(["t"] + [f"x{j + 1}" for j in range(table.shape[1] - 1)])]
     lines += [",".join(map(repr, row)) for row in table.tolist()]
     with open(path, "w", newline="") as fh:
@@ -66,8 +79,8 @@ def write_path_csv(path: str, grid: TimeGrid, values: np.ndarray) -> None:
 
 
 def read_path_csv(path: str) -> tuple[TimeGrid, np.ndarray]:
-    """Read a t,x1..xm CSV back into (grid, values); anything else is a
-    ValueError naming the file."""
+    """Read a t,x1..xm CSV back into (grid, values); anything else, a
+    non-finite value included, is a ValueError naming the file."""
     with open(path, newline="") as fh:
         try:
             header, *rows = list(csv.reader(fh)) or [[]]
@@ -80,8 +93,9 @@ def read_path_csv(path: str) -> tuple[TimeGrid, np.ndarray]:
 
 
 def write_path_binary(path: str, grid: TimeGrid, values: np.ndarray) -> None:
-    """Write one path in the FBMP binary fixture format."""
-    table = _table(grid, values)
+    """Write one path in the FBMP binary fixture format; a non-finite value
+    is a ValueError naming the file, raised before it is opened."""
+    table = _table(path, grid, values)
     n_rows, n_cols = table.shape
     with open(path, "wb") as fh:
         fh.write(FBMP_MAGIC)
@@ -90,7 +104,8 @@ def write_path_binary(path: str, grid: TimeGrid, values: np.ndarray) -> None:
 
 
 def read_path_binary(path: str) -> tuple[TimeGrid, np.ndarray]:
-    """Read an FBMP file back into (grid, values)."""
+    """Read an FBMP file back into (grid, values); anything else, a
+    non-finite value included, is a ValueError naming the file."""
     with open(path, "rb") as fh:
         head = fh.read(14)
         if len(head) < 14 or head[:4] != FBMP_MAGIC:

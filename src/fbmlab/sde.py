@@ -164,13 +164,17 @@ def solve_scalar(x0: float, drift: DriftSpec, sigma_x: ScalarDiffusion,
 
 
 def euler_additive_ensemble(x0: float, b: Callable[[np.ndarray], np.ndarray],
-                            drivers: np.ndarray, dt: float) -> np.ndarray:
-    """Vectorized scalar Euler over a whole ensemble, sigma = 1.
+                            drivers: np.ndarray, dt: float, sigma: float = 1.0) -> np.ndarray:
+    """Vectorized scalar Euler over a whole ensemble with constant sigma.
 
-    drivers has shape (n_paths, n_nodes); returns the same shape.  Raises
+    drivers has shape (n_paths, n_nodes); returns the same shape.  sigma
+    multiplies the driver increments in place, so no scaled copy of drivers
+    is made, and sigma = 1.0 solves with the increments as they are.  Raises
     BlowUpError at the first step that leaves any path non-finite.
     """
-    return _euler(np.full(len(drivers), float(x0)), b, dt, np.diff(drivers, axis=1))
+    noise = np.diff(drivers, axis=1)
+    noise *= sigma
+    return _euler(np.full(len(drivers), float(x0)), b, dt, noise)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import json
 import os
 import re
 import struct
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -118,6 +119,37 @@ def test_csv_rejects_a_table_without_a_path(tmp_path, text):
     p.write_bytes(text.encode())
     with pytest.raises(ValueError, match=re.escape(str(p))):
         read_path_csv(str(p))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_csv_rejects_non_finite_values(tmp_path, value):
+    # in a component or in the time column, on reading and on writing
+    p = tmp_path / "nf.csv"
+    for rows in (f"0.0,0.0\r\n1.0,{value!r}\r\n", f"0.0,0.0\r\n{value!r},1.0\r\n"):
+        p.write_text("t,x1\r\n" + rows)
+        with pytest.raises(ValueError, match=re.escape(str(p)) + ".*finite"):
+            read_path_csv(str(p))
+    p.unlink()
+    with pytest.raises(ValueError, match=re.escape(str(p)) + ".*finite"):
+        write_path_csv(str(p), TimeGrid(1.0, 2), np.array([0.0, value, 1.0]))
+    assert not p.exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_binary_rejects_non_finite_values(tmp_path, value):
+    # the writer refuses before it opens the file; a file written by other
+    # means is refused by the reader
+    p = str(tmp_path / "nf.fbmp")
+    grid = TimeGrid(1.0, 2)
+    with pytest.raises(ValueError, match=re.escape(p) + ".*finite"):
+        write_path_binary(p, grid, np.array([0.0, value, 1.0]))
+    assert not Path(p).exists()
+    table = np.column_stack([grid.points, [0.0, value, 1.0]])
+    with open(p, "wb") as fh:
+        fh.write(FBMP_MAGIC + struct.pack("<HII", FBMP_VERSION, 3, 2)
+                 + table.astype("<f8").tobytes())
+    with pytest.raises(ValueError, match=re.escape(p) + ".*finite"):
+        read_path_binary(p)
 
 
 @pytest.mark.parametrize("rows", [b"0.0,0.0\r\n1.0\r\n", b"0.0,0.0\r\n1.0,a\r\n",
@@ -374,15 +406,15 @@ PIN_DIGESTS = {
     "verify_esti-int.json": "d20c3ea85c5e29354a8181cf8f8fa55b27f0d2c6d1232781694b1204008998fa",
     "verify_fernique.json": "ad62b0f30eada9b915d09b417eae0c0d8c3797df91856aeb863c47ab85ff5e4a",
     "verify_gaussian-tail.json": "10ff352a57dbca3760c6664cdc381c07929440c9542551a2fe78815589ddf47f",
-    "verify_hoeffding-large.json": "d065bc0d7521a866cef622e68ed9acb8d252f49d560a6e33f19e41d071aae8ee",
+    "verify_hoeffding-large.json": "a9df8f1625762e80be0637793edb075b3df17fe310478fddb0e3e9146a34a091",
     "verify_hoeffding-large_horizons_1.0_d_infinity.csv":
-        "1e804de313401095d481590234f87c5d4c8d8e6320bbe4920e37fd0ce8f28f0c",
+        "638ceffb84997f3c345e992f532d6c9bff327583e7adb44307bf8f0f3485e7f5",
     "verify_hoeffding-large_horizons_1.0_d_two.csv":
-        "5d3a585ace8b58e73c3b196491751427ff5620121796eba5a7804c515485fc66",
+        "4bc380f05f0b7b70ebb6b850558e688c36ae6ac5b7d2b8c3ea50a11912e26cfa",
     "verify_hoeffding-large_horizons_2.0_d_infinity.csv":
-        "9cf0eaae7cbec18e05f18e416a997d3f974f0c670fdd384876ea42526b59c8a4",
+        "fdd089699a764ba7a1455026b393e016ef54897929dea29dd4826890fa6f04ad",
     "verify_hoeffding-large_horizons_2.0_d_two.csv":
-        "99b2b8148df2aebffb84509b66e37e878c45dddf03eb8e97165ad13e1e222c71",
+        "f990111c87737b9092f1da71ba312a39891fc5fa06143f6c53673a72c3040fb7",
     "verify_hoeffding-small.json": "b5834cb7d270e69c5891b8a075826f69bf00ba75ca558147081734cd6c684050",
     "verify_hoeffding-small_sup_displacement.csv":
         "1d2babff0e71050338ad68a5a7281d05ee8daba890379ad822e359750e227c08",
@@ -405,8 +437,8 @@ def test_cli_verify_all_reports_pinned(tmp_path):
 
 def test_cli_grouped_verify_writes_the_bytes_of_single_runs(tmp_path, monkeypatch):
     # one 8-name run takes one pass per ensemble (primary: fernique,
-    # hoeffding-small; pair: stability, t1-moments, gaussian-tail; one per
-    # hoeffding-large horizon) and writes what eight --verifier runs write,
+    # hoeffding-small and every hoeffding-large horizon; pair: stability,
+    # t1-moments, gaussian-tail) and writes what eight --verifier runs write,
     # the summary apart
     ini = _write_ini(tmp_path, PIN_INI)
     passes = []
@@ -415,7 +447,7 @@ def test_cli_grouped_verify_writes_the_bytes_of_single_runs(tmp_path, monkeypatc
                         lambda shares: passes.append(shares[0].ensemble) or real(shares))
     grouped = tmp_path / "grouped"
     assert main(["verify", "--config", ini, "--out", str(grouped)]) == 1
-    assert len(passes) == len(set(passes)) == 4  # one pass per ensemble
+    assert len(passes) == len(set(passes)) == 2  # one pass per ensemble
     del passes[:]
     singles = {}
     for name in VERIFIER_NAMES:
@@ -423,10 +455,34 @@ def test_cli_grouped_verify_writes_the_bytes_of_single_runs(tmp_path, monkeypatc
         main(["verify", "--config", ini, "--out", str(out), "--verifier", name])
         singles.update((p.name, p.read_bytes()) for p in out.iterdir()
                        if p.name != "verify_summary.json")
-    assert len(passes) == 7  # each share alone: a pass of its own
+    assert len(passes) == 6  # each verifier alone: a pass of its own
     written = {p.name: p.read_bytes() for p in grouped.iterdir()
                if p.name != "verify_summary.json"}
     assert written == singles
+
+
+def test_cli_verify_draws_each_primary_row_once(tmp_path, monkeypatch):
+    # the horizons read the primary ensemble: a full run draws each of its
+    # rows once, besides the pair rows and esti-int's pairs, and
+    # hoeffding-large alone draws the primary rows and no role seed's
+    drawn = Counter()
+    real = fbm._circulant_rows
+
+    def rows(grid, h, seed, paths, component=0):
+        drawn.update((seed, grid, i) for i in paths)
+        return real(grid, h, seed, paths, component)
+
+    monkeypatch.setattr(fbm, "_circulant_rows", rows)
+    ini = _write_ini(tmp_path, PIN_INI)
+    grid, n, partner = TimeGrid(0.5, 32), 200, fbm.role_seed(42, fbm.Role.partner)
+    primary = Counter((42, grid, i) for i in range(n))
+    pairs = Counter((s, grid, i) for s in (42, partner) for i in range(n))
+    assert main(["verify", "--config", ini, "--out", str(tmp_path / "all")]) == 1
+    assert drawn == primary + pairs + pairs  # the pair pass, then esti-int's pairs
+    drawn.clear()
+    assert main(["verify", "--config", ini, "--out", str(tmp_path / "hl"),
+                 "--verifier", "hoeffding-large"]) == 1
+    assert drawn == primary
 
 
 def test_cli_verify_reports_carry_the_run_config_hash(tmp_path):

@@ -118,6 +118,26 @@ def test_euler_ensemble_matches_single():
         assert np.array_equal(ens[i], scalar.values[:, 0])
 
 
+def test_euler_ensemble_sigma_scales_the_increments():
+    # sigma = 1.0 leaves every bit; sigma = c solves the drivers c g up to
+    # rounding, and each step is x + b(x) dt + c (g_{k+1} - g_k) bit for bit
+    grid = TimeGrid(1.0, 64)
+    drv = np.vstack([sample_fbm_circulant(grid, H75, 1, seed=3, path_index=i).values[:, 0]
+                     for i in range(4)])
+    kept = drv.copy()
+    ens = euler_additive_ensemble(0.2, lambda x: -x, drv, grid.dt)
+    assert np.array_equal(euler_additive_ensemble(0.2, lambda x: -x, drv, grid.dt, sigma=1.0), ens)
+    c = 2.0**0.75
+    scaled = euler_additive_ensemble(0.2, lambda x: -x, drv, grid.dt, sigma=c)
+    assert np.array_equal(drv, kept)
+    x = np.full(4, 0.2)
+    for k in range(grid.n_steps):
+        x = x + (-x) * grid.dt + c * (drv[:, k + 1] - drv[:, k])
+        assert np.array_equal(scaled[:, k + 1], x)
+    ref = euler_additive_ensemble(0.2, lambda x: -x, c * drv, grid.dt)
+    assert np.abs(scaled - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_solve_additive_matches_per_step_matmul():
     # d = 2, m = 3, time-dependent sigma: the noise term sigma(t_k) dg_k
     # equals a per-step sig[k] @ dg[k] loop bit for bit

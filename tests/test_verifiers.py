@@ -76,18 +76,65 @@ def test_partner_is_not_an_offset_seed():
     assert not np.allclose(partner, primary)
 
 
-def test_close_horizons_draw_independent_drivers(tmp_path):
-    # horizons are keyed by index, so the drivers of T = 1 and T = 1.0004
-    # are not rescaled copies of each other
+def test_horizons_read_the_primary_ensemble_scaled_by_self_similarity(tmp_path, monkeypatch):
+    # every horizon T solves on TimeGrid(T, n_steps) with the primary rows of
+    # the config (its seed, drawn on TimeGrid(t_max, n_steps)) scaled by
+    # (T / t_max)^H; scaled, they are the rows drawn on [0, T] up to rounding
+    n, n_steps, seed, hp = 50, 256, 7, HurstParam(0.75)
     ini = tmp_path / "h.ini"
-    ini.write_text("[grid]\nn_steps = 16\n[verify]\nn_paths = 20\nhorizons = 1,1.0004\n")
-    shares, _ = VERIFIERS["hoeffding-large"](load_config(str(ini)))
-    seeds = {s.grid.t_max: s.seed for s in shares}
-    hp = HurstParam(0.75)
-    drivers = [sample_fbm_circulant_batch(TimeGrid(T, 16), hp, 20, s) / T**hp.h
-               for T, s in seeds.items()]
-    assert len(drivers) == 2
-    assert not np.allclose(*drivers)
+    ini.write_text(f"[experiment]\nseed = {seed}\n[grid]\nt_max = 1\nn_steps = {n_steps}\n"
+                   f"[verify]\nn_paths = {n}\nhorizons = 0.5,2,4\n")
+    cfg = load_config(str(ini))
+    shares, _ = VERIFIERS["hoeffding-large"](cfg)
+    assert {s.ensemble for s in shares} == {(seed, TimeGrid(1.0, n_steps), hp)}
+    assert [list(s.reads) for s in shares] == [
+        [f"solution_time_average({T})"] for T in (0.5, 2.0, 4.0)]
+    seen = {}
+    real = concentration.solve_model
+
+    def solve(drivers, drift_b, dt, scale=1.0):
+        seen[dt] = drivers.copy(), scale
+        return real(drivers, drift_b, dt, scale)
+
+    monkeypatch.setattr(concentration, "solve_model", solve)
+    assert run_verifier("hoeffding-large", cfg)["horizons"].keys() == {"0.5", "2.0", "4.0"}
+    primary = sample_fbm_circulant_batch(TimeGrid(1.0, n_steps), hp, n, seed)
+    for T in (0.5, 2.0, 4.0):
+        drivers, scale = seen.pop(TimeGrid(T, n_steps).dt)
+        assert scale == T**hp.h
+        assert np.array_equal(drivers, primary)
+        direct = sample_fbm_circulant_batch(TimeGrid(T, n_steps), hp, n, seed)
+        assert np.abs(scale * primary - direct).max() <= 1e-14 * np.abs(direct).max()
+    assert not seen
+
+
+def test_horizon_at_t_max_is_the_unscaled_campaign(tmp_path):
+    # at T = t_max the scale is exactly 1.0: the horizon's records are those
+    # of verify_hoeffding_large_time on the same seed and grid, bit for bit
+    ini = tmp_path / "h.ini"
+    ini.write_text("[experiment]\nseed = 3\n[grid]\nt_max = 2\nn_steps = 64\n"
+                   "[verify]\nn_paths = 300\nhorizons = 1,2\n")
+    report = run_verifier("hoeffding-large", load_config(str(ini)))
+    ri, r2 = concentration.verify_hoeffding_large_time(0.75, 2.0, 300, 64, seed=3, B=-1.0)
+    assert report["horizons"]["2.0"] == {"d_infinity": ri, "d_two": r2}
+
+
+def test_horizons_pass_memory_below_one_ensemble(tmp_path):
+    # three horizons read each chunk, so it stays live while each solves:
+    # the pass still never holds an (n_paths, n_nodes) ensemble
+    n, n_steps = 4 * CHUNK_PATHS, 256
+    ini = tmp_path / "m.ini"
+    ini.write_text(f"[grid]\nt_max = 1\nn_steps = {n_steps}\n"
+                   f"[verify]\nn_paths = {n}\nhorizons = 1,2,4\n")
+    cfg = load_config(str(ini))
+    run_verifier("hoeffding-large", cfg)  # per-grid arrays
+    tracemalloc.start()
+    try:
+        run_verifier("hoeffding-large", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * (n_steps + 1) * 8
 
 
 def test_kappa_ceiling_infima_are_the_bounded_scalar_searches_or_below():
