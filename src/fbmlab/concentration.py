@@ -23,12 +23,13 @@ line rejects a config that sets it otherwise.  No verifier builds an
 ensemble it only reduces: the 20 000-path campaigns (Fernique and both
 Hoeffding regimes) keep one or two numbers per path and the pair verifiers
 (stability, t1-moments, gaussian-tail) one or two per pair, so they stream
-their paths through `shared_pass`, which draws them `fbm.CHUNK_PATHS` at
-a time: each chunk is sampled, solved where a verifier needs it and reduced
+their paths through `shared_pass`, which draws them `CHUNK_PATHS` at a
+time: each chunk is sampled, solved where a verifier needs it and reduced
 by the one statistic of each named per-row quantity it reads, and moments,
-tails and ratios take the whole vectors.  A campaign's memory is a few
-chunks, not a few ensembles, and its reports are those of a whole-batch run
-byte for byte.  The campaigns return the
+tails and ratios take the whole vectors.  A statistic only maps rows to
+values; the pass alone decides how long a chunk stays in memory.  A
+campaign's memory is a few chunks, not a few ensembles, and its reports
+are those of a whole-batch run byte for byte.  The campaigns return the
 JSON-ready records that the reports hold: a tail record per functional and
 metric (r-grid, empirical tail, upper confidence, bound, per-threshold
 "passed", n_samples, notes), and one Fernique record with an overall
@@ -71,7 +72,6 @@ from scipy import special, stats
 from . import fbm
 from .config import ConfigError, ExperimentConfig
 from .fbm import (
-    CHUNK_PATHS,
     HurstParam,
     Role,
     component_rng,
@@ -135,14 +135,22 @@ def mean_upper_confidence(x: np.ndarray) -> float:
     return float(x.mean() + z * x.std(ddof=1) / np.sqrt(len(x)))
 
 
+#: Paths per chunk of shared_pass, a whole number of BLOCK_PATHS: 4 MiB per
+#: (chunk, 257) float64 array.  Measured on the large-time campaign: smaller
+#: chunks pay the Euler loop's per-step overhead more often, larger ones add
+#: memory and no speed.
+CHUNK_PATHS = 8 * BLOCK_PATHS
+
+
 class EnsembleShare(NamedTuple):
     """What a verifier reads off one ensemble.
 
-    The ensemble is the circulant fBm drawn from `seed` on (grid, hp); a
-    tuple of seeds is a pair ensemble (`pair_seeds`).  grid is the grid the
-    rows are drawn on, not always the one a statistic solves on: a
-    large-time horizon reads the primary ensemble and rescales it to its own
-    horizon (`hoeffding_large_share`).  The verifier reads its first n rows:
+    The ensemble is the circulant fBm drawn from `seeds` on (grid, hp): one
+    seed, `(seed,)`, for a primary ensemble, two for a pair ensemble
+    (`pair_seeds`), matched by row.  grid is the grid the rows are drawn
+    on, not always the one a statistic solves on: a large-time horizon
+    reads the primary ensemble and rescales it to its own horizon
+    (`hoeffding_large_share`).  The verifier reads its first n rows:
     `reads` maps the name of each per-row quantity it needs to the statistic
     that makes it, reducing a chunk of rows (one chunk per seed) to one
     value per row.  A name stands for one quantity of the config, made by one
@@ -154,14 +162,14 @@ class EnsembleShare(NamedTuple):
 
     grid: TimeGrid
     hp: HurstParam
-    seed: int | tuple[int, ...]
+    seeds: tuple[int, ...]
     n: int
     reads: dict[str, Callable[..., np.ndarray]]
     finish: Callable[..., object]
 
     @property
     def ensemble(self) -> tuple:
-        return (self.seed, self.grid, self.hp)
+        return (self.seeds, self.grid, self.hp)
 
 
 def shared_pass(shares: list[EnsembleShare]):
@@ -175,30 +183,27 @@ def shared_pass(shares: list[EnsembleShare]):
     A segment computes the union of the `reads` of the shares that read it,
     each name once, on chunks of CHUNK_PATHS paths over all seeds (row i
     of each seed's chunk is path i of its ensemble bit for bit, as
-    `fbm._circulant_rows` addresses paths by index).  A share finishes on
-    its own first n rows, bit for bit what a pass of its own would reduce.
+    `fbm._circulant_rows` addresses paths by index).  Each chunk is drawn
+    for every seed, handed to each statistic and released before the next
+    one is drawn; no statistic frees its input.  A share finishes on its
+    own first n rows, bit for bit what a pass of its own would reduce.
     """
     first = shares[0]
     if any(s.ensemble != first.ensemble for s in shares):
         raise ValueError("shares of one pass must read one ensemble")
-    seeds = first.seed if isinstance(first.seed, tuple) else (first.seed,)
-    rows = CHUNK_PATHS // len(seeds)
+    rows = CHUNK_PATHS // len(first.seeds)
     parts: dict[str, list[np.ndarray]] = {name: [] for s in shares for name in s.reads}
 
     def reduce(lo: int, hi: int) -> None:
         reads = {name: stat for s in shares if s.n >= hi for name, stat in s.reads.items()}
         for start in range(lo, hi, rows):
             paths = range(start, min(start + rows, hi))
-            if len(seeds) == 1 and len(reads) == 1:
-                # passed on its own, the chunk is the statistic's to free (a
-                # name bound here would hold it until the call returns)
-                [(name, stat)] = reads.items()
-                parts[name].append(stat(fbm._circulant_rows(first.grid, first.hp, seeds[0],
-                                                            paths)))
-            else:
-                chunks = [fbm._circulant_rows(first.grid, first.hp, s, paths) for s in seeds]
-                for name, stat in reads.items():
-                    parts[name].append(stat(*chunks))
+            chunks = [fbm._circulant_rows(first.grid, first.hp, s, paths) for s in first.seeds]
+            for name, stat in reads.items():
+                parts[name].append(stat(*chunks))
+            # released before the next chunk is drawn: still bound, the old
+            # chunks would stay live while the new ones are built
+            del chunks
 
     done = 0
     for share in shares:
@@ -341,7 +346,7 @@ def hoeffding_small_share(H: float, T: float, n_paths: int, n_steps: int,
         return (_tail_report(avg, 2.0 * C, {"functional": "time_average", "C": C, "K": K}),
                 _tail_report(sup, 2.0 * C, {"functional": "sup_displacement", "C": C, "K": K}))
 
-    return EnsembleShare(grid, HurstParam(H), seed, n_paths, {
+    return EnsembleShare(grid, HurstParam(H), (seed,), n_paths, {
         "time_average": lambda paths: time_average(paths, grid, clip=10.0),
         "sup_displacement": lambda paths: sup_displacement(paths, grid)}, records)
 
@@ -361,31 +366,27 @@ def verify_hoeffding_small_time(H: float, T: float, n_paths: int,
 
 
 def hoeffding_large_share(H: float, T: float, n_paths: int, n_steps: int,
-                          seed: int, B: float, t_draw: float | None = None) -> EnsembleShare:
+                          seed: int, B: float, t_draw: float) -> EnsembleShare:
     """The ensemble share of horizon T of hoeffding-large: the clipped time
     average of the solution on TimeGrid(T, n_steps) per path, named
     "solution_time_average(T)" and finished into its two tail records.
 
     The share reads the ensemble of `seed` drawn on TimeGrid(t_draw,
-    n_steps) (t_draw = T by default) and drives horizon T with its rows
-    scaled by (T / t_draw)^H.  fBm is H-self-similar, and so is the
-    circulant sampler, whose fGn autocovariance scales as dt^{2H}: the
-    scaled rows are the rows drawn on [0, T] up to rounding, so every
-    horizon can read one ensemble.  At T = t_draw the scale is exactly 1.0
-    and the solve is that of the rows themselves, bit for bit.  The scale
-    multiplies the increments (`solve_model`), since the chunk stays live
-    for the other horizons.  Raises its PremiseError before any path is
-    drawn."""
+    n_steps) and drives horizon T with its rows scaled by (T / t_draw)^H.
+    fBm is H-self-similar, and so is the circulant sampler, whose fGn
+    autocovariance scales as dt^{2H}: the scaled rows are the rows drawn on
+    [0, T] up to rounding, so every horizon can read one ensemble.  At
+    T = t_draw the scale is exactly 1.0 and the solve is that of the rows
+    themselves, bit for bit.  The scale multiplies the increments
+    (`solve_model`), since the pass keeps the chunk for the other horizons.
+    Raises its PremiseError before any path is drawn."""
     if B >= 0:
         raise PremiseError(f"large-time bounds require B < 0, got B={B}")
-    t_draw = T if t_draw is None else t_draw
     grid = TimeGrid(T, n_steps)
     scale = (T / t_draw) ** H
 
     def chunk_average(drivers):
-        paths = solve_model(drivers, B, grid.dt, scale)
-        del drivers  # alone in its pass, at most three (chunk, n_nodes) arrays live at once
-        return time_average(paths, grid, clip=50.0)
+        return time_average(solve_model(drivers, B, grid.dt, scale), grid, clip=50.0)
 
     def records(samples):
         sigma = MODEL["sde"]["sigma"]
@@ -397,7 +398,7 @@ def hoeffding_large_share(H: float, T: float, n_paths: int, n_steps: int,
                 _tail_report(samples, 2.0 * c_two * (1.0 / np.sqrt(T)) ** 2,
                              {"metric": "d_two", **notes}))
 
-    return EnsembleShare(TimeGrid(t_draw, n_steps), HurstParam(H), seed, n_paths,
+    return EnsembleShare(TimeGrid(t_draw, n_steps), HurstParam(H), (seed,), n_paths,
                          {f"solution_time_average({T})": chunk_average}, records)
 
 
@@ -415,7 +416,7 @@ def verify_hoeffding_large_time(H: float, T: float, n_paths: int,
     t2_constant_dinf and t2_constant_d2 of the additive model with
     sigma1 = sigma2 = sigma.  Requires B < 0.
     """
-    return next(shared_pass([hoeffding_large_share(H, T, n_paths, n_steps, seed, B)]))
+    return next(shared_pass([hoeffding_large_share(H, T, n_paths, n_steps, seed, B, t_draw=T)]))
 
 
 def tail_constant_scaling(reports: dict[float, dict]) -> float:
@@ -454,7 +455,7 @@ FERNIQUE_K = (1, 2, 3)  # moment orders 2k checked against the bound
 
 
 def fernique_share(H: float, beta: float, T: float, n_samples: int,
-                   n_steps: int = 256, seed: int = 0) -> EnsembleShare:
+                   n_steps: int, seed: int) -> EnsembleShare:
     """The ensemble share of verify_fernique: the beta-Holder seminorm per
     path, finished into the Fernique record.  Raises its PremiseError before
     any path is drawn."""
@@ -485,7 +486,7 @@ def fernique_share(H: float, beta: float, T: float, n_samples: int,
                 "exp_upper_confidence": exp_upper, "exp_bound": exp_bound,
                 "n_samples": n_samples, "passed": passed}
 
-    return EnsembleShare(grid, HurstParam(H), seed, n_samples,
+    return EnsembleShare(grid, HurstParam(H), (seed,), n_samples,
                          {"holder_seminorm": lambda paths: holder_seminorm_ensemble(
                              grid.points, paths, beta)}, record)
 

@@ -44,10 +44,9 @@ DENSE_MAX_STEPS, so an entry is at most 128 MiB.
 
 A campaign that keeps a few numbers per path (or per pair of paths) needs
 no ensemble: `concentration.shared_pass` draws the rows of
-`sample_fbm_circulant_batch` CHUNK_PATHS at a time through
-`_circulant_rows`, which addresses each path by its index, so a statistic
-of each row alone gives on a chunk bit for bit what it gives on the whole
-batch.
+`sample_fbm_circulant_batch` a chunk at a time through `_circulant_rows`,
+which addresses each path by its index, so a statistic of each row alone
+gives on a chunk bit for bit what it gives on the whole batch.
 """
 
 from __future__ import annotations
@@ -328,13 +327,6 @@ def sample_fbm_circulant_batch(grid: TimeGrid, h: HurstParam, n_paths: int,
     bit.
     """
     return _circulant_rows(grid, h, seed, range(n_paths), component)
-
-
-#: Paths per chunk of concentration.shared_pass, a whole number of BLOCK_PATHS:
-#: 4 MiB per (chunk, 257) float64 array.  Measured on the large-time
-#: campaign: smaller chunks pay the Euler loop's per-step overhead more
-#: often, larger ones add memory and no speed.
-CHUNK_PATHS = 8 * BLOCK_PATHS
 
 
 @functools.lru_cache(maxsize=2)

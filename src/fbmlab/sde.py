@@ -61,7 +61,7 @@ class TimeDiffusion:
     def matrix(self, t: float, d: int, m: int) -> np.ndarray:
         out = np.asarray(self.fn(t), dtype=float)
         if out.shape != (d, m):
-            out = np.broadcast_to(np.atleast_2d(out), (d, m))
+            raise ValueError(f"sigma({t}) must have shape {(d, m)}, got {out.shape}")
         return out
 
 
@@ -241,10 +241,13 @@ def solve_scalar_via_lamperti(x0: float, drift: DriftSpec,
     y = lamperti_forward(sigma_x, x)
     vals = [x]
     for k, dw in enumerate(np.diff(g[:, 0]).tolist(), start=1):
-        z = y + float(np.atleast_1d(drift.fn(x))[0]) / sigma_x.fn(x) * grid.dt + dw
-        if not -np.inf < z < np.inf:  # z is inf or nan
-            raise BlowUpError(k)
-        x, y = _invert_from(sigma_x, z, x, y)
+        try:  # Python-float arithmetic overflows by raising, not to inf
+            z = y + float(np.atleast_1d(drift.fn(x))[0]) / sigma_x.fn(x) * grid.dt + dw
+            if not -np.inf < z < np.inf:  # z is inf or nan
+                raise BlowUpError(k)
+            x, y = _invert_from(sigma_x, z, x, y)
+        except OverflowError as exc:
+            raise BlowUpError(k) from exc
         vals.append(x)
     return SolutionPath(grid=grid, values=np.array(vals)[:, None])
 

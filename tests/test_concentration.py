@@ -8,6 +8,7 @@ from scipy.special import digamma, factorial
 
 from fbmlab import concentration, fbm
 from fbmlab.concentration import (
+    CHUNK_PATHS,
     clopper_pearson_upper,
     estimate_t1_constant,
     fernique_exponent_radius,
@@ -23,7 +24,7 @@ from fbmlab.concentration import (
     verify_hoeffding_large_time,
     verify_hoeffding_small_time,
 )
-from fbmlab.fbm import CHUNK_PATHS, HurstParam, sample_fbm_circulant_batch
+from fbmlab.fbm import HurstParam, sample_fbm_circulant_batch
 from fbmlab.grid import TimeGrid
 from fbmlab.transport import PathEnsemble, PathMetric
 
@@ -252,7 +253,7 @@ def test_campaign_statistic_chunked_equals_whole_batch(monkeypatch, campaign):
 
     def shared_pass(shares):
         [share] = shares
-        batch = sample_fbm_circulant_batch(share.grid, share.hp, share.n, share.seed)
+        batch = sample_fbm_circulant_batch(share.grid, share.hp, share.n, *share.seeds)
         wholes.append([stat(batch) for stat in share.reads.values()])
         return real_pass([share._replace(finish=lambda *values: values)])
 
@@ -264,6 +265,20 @@ def test_campaign_statistic_chunked_equals_whole_batch(monkeypatch, campaign):
     [whole] = wholes
     assert len(streamed) == len(whole)
     assert all(np.array_equal(s, w) for s, w in zip(streamed, whole))
+
+
+def test_lone_read_pass_memory_below_two_chunks():
+    # one seed and one statistic: the pass releases each chunk before it
+    # draws the next, so no more than two chunks of paths are ever live
+    n, n_steps = 4 * CHUNK_PATHS, 256
+    verify_fernique(0.75, 0.6, 1.0, 16, n_steps, seed=1)  # per-grid arrays
+    tracemalloc.start()
+    try:
+        verify_fernique(0.75, 0.6, 1.0, n, n_steps, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * CHUNK_PATHS * (n_steps + 1) * 8
 
 
 def test_large_time_campaign_memory_below_one_ensemble():

@@ -23,6 +23,7 @@ from fbmlab.pathio import (
     FBMP_VERSION,
     read_path_binary,
     read_path_csv,
+    write_json_report,
     write_path_binary,
     write_path_csv,
 )
@@ -136,6 +137,17 @@ def test_csv_rejects_non_finite_values(tmp_path, value):
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_json_report_rejects_non_finite_values(tmp_path, value):
+    # a non-finite number nested anywhere has no JSON form: ArithmeticError
+    # (CLI: exit 3) naming the file, and no file is left
+    p = tmp_path / "r.json"
+    payload = {"verifier": "x", "records": [{"bound": [1.0, np.float64(value)]}]}
+    with pytest.raises(ArithmeticError, match=re.escape(str(p))):
+        write_json_report(str(p), payload)
+    assert not p.exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_binary_rejects_non_finite_values(tmp_path, value):
     # the writer refuses before it opens the file; a file written by other
     # means is refused by the reader
@@ -225,9 +237,13 @@ FLOAT_KEYS = [("grid", "t_max"), ("fbm", "hurst"), ("sde", "drift_b"), ("sde", "
 @pytest.mark.parametrize("section,key,raw",
                          [(sec, key, raw) for sec, key in FLOAT_KEYS
                           for raw in ("nan", "inf", "-inf")]
-                         + [("verify", "delta", "0"), ("verify", "delta", "-1")])
+                         + [("verify", "delta", "0"), ("verify", "delta", "-1"),
+                            ("grid", "t_max", "0"), ("grid", "t_max", "-1"),
+                            ("grid", "n_steps", "0"), ("verify", "beta", "0"),
+                            ("verify", "beta", "1")])
 def test_config_rejects_non_finite_floats_and_non_positive_delta(tmp_path, section, key, raw):
-    # every float key is checked at load: exit 2 and nothing written
+    # every float key is checked at load, and so are the bounds of t_max,
+    # n_steps and beta: exit 2 and nothing written
     ini = _write_ini(tmp_path, f"[{section}]\n{key} = {raw}\n")
     with pytest.raises(ConfigError, match=key):
         load_config(ini)

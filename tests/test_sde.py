@@ -1,5 +1,6 @@
 """Pathwise SDE solvers: Euler, Lamperti, coupling."""
 
+import re
 import warnings
 
 import numpy as np
@@ -154,17 +155,28 @@ def test_solve_additive_matches_per_step_matmul():
     assert np.array_equal(sol.values, np.array(loop))
 
 
+@pytest.mark.parametrize("fn", [lambda t: np.array([1.0, 2.0]), lambda t: 1.0,
+                                lambda t: np.ones((2, 3))], ids=["row", "scalar", "wide"])
+def test_time_diffusion_refuses_a_sigma_not_shaped_d_by_m(fn):
+    # a (2,) row or a scalar is never broadcast to the (2, 2) matrix
+    with pytest.raises(ValueError, match=re.escape("must have shape (2, 2), got")):
+        TimeDiffusion(fn=fn).matrix(0.5, 2, 2)
+
+
 SIGMA_X = ScalarDiffusion(fn=lambda x: 1.0 + 0.3 / (1.0 + x**2),
                           sigma1=1.0, sigma2=1.3, lipschitz=0.6)
 
 
 def test_solve_scalar_blow_up_raises_without_warning():
+    # both routes: the Lamperti drift overflows in Python floats, one step
+    # before the direct Euler state leaves the floats
     drift = DriftSpec(fn=lambda x: x**3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(BlowUpError) as exc:
-            solve_scalar(50.0, drift, SIGMA_X, _driver(n=64))
-    assert exc.value.step == 6
+    for solve, step in ((solve_scalar, 6), (solve_scalar_via_lamperti, 5)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError) as exc:
+                solve(50.0, drift, SIGMA_X, _driver(n=64))
+        assert exc.value.step == step
 
 
 def test_lamperti_round_trip():

@@ -16,6 +16,7 @@ from fbmlab.calibration import (
     kappa_empirical,
 )
 from fbmlab.concentration import (
+    CHUNK_PATHS,
     VERIFIERS,
     PremiseError,
     esti_int_sweep,
@@ -25,7 +26,7 @@ from fbmlab.concentration import (
     stability_share,
 )
 from fbmlab.config import VERIFIER_NAMES, ConfigError, load_config
-from fbmlab.fbm import CHUNK_PATHS, HurstParam, sample_fbm_circulant_batch
+from fbmlab.fbm import HurstParam, sample_fbm_circulant_batch
 from fbmlab.fixtures import calibrated_constants
 from fbmlab.fractional import lemma_esti_int_check
 from fbmlab.grid import GridFunction, TimeGrid, holder_norm
@@ -86,7 +87,7 @@ def test_horizons_read_the_primary_ensemble_scaled_by_self_similarity(tmp_path, 
                    f"[verify]\nn_paths = {n}\nhorizons = 0.5,2,4\n")
     cfg = load_config(str(ini))
     shares, _ = VERIFIERS["hoeffding-large"](cfg)
-    assert {s.ensemble for s in shares} == {(seed, TimeGrid(1.0, n_steps), hp)}
+    assert {s.ensemble for s in shares} == {((seed,), TimeGrid(1.0, n_steps), hp)}
     assert [list(s.reads) for s in shares] == [
         [f"solution_time_average({T})"] for T in (0.5, 2.0, 4.0)]
     seen = {}
