@@ -23,13 +23,17 @@ line rejects a config that sets it otherwise.  No verifier builds an
 ensemble it only reduces: the 20 000-path campaigns (Fernique and both
 Hoeffding regimes) keep one or two numbers per path and the pair verifiers
 (stability, t1-moments, gaussian-tail) one or two per pair, so they stream
-their paths through `shared_pass`, which draws them `CHUNK_PATHS` at a
-time: each chunk is sampled, solved where a verifier needs it and reduced
-by the one statistic of each named per-row quantity it reads, and moments,
-tails and ratios take the whole vectors.  A statistic only maps rows to
-values; the pass alone decides how long a chunk stays in memory.  A
-campaign's memory is a few chunks, not a few ensembles, and its reports
-are those of a whole-batch run byte for byte.  The campaigns return the
+their paths through `shared_pass`, in tasks of BLOCK_PATHS paths per seed:
+each task draws its rows, solves them where a verifier needs it and
+reduces them by the one statistic of each named per-row quantity it reads,
+and moments, tails and ratios take the whole vectors.  A statistic only
+maps rows to values; the pass alone decides how long rows stay in memory.
+The tasks run on the calling thread and helper threads, one worker per CPU
+in the process's affinity mask (numpy releases the GIL in the sampler's
+normals and FFTs, the lag kernel and the Euler steps), and their values
+are joined in path order.  A campaign's memory is a few blocks per worker,
+not a few ensembles, and its reports are those of a whole-batch run byte
+for byte, for any number of CPUs.  The campaigns return the
 JSON-ready records that the reports hold: a tail record per functional and
 metric (r-grid, empirical tail, upper confidence, bound, per-threshold
 "passed", n_samples, notes), and one Fernique record with an overall
@@ -63,7 +67,11 @@ passes.  An overflow in the Fernique moments raises FloatingPointError.
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -135,11 +143,66 @@ def mean_upper_confidence(x: np.ndarray) -> float:
     return float(x.mean() + z * x.std(ddof=1) / np.sqrt(len(x)))
 
 
-#: Paths per chunk of shared_pass, a whole number of BLOCK_PATHS: 4 MiB per
-#: (chunk, 257) float64 array.  Measured on the large-time campaign: smaller
-#: chunks pay the Euler loop's per-step overhead more often, larger ones add
-#: memory and no speed.
-CHUNK_PATHS = 8 * BLOCK_PATHS
+#: Workers of shared_pass: the calling thread and WORKERS - 1 helper
+#: threads, one per CPU in the process's affinity mask.
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+    else os.cpu_count() or 1
+
+_helpers: ThreadPoolExecutor | None = None
+_helpers_lock = threading.Lock()
+
+
+def _helper_pool() -> ThreadPoolExecutor:
+    """The one pool of WORKERS - 1 helper threads, made on first use."""
+    global _helpers
+    with _helpers_lock:
+        if _helpers is None:
+            _helpers = ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="fbmlab-pass")
+        return _helpers
+
+
+def _in_order(tasks: list[Callable[[], object]]) -> list:
+    """The results of `tasks`, in order, run on the calling thread and up to
+    WORKERS - 1 helper threads.
+
+    Each worker takes the next task no worker has taken, so at most WORKERS
+    tasks are in flight.  A failing task stops the taking; every task taken
+    before it still runs to its end, so once all workers are back the first
+    failure in task order is raised, the exception a loop over the tasks
+    would raise.  No helper is left running when this returns or raises.
+    With one worker or one task, no thread is started: the caller runs the
+    same loop alone.
+    """
+    results: list = [None] * len(tasks)
+    errors: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    taken = 0
+
+    def work() -> None:
+        nonlocal taken
+        while True:
+            with lock:
+                if errors or taken == len(tasks):
+                    return
+                i, taken = taken, taken + 1
+            try:
+                results[i] = tasks[i]()
+            except BaseException as exc:  # raised below, in task order
+                with lock:
+                    errors[i] = exc
+
+    helpers = [_helper_pool().submit(work) for _ in range(min(WORKERS, len(tasks)) - 1)]
+    try:
+        work()
+    finally:
+        with lock:
+            taken = len(tasks)  # a caller interrupted outside a task stops the helpers
+        for helper in helpers:
+            if not helper.cancel():
+                helper.result()  # waits for it; work() itself raises nothing
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 class EnsembleShare(NamedTuple):
@@ -152,7 +215,7 @@ class EnsembleShare(NamedTuple):
     reads the primary ensemble and rescales it to its own horizon
     (`hoeffding_large_share`).  The verifier reads its first n rows:
     `reads` maps the name of each per-row quantity it needs to the statistic
-    that makes it, reducing a chunk of rows (one chunk per seed) to one
+    that makes it, reducing a task's rows (one block per seed) to one
     value per row.  A name stands for one quantity of the config, made by one
     builder, so verifiers that read it compute it once (`shared_pass`); a
     quantity that depends on a horizon carries it in its name.
@@ -181,29 +244,36 @@ def shared_pass(shares: list[EnsembleShare]):
     reduced when the first share that reads it is finished: an error in a
     later segment stops the run only when a share reading it is reached.
     A segment computes the union of the `reads` of the shares that read it,
-    each name once, on chunks of CHUNK_PATHS paths over all seeds (row i
-    of each seed's chunk is path i of its ensemble bit for bit, as
-    `fbm._circulant_rows` addresses paths by index).  Each chunk is drawn
-    for every seed, handed to each statistic and released before the next
-    one is drawn; no statistic frees its input.  A share finishes on its
-    own first n rows, bit for bit what a pass of its own would reduce.
+    each name once, in tasks of BLOCK_PATHS paths per seed (row i of each
+    seed's rows is path i of its ensemble bit for bit, as
+    `fbm._circulant_rows` addresses paths by index).  A task draws its rows
+    for every seed, hands them to each statistic and releases them when it
+    returns; no statistic frees its input.  The tasks of a segment run on
+    the calling thread and the helper threads (`_in_order`), at most one per
+    worker at a time, and their values are joined in path order, so a share
+    finishes on its own first n rows, bit for bit what a pass of its own
+    would reduce on one thread; a failing segment raises the error of its
+    first failing task.  numpy's error state is context-local and does not
+    reach the helpers: a statistic that needs one sets its own
+    (`sde._euler`), and no caller wraps a pass in one.
     """
     first = shares[0]
     if any(s.ensemble != first.ensemble for s in shares):
         raise ValueError("shares of one pass must read one ensemble")
-    rows = CHUNK_PATHS // len(first.seeds)
     parts: dict[str, list[np.ndarray]] = {name: [] for s in shares for name in s.reads}
 
     def reduce(lo: int, hi: int) -> None:
         reads = {name: stat for s in shares if s.n >= hi for name, stat in s.reads.items()}
-        for start in range(lo, hi, rows):
-            paths = range(start, min(start + rows, hi))
-            chunks = [fbm._circulant_rows(first.grid, first.hp, s, paths) for s in first.seeds]
-            for name, stat in reads.items():
-                parts[name].append(stat(*chunks))
-            # released before the next chunk is drawn: still bound, the old
-            # chunks would stay live while the new ones are built
-            del chunks
+
+        def task(start: int) -> list[np.ndarray]:
+            paths = range(start, min(start + BLOCK_PATHS, hi))
+            rows = [fbm._circulant_rows(first.grid, first.hp, s, paths) for s in first.seeds]
+            return [stat(*rows) for stat in reads.values()]
+
+        starts = range(lo, hi, BLOCK_PATHS)
+        for values in _in_order([functools.partial(task, start) for start in starts]):
+            for name, value in zip(reads, values):
+                parts[name].append(value)
 
     done = 0
     for share in shares:
@@ -378,14 +448,14 @@ def hoeffding_large_share(H: float, T: float, n_paths: int, n_steps: int,
     [0, T] up to rounding, so every horizon can read one ensemble.  At
     T = t_draw the scale is exactly 1.0 and the solve is that of the rows
     themselves, bit for bit.  The scale multiplies the increments
-    (`solve_model`), since the pass keeps the chunk for the other horizons.
+    (`solve_model`), since the pass keeps the rows for the other horizons.
     Raises its PremiseError before any path is drawn."""
     if B >= 0:
         raise PremiseError(f"large-time bounds require B < 0, got B={B}")
     grid = TimeGrid(T, n_steps)
     scale = (T / t_draw) ** H
 
-    def chunk_average(drivers):
+    def solution_average(drivers):
         return time_average(solve_model(drivers, B, grid.dt, scale), grid, clip=50.0)
 
     def records(samples):
@@ -399,7 +469,7 @@ def hoeffding_large_share(H: float, T: float, n_paths: int, n_steps: int,
                              {"metric": "d_two", **notes}))
 
     return EnsembleShare(TimeGrid(t_draw, n_steps), HurstParam(H), (seed,), n_paths,
-                         {f"solution_time_average({T})": chunk_average}, records)
+                         {f"solution_time_average({T})": solution_average}, records)
 
 
 def verify_hoeffding_large_time(H: float, T: float, n_paths: int,

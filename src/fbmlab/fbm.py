@@ -44,9 +44,12 @@ DENSE_MAX_STEPS, so an entry is at most 128 MiB.
 
 A campaign that keeps a few numbers per path (or per pair of paths) needs
 no ensemble: `concentration.shared_pass` draws the rows of
-`sample_fbm_circulant_batch` a chunk at a time through `_circulant_rows`,
-which addresses each path by its index, so a statistic of each row alone
-gives on a chunk bit for bit what it gives on the whole batch.
+`sample_fbm_circulant_batch` a block of BLOCK_PATHS at a time through
+`_circulant_rows`, which addresses each path by its index, so a statistic
+of each row alone gives on a block bit for bit what it gives on the whole
+batch.  A call keys its own Philox and allocates its own buffers, and the
+per-grid arrays it reads are read-only, so the pass draws blocks on several
+threads at once.
 """
 
 from __future__ import annotations
@@ -250,8 +253,9 @@ def _circulant_rows(grid: TimeGrid, h: HurstParam, seed: int, paths,
     z_k = (a_k + i b_k) / sqrt(2) for 0 < k < n; its first n values, summed,
     are the path.  hfft(half) is irfft(conj(half), norm="forward"), so the
     rows are scaled straight into conj(half) and handed to irfft: no conj
-    pass, and the block buffers are allocated once per call.  Rows are
-    assembled and transformed BLOCK_PATHS at a time.
+    pass.  Rows are assembled and transformed BLOCK_PATHS at a time in two
+    block buffers allocated once per call, the normals and conj(half); the
+    irfft writes its fGn over the normals, which conj(half) has consumed.
     """
     bits = np.random.Philox(_seed_sequence(seed, _KEY, component))
     normal, state = np.random.Generator(bits).standard_normal, bits.state
@@ -269,7 +273,6 @@ def _circulant_rows(grid: TimeGrid, h: HurstParam, seed: int, paths,
     rows = min(len(paths), BLOCK_PATHS)
     draws = np.empty((rows, 2 * n))
     spec = np.zeros((rows, n + 1), dtype=complex)  # conj(half); imag 0 at k = 0, n
-    fgn = np.empty((rows, 2 * n))
     for lo in range(0, len(paths), BLOCK_PATHS):
         block = paths[lo:lo + BLOCK_PATHS]
         k = len(block)
@@ -282,8 +285,9 @@ def _circulant_rows(grid: TimeGrid, h: HurstParam, seed: int, paths,
         np.multiply(d[:, 1], scale[n], out=spec.real[:k, n])
         np.multiply(d[:, 2:n + 1], scale[1:n], out=spec.real[:k, 1:n])
         np.multiply(d[:, n + 1:], -scale[1:n], out=spec.imag[:k, 1:n])
-        np.fft.irfft(spec[:k], n=2 * n, axis=1, norm="forward", out=fgn[:k])
-        np.cumsum(fgn[:k, :n], axis=1, out=out[lo:lo + k, 1:])
+        # the normals are spent once spec holds them: the fGn overwrites them
+        np.fft.irfft(spec[:k], n=2 * n, axis=1, norm="forward", out=d)
+        np.cumsum(d[:, :n], axis=1, out=out[lo:lo + k, 1:])
     return out
 
 

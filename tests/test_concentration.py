@@ -1,6 +1,7 @@
 """Concentration verifiers: oracles, confidence machinery, guards."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from scipy.special import digamma, factorial
 
 from fbmlab import concentration, fbm
 from fbmlab.concentration import (
-    CHUNK_PATHS,
     clopper_pearson_upper,
     estimate_t1_constant,
     fernique_exponent_radius,
@@ -25,7 +25,7 @@ from fbmlab.concentration import (
     verify_hoeffding_small_time,
 )
 from fbmlab.fbm import HurstParam, sample_fbm_circulant_batch
-from fbmlab.grid import TimeGrid
+from fbmlab.grid import BLOCK_PATHS, TimeGrid
 from fbmlab.transport import PathEnsemble, PathMetric
 
 
@@ -242,8 +242,9 @@ CAMPAIGNS = {
 
 @pytest.mark.parametrize("campaign", sorted(CAMPAIGNS))
 def test_campaign_statistic_chunked_equals_whole_batch(monkeypatch, campaign):
-    # the statistics each campaign streams, applied chunk by chunk (a full
-    # chunk and a ragged one) and to the whole batch at once
+    # the statistics each campaign streams, applied task by task (a full
+    # block and a ragged one, on the caller or a helper thread, so drawn in
+    # either order) and to the whole batch at once
     drawn, wholes = [], []
     real_rows, real_pass = fbm._circulant_rows, concentration.shared_pass
 
@@ -259,18 +260,23 @@ def test_campaign_statistic_chunked_equals_whole_batch(monkeypatch, campaign):
 
     monkeypatch.setattr(fbm, "_circulant_rows", rows)
     monkeypatch.setattr(concentration, "shared_pass", shared_pass)
-    n = CHUNK_PATHS + 37
+    n = BLOCK_PATHS + 37
     streamed = CAMPAIGNS[campaign](n)
-    assert drawn == [n, CHUNK_PATHS, 37]  # the whole batch, then the two chunks
+    assert Counter(drawn) == Counter([n, BLOCK_PATHS, 37])  # the whole batch and two tasks
     [whole] = wholes
     assert len(streamed) == len(whole)
     assert all(np.array_equal(s, w) for s, w in zip(streamed, whole))
 
 
+#: Paths of the memory tests' unit: 4 MiB of (CHUNK, 257) float64 paths
+CHUNK = 2048
+
+
 def test_lone_read_pass_memory_below_two_chunks():
-    # one seed and one statistic: the pass releases each chunk before it
-    # draws the next, so no more than two chunks of paths are ever live
-    n, n_steps = 4 * CHUNK_PATHS, 256
+    # one seed and one statistic: each task's paths are released when it
+    # returns and at most one task runs per worker, so far less than two
+    # chunks of paths are ever live
+    n, n_steps = 4 * CHUNK, 256
     verify_fernique(0.75, 0.6, 1.0, 16, n_steps, seed=1)  # per-grid arrays
     tracemalloc.start()
     try:
@@ -278,13 +284,13 @@ def test_lone_read_pass_memory_below_two_chunks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * CHUNK_PATHS * (n_steps + 1) * 8
+    assert peak < 2 * CHUNK * (n_steps + 1) * 8
 
 
 def test_large_time_campaign_memory_below_one_ensemble():
     # four chunks of paths: the streamed campaign never holds an
     # (n_paths, n_nodes) ensemble
-    n, n_steps = 4 * CHUNK_PATHS, 256
+    n, n_steps = 4 * CHUNK, 256
     verify_hoeffding_large_time(0.75, 2.0, 16, n_steps, seed=1)  # per-grid arrays
     tracemalloc.start()
     try:

@@ -16,7 +16,6 @@ from fbmlab.calibration import (
     kappa_empirical,
 )
 from fbmlab.concentration import (
-    CHUNK_PATHS,
     VERIFIERS,
     PremiseError,
     esti_int_sweep,
@@ -121,9 +120,9 @@ def test_horizon_at_t_max_is_the_unscaled_campaign(tmp_path):
 
 
 def test_horizons_pass_memory_below_one_ensemble(tmp_path):
-    # three horizons read each chunk, so it stays live while each solves:
-    # the pass still never holds an (n_paths, n_nodes) ensemble
-    n, n_steps = 4 * CHUNK_PATHS, 256
+    # three horizons read each task's paths, so they stay live while each
+    # solves: the pass still never holds an (n_paths, n_nodes) ensemble
+    n, n_steps = 4 * 2048, 256
     ini = tmp_path / "m.ini"
     ini.write_text(f"[grid]\nt_max = 1\nn_steps = {n_steps}\n"
                    f"[verify]\nn_paths = {n}\nhorizons = 1,2,4\n")
@@ -210,7 +209,7 @@ def test_run_verifier_stamps_reports_and_records_rejections(tmp_path):
         run_verifier("bogus", cfg)
 
 
-PAIR_CHUNK = CHUNK_PATHS // 2  # pairs per chunk of a pair ensemble
+PAIR_CHUNK = 1024  # pairs of a 2048-path pair ensemble
 
 
 @pytest.mark.parametrize("n_pairs", [1, PAIR_CHUNK - 1, PAIR_CHUNK, PAIR_CHUNK + 1, 2000])
