@@ -29,15 +29,15 @@ reduces them by the one statistic of each named per-row quantity it reads,
 and moments, tails and ratios take the whole vectors.  A statistic only
 maps rows to values; the pass alone decides how long rows stay in memory.
 The tasks run on the calling thread and helper threads, one worker per CPU
-in the process's affinity mask (numpy releases the GIL in the sampler's
-normals and FFTs, the lag kernel and the Euler steps), and their values
-are joined in path order.  A campaign's memory is a few blocks per worker,
-not a few ensembles, and its reports are those of a whole-batch run byte
-for byte, for any number of CPUs.  The campaigns return the
-JSON-ready records that the reports hold: a tail record per functional and
-metric (r-grid, empirical tail, upper confidence, bound, per-threshold
-"passed", n_samples, notes), and one Fernique record with an overall
-"passed".
+in the process's affinity mask and at most two (`WORKERS`; numpy releases
+the GIL in the sampler's normals and FFTs, the lag kernel and the Euler
+steps), and their values are joined in path order.  A campaign's memory is
+a few blocks per worker, not a few ensembles, and its reports are those of
+a whole-batch run byte for byte, for any number of CPUs.  The campaigns
+return the JSON-ready records that the reports hold: a tail record per
+functional and metric (r-grid, empirical tail, upper confidence, bound,
+per-threshold "passed", n_samples, notes), and one Fernique record with an
+overall "passed".
 
 The registry: `VERIFIERS[name](cfg)`, in config.VERIFIER_NAMES order,
 checks the verifier's premises (PremiseError) and returns its plan: the
@@ -144,9 +144,12 @@ def mean_upper_confidence(x: np.ndarray) -> float:
 
 
 #: Workers of shared_pass: the calling thread and WORKERS - 1 helper
-#: threads, one per CPU in the process's affinity mask.
-WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-    else os.cpu_count() or 1
+#: threads, one per CPU in the process's affinity mask, at most 2.  Each
+#: worker adds an in-flight task and a malloc arena to the peak RSS, and two
+#: is the count measured against the campaign's RSS bound (BENCH_29.json, 2
+#: vCPUs): a higher cap needs a measurement of its own.
+WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
 
 _helpers: ThreadPoolExecutor | None = None
 _helpers_lock = threading.Lock()
@@ -165,41 +168,32 @@ def _in_order(tasks: list[Callable[[], object]]) -> list:
     """The results of `tasks`, in order, run on the calling thread and up to
     WORKERS - 1 helper threads.
 
-    Each worker takes the next task no worker has taken, so at most WORKERS
-    tasks are in flight.  A failing task stops the taking; every task taken
-    before it still runs to its end, so once all workers are back the first
-    failure in task order is raised, the exception a loop over the tasks
-    would raise.  No helper is left running when this returns or raises.
-    With one worker or one task, no thread is started: the caller runs the
-    same loop alone.
+    Of W workers, worker w runs tasks w, w + W, w + 2W, ... and stops at its
+    own first failure, so at most W tasks are in flight.  The failing task of
+    lowest index is the one a loop over the tasks would raise: no task before
+    it fails, so its worker reached it.  It is raised once every helper is
+    back, and no helper is left running when this returns or raises.  With
+    one worker or one task, no thread is started: the caller's stride is the
+    loop over the tasks.
     """
     results: list = [None] * len(tasks)
     errors: dict[int, BaseException] = {}
-    lock = threading.Lock()
-    taken = 0
+    workers = min(WORKERS, len(tasks))
 
-    def work() -> None:
-        nonlocal taken
-        while True:
-            with lock:
-                if errors or taken == len(tasks):
-                    return
-                i, taken = taken, taken + 1
+    def work(first: int) -> None:
+        for i in range(first, len(tasks), workers):
             try:
                 results[i] = tasks[i]()
             except BaseException as exc:  # raised below, in task order
-                with lock:
-                    errors[i] = exc
+                errors[i] = exc
+                return
 
-    helpers = [_helper_pool().submit(work) for _ in range(min(WORKERS, len(tasks)) - 1)]
+    helpers = [_helper_pool().submit(work, w) for w in range(1, workers)]
     try:
-        work()
+        work(0)
     finally:
-        with lock:
-            taken = len(tasks)  # a caller interrupted outside a task stops the helpers
         for helper in helpers:
-            if not helper.cancel():
-                helper.result()  # waits for it; work() itself raises nothing
+            helper.result()  # waits for it; work() itself raises nothing
     if errors:
         raise errors[min(errors)]
     return results

@@ -272,10 +272,17 @@ def test_campaign_statistic_chunked_equals_whole_batch(monkeypatch, campaign):
 CHUNK = 2048
 
 
-def test_lone_read_pass_memory_below_two_chunks():
+def test_workers_are_at_most_the_two_the_memory_tests_pin():
+    # each worker adds a task in flight (and a malloc arena) to a pass's
+    # peak; the memory tests run the cap, two workers, on any machine
+    assert 1 <= concentration.WORKERS <= 2
+
+
+def test_lone_read_pass_memory_below_two_chunks(workers):
     # one seed and one statistic: each task's paths are released when it
     # returns and at most one task runs per worker, so far less than two
     # chunks of paths are ever live
+    workers(2)
     n, n_steps = 4 * CHUNK, 256
     verify_fernique(0.75, 0.6, 1.0, 16, n_steps, seed=1)  # per-grid arrays
     tracemalloc.start()
@@ -287,9 +294,10 @@ def test_lone_read_pass_memory_below_two_chunks():
     assert peak < 2 * CHUNK * (n_steps + 1) * 8
 
 
-def test_large_time_campaign_memory_below_one_ensemble():
+def test_large_time_campaign_memory_below_one_ensemble(workers):
     # four chunks of paths: the streamed campaign never holds an
     # (n_paths, n_nodes) ensemble
+    workers(2)
     n, n_steps = 4 * CHUNK, 256
     verify_hoeffding_large_time(0.75, 2.0, 16, n_steps, seed=1)  # per-grid arrays
     tracemalloc.start()

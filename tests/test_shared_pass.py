@@ -35,9 +35,9 @@ NUMPY_DEFAULT = {"divide": "warn", "over": "warn", "under": "ignore", "invalid":
 
 
 @pytest.fixture
-def helpers(monkeypatch):
-    # three workers, so that tasks run on helper threads on any machine
-    monkeypatch.setattr(concentration, "WORKERS", 3)
+def helpers(workers):
+    # three workers, so that tasks run on two helper threads on any machine
+    workers(3)
 
 
 def as_values(share: EnsembleShare) -> EnsembleShare:
@@ -78,14 +78,15 @@ def test_pair_tasks_equal_whole_batch_statistics(helpers, n):
         assert_equal_values(streamed, [stat(*pairs) for stat in share.reads.values()])
 
 
-@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("count", [1, 3])
 @pytest.mark.parametrize("failing", [(), (2, 4)], ids=["returns", "raises"])
-def test_first_failure_in_task_order_and_no_task_left_running(monkeypatch, workers, failing):
-    # tasks 1 and 2 are slow, so with helpers task 4 fails first in time;
-    # the error of task 2, the first in task order, is the one raised, and
-    # no task is running once the tasks return or raise.  On one worker no
-    # task after the failing one starts, as in a loop.
-    monkeypatch.setattr(concentration, "WORKERS", workers)
+def test_first_failure_in_task_order_and_no_task_left_running(workers, count, failing):
+    # task 2 is slow, so with helpers task 4 (after task 1 on the same
+    # worker) fails first in time; the error of task 2, the first in task
+    # order, is the one raised, and no task is running once the tasks
+    # return or raise.  On one worker no task after the failing one starts,
+    # as in a loop.
+    workers(count)
     started, running, lock = [], [0], threading.Lock()
 
     def task(i):
@@ -94,7 +95,7 @@ def test_first_failure_in_task_order_and_no_task_left_running(monkeypatch, worke
                 started.append(i)
                 running[0] += 1
             try:
-                time.sleep(0.02 if i in (1, 2, 7) else 0.001)
+                time.sleep(0.05 if i == 2 else 0.001)
                 if i in failing:
                     raise ValueError(f"task {i}")
                 return i
@@ -109,7 +110,7 @@ def test_first_failure_in_task_order_and_no_task_left_running(monkeypatch, worke
     else:
         assert concentration._in_order([task(i) for i in range(8)]) == list(range(8))
     assert running[0] == 0
-    if workers == 1:
+    if count == 1:
         assert started == list(range(3 if failing else 8))
 
 
@@ -155,12 +156,12 @@ def zero_rows_but_one(monkeypatch):
     monkeypatch.setattr(fbm, "_circulant_rows", rows)
 
 
-def test_overflow_in_a_later_task_is_the_serial_blow_up(monkeypatch, zero_rows_but_one):
+def test_overflow_in_a_later_task_is_the_serial_blow_up(workers, zero_rows_but_one):
     # at drift -1e300 only path B + 3 overflows; sde._euler's own errstate
     # turns the overflow into its BlowUpError on whichever thread solves it
     # (a RuntimeWarning there is an error under this suite's filters)
-    def blow_up(workers):
-        monkeypatch.setattr(concentration, "WORKERS", workers)
+    def blow_up(count):
+        workers(count)
         with pytest.raises(BlowUpError) as exc:
             verify_hoeffding_large_time(0.75, 1.0, 2 * B, 32, SEED, B=-1e300)
         return exc.value.step
@@ -187,7 +188,7 @@ horizons = 1,2
     ("hoeffding-large", None, "non-finite state at Euler step 1"),
     ("stability", fbm.Role.partner, "non-finite state at Euler step 1"),
 ], ids=["fernique", "hoeffding-large", "stability-partner"])
-def test_nan_row_in_a_later_task_exits_as_a_serial_pass(tmp_path, monkeypatch, capsys,
+def test_nan_row_in_a_later_task_exits_as_a_serial_pass(tmp_path, monkeypatch, capsys, workers,
                                                         name, seed_role, message):
     # a NaN path B + 3 of the primary ensemble (or of the partner) fails
     # each verifier that reads it with the exit code and message of a pass
@@ -205,9 +206,9 @@ def test_nan_row_in_a_later_task_exits_as_a_serial_pass(tmp_path, monkeypatch, c
     ini = tmp_path / "nan.ini"
     ini.write_text(NAN_INI)
     errors = []
-    for workers in (1, 3):
-        monkeypatch.setattr(concentration, "WORKERS", workers)
-        out = tmp_path / f"w{workers}"
+    for count in (1, 3):
+        workers(count)
+        out = tmp_path / f"w{count}"
         assert main(["verify", "--config", str(ini), "--out", str(out),
                      "--verifier", name]) == 3
         assert not (out / f"verify_{name}.json").exists()
@@ -251,12 +252,11 @@ def test_every_task_runs_under_numpy_default_error_state(tmp_path, monkeypatch, 
     assert all(state == NUMPY_DEFAULT for state in states)
 
 
-def test_tasks_under_contention_each_run_once(monkeypatch):
-    # eight workers on fewer CPUs, switching threads every microsecond: a
-    # lost update of the shared task counter would run a task twice or skip
-    # one, within a few seconds at most
-    monkeypatch.setattr(concentration, "WORKERS", 8)
-    monkeypatch.setattr(concentration, "_helpers", None)
+def test_tasks_under_contention_each_run_once(workers):
+    # eight workers on fewer CPUs, switching threads every microsecond, write
+    # their results and errors into shared containers: a stride that ran a
+    # task twice or skipped one shows within a few seconds at most
+    workers(8)
     runs = [0] * 2000
 
     def task(i):
@@ -271,5 +271,4 @@ def test_tasks_under_contention_each_run_once(monkeypatch):
         assert concentration._in_order([task(i) for i in range(2000)]) == list(range(2000))
     finally:
         sys.setswitchinterval(interval)
-        concentration._helpers.shutdown(wait=True)
     assert runs == [1] * 2000

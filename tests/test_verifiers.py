@@ -119,9 +119,10 @@ def test_horizon_at_t_max_is_the_unscaled_campaign(tmp_path):
     assert report["horizons"]["2.0"] == {"d_infinity": ri, "d_two": r2}
 
 
-def test_horizons_pass_memory_below_one_ensemble(tmp_path):
+def test_horizons_pass_memory_below_one_ensemble(tmp_path, workers):
     # three horizons read each task's paths, so they stay live while each
     # solves: the pass still never holds an (n_paths, n_nodes) ensemble
+    workers(2)
     n, n_steps = 4 * 2048, 256
     ini = tmp_path / "m.ini"
     ini.write_text(f"[grid]\nt_max = 1\nn_steps = {n_steps}\n"
@@ -267,9 +268,10 @@ def test_shared_pass_equals_each_share_on_its_own(tmp_path, monkeypatch):
         list(shared_pass(pair + primary))
 
 
-def test_pair_distance_pass_memory_below_four_ensembles(tmp_path):
-    # the 2000-pair distances stream in chunks; built whole, the two driver
+def test_pair_distance_pass_memory_below_four_ensembles(tmp_path, workers):
+    # the 2000-pair distances stream in tasks; built whole, the two driver
     # and two solution ensembles and their difference take six ensembles
+    workers(2)
     n, n_steps = 2000, 256
     ini = tmp_path / "m.ini"
     ini.write_text(f"[grid]\nn_steps = {n_steps}\n[verify]\nn_paths = {n}\n")
