@@ -101,6 +101,7 @@ from .transport import (
     PathEnsemble,
     PathMetric,
     path_metric,
+    require_same_space,
     t1_constant,
     t2_constant_d2,
     t2_constant_dinf,
@@ -286,6 +287,7 @@ T1_K_MAX = 4  # higher empirical moments are noise-dominated at desk scale
 
 def pair_distances(mu: PathEnsemble, nu: PathEnsemble, metric: PathMetric) -> np.ndarray:
     """d(xi_i, xi'_i) for matched independent pairs (diagonal coupling)."""
+    require_same_space(mu, nu)
     if mu.n != nu.n:
         raise ValueError("pair ensembles must have equal size")
     return path_metric(mu.paths - nu.paths, mu.grid.dt, metric)

@@ -3,8 +3,15 @@ transportation constants.
 
 Both path metrics are `path_metric` of path differences, which every
 distance here, `concentration.pair_distances` and the verifiers' solution
-distances call.  Cost matrices are built one row at a time, so their
-working memory is O(m n_nodes d) beside the n x m result.  The empirical
+distances call.  A cost matrix is one compiled call: under d_inf on
+scalar paths scipy's Chebyshev cdist, equal to path_metric bit for bit,
+with no memory beside the n x m result; under d_2 one GEMM of the
+trapezoid-weighted, centred paths, each entry within
+d_two_rel_bound(n_nodes d) of the exact value (5.9e-10 at 257 nodes) and
+those at or below D2_RECOMPUTE_REL (tau = 1e-4) of their norms recomputed
+by path_metric, so coincident paths cost exactly 0, in O((n + m) n_nodes d)
+memory beside the result.  Only d_inf on d > 1 components still reduces
+one row of the first ensemble at a time.  The empirical
 Wasserstein distance between equal-size ensembles reduces to an optimal
 assignment (the optimum of the Birkhoff polytope sits on a permutation).
 Unequal counts n != m reduce to one too: with l = lcm(n, m), scaling the
@@ -40,6 +47,7 @@ from enum import Enum
 
 import numpy as np
 from scipy import optimize, sparse
+from scipy.spatial import distance
 
 from .fixtures import calibrated_constants
 from .grid import TimeGrid
@@ -67,6 +75,18 @@ SINKHORN_TOL = 1e-5
 #: Iterations allowed to one epsilon level; reaching the cap raises.
 SINKHORN_MAX_ITERS = 50_000
 _SINKHORN_CHECK = 10    # iterations between absorption / convergence checks
+#: tau of the d_2 GEMM: an entry ||x - y||_w^2 computed as
+#: ||x||_w^2 + ||y||_w^2 - 2 <x, y>_w is recomputed by path_metric when it
+#: is not above tau S, S = ||x||_w^2 + ||y||_w^2 of the centred paths, i.e.
+#: when the distance is within 1% of sqrt(S).  The identity's absolute
+#: error is at most eps S, eps = 2 (k + 8) u for k = n_nodes * d terms and
+#: u = 2^-53 (gamma_k of each of the three dot products, the sqrt(w)
+#: scaling, the centring and the two additions; barring underflow).  So a
+#: kept entry is within eps / (tau - 2 eps) of the exact value, relative:
+#: 5.9e-10 at 257 nodes, d = 1 (d_two_rel_bound).  Coincident paths have
+#: an identity value of at most eps S < tau S, so they are recomputed, to 0.
+D2_RECOMPUTE_REL = 1e-4
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 class PathMetric(str, Enum):
@@ -109,21 +129,87 @@ def path_metric(diff: np.ndarray, dt: float, metric: PathMetric) -> np.ndarray:
     return np.sqrt(np.trapezoid(dist**2, dx=dt, axis=-1))
 
 
+def require_same_space(mu: PathEnsemble, nu: PathEnsemble) -> None:
+    """Raise ValueError unless mu and nu share one grid and one state
+    dimension d, so that their paths can be subtracted."""
+    if mu.grid != nu.grid or mu.paths.shape[2] != nu.paths.shape[2]:
+        raise ValueError(
+            f"ensembles must share one grid and one state dimension: paths shaped "
+            f"{mu.paths.shape} on {mu.grid!r} and {nu.paths.shape} on {nu.grid!r}")
+
+
+def d_two_rel_bound(k: int) -> float:
+    """Relative error bound of every d_2^2 entry of pairwise_cost_matrix
+    against the exact weighted norm, for k = n_nodes * d (see
+    D2_RECOMPUTE_REL); about half of it holds for d_2 itself."""
+    eps = 2.0 * (k + 8) * _UNIT_ROUNDOFF
+    return eps / (D2_RECOMPUTE_REL - 2.0 * eps)
+
+
 def pairwise_cost_matrix(mu: PathEnsemble, nu: PathEnsemble,
                          metric: PathMetric, p: int) -> np.ndarray:
-    """Cost matrix C[i, j] = d(path_i, path_j)^p, one row per path of mu;
-    working memory O(m n_nodes d) beside the n x m result.  A cost that
-    overflows raises ArithmeticError."""
-    if mu.grid != nu.grid:
-        raise ValueError("ensembles must share one grid")
-    b = nu.paths
-    cost = np.empty((mu.n, nu.n))
+    """Cost matrix C[i, j] = d(path_i, path_j)^p for p in {1, 2}, as one
+    compiled call per matrix.
+
+    - d_inf, d = 1: scipy's Chebyshev cdist, whose exact |a - b| and max
+      are path_metric's, so every entry is path_metric's bit for bit;
+      working memory is the n x m result.
+    - d_2, any d: one GEMM of the trapezoid-weighted paths (_d_two_cost);
+      every entry within d_two_rel_bound(n_nodes d) of the exact value,
+      coincident paths exactly 0; working memory O((n + m) n_nodes d)
+      beside a few n x m arrays.
+    - d_inf, d > 1: one path_metric row per path of mu (no compiled kernel
+      takes the Euclidean norm over d before the max over nodes); working
+      memory O(m n_nodes d) beside the result.
+
+    A cost that overflows raises ArithmeticError."""
+    if p not in (1, 2):
+        raise ValueError(f"p must be 1 or 2, got {p}")
+    require_same_space(mu, nu)
     # an overflowing cost is reported by the finiteness check, not a warning
-    with np.errstate(over="ignore"):
-        for i, row in enumerate(mu.paths):
-            cost[i] = path_metric(b - row, mu.grid.dt, metric) ** p
+    with np.errstate(over="ignore", invalid="ignore"):
+        if metric == PathMetric.d_two:
+            cost = _d_two_cost(mu, nu, p)
+        elif mu.paths.shape[2] == 1:
+            cost = distance.cdist(mu.paths[:, :, 0], nu.paths[:, :, 0], "chebyshev")
+            cost **= p
+        else:
+            cost = np.empty((mu.n, nu.n))
+            for i, row in enumerate(mu.paths):
+                cost[i] = path_metric(nu.paths - row, mu.grid.dt, metric) ** p
     if not np.all(np.isfinite(cost)):
         raise ArithmeticError("non-finite entries in the transport cost matrix")
+    return cost
+
+
+def _d_two_cost(mu: PathEnsemble, nu: PathEnsemble, p: int) -> np.ndarray:
+    """d_2(x, y)^p for every pair: with the trapezoid weights w and both
+    ensembles centred on their joint mean path (a common shift leaves every
+    difference alone and shrinks the norms the error scales with),
+    ||x - y||_w^2 = ||x||_w^2 + ||y||_w^2 - 2 <sqrt(w) x, sqrt(w) y>, the
+    inner products one GEMM over the n_nodes * d flattened axis.  Entries
+    not above D2_RECOMPUTE_REL (||x||_w^2 + ||y||_w^2), non-finite ones
+    included, are recomputed by path_metric one row of mu at a time."""
+    grid = mu.grid
+    weights = np.full(grid.n_steps + 1, grid.dt)
+    weights[[0, -1]] *= 0.5
+    root_w = np.sqrt(weights)[:, None]
+    centre = (mu.paths.sum(axis=0) + nu.paths.sum(axis=0)) / (mu.n + nu.n)
+    x = ((mu.paths - centre) * root_w).reshape(mu.n, -1)
+    y = ((nu.paths - centre) * root_w).reshape(nu.n, -1)
+    scale = np.einsum("ij,ij->i", x, x)[:, None] + np.einsum("ij,ij->i", y, y)
+    cost = x @ y.T
+    cost *= -2.0
+    cost += scale
+    scale *= D2_RECOMPUTE_REL
+    redo = ~(cost > scale)
+    np.maximum(cost, 0.0, out=cost)
+    if p == 1:
+        np.sqrt(cost, out=cost)
+    for i in np.flatnonzero(redo.any(axis=1)):
+        cols = np.flatnonzero(redo[i])
+        cost[i, cols] = path_metric(nu.paths[cols] - mu.paths[i], grid.dt,
+                                    PathMetric.d_two) ** p
     return cost
 
 
@@ -141,8 +227,6 @@ def wasserstein_empirical(mu: PathEnsemble, nu: PathEnsemble, p: int,
     solver, whose certified duality gap must be at most ENTROPIC_GAP_REL of
     the value, or ArithmeticError is raised.
     """
-    if p not in (1, 2):
-        raise ValueError(f"p must be 1 or 2, got {p}")
     cost = pairwise_cost_matrix(mu, nu, metric, p)
     n, m = cost.shape
     if max(n, m) <= EXACT_ASSIGNMENT_CUTOFF:

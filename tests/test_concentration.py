@@ -90,6 +90,17 @@ def test_pair_distances_requires_equal_sizes():
         pair_distances(mu, nu, PathMetric.d_infinity)
 
 
+def test_pair_distances_requires_one_grid_and_one_state_dimension():
+    # a 1-component ensemble against a 3-component one used to broadcast
+    grid = TimeGrid(1.0, 4)
+    mu = PathEnsemble(grid, np.zeros((2, 5)))
+    for nu in (PathEnsemble(grid, np.zeros((2, 5, 3))),
+               PathEnsemble(TimeGrid(2.0, 4), np.zeros((2, 5)))):
+        for metric in PathMetric:
+            with pytest.raises(ValueError, match=r"\(2, 5, 1\) .* and \(2, 5, \d\)"):
+                pair_distances(mu, nu, metric)
+
+
 def test_fernique_bound_value_at_reference():
     # k = 1 at (H, beta, T) = (0.75, 0.6, 0.5): 32 * 1^{0.3} * 2 = 64
     assert fernique_moment_bound(1, 0.75, 0.6, 0.5) == pytest.approx(64.0)

@@ -153,7 +153,7 @@ def _chunked_cost_matrix(mu, nu, metric, p):
     a, b = mu.paths, nu.paths
     n, m = a.shape[0], b.shape[0]
     cost = np.empty((n, m))
-    chunk = max(1, 2**24 // (b.size // max(m, 1) or 1))
+    chunk = max(1, 2**21 // b.size)   # rows of mu per tensor of <= 2^21 doubles
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         dist = np.linalg.norm(a[lo:hi, None] - b[None], axis=3)
@@ -165,16 +165,120 @@ def _chunked_cost_matrix(mu, nu, metric, p):
     return cost
 
 
+def _assert_within_d_two_bound(cost, oracle, k):
+    """Every d_2 entry within the stated bound of the oracle, whose own
+    rounding (at most (k + 8) eps relative) is added to it."""
+    tol = transport.d_two_rel_bound(k) + (k + 8) * np.finfo(float).eps
+    assert np.all(np.abs(cost - oracle) <= tol * oracle)
+
+
 @pytest.mark.parametrize("d", [1, 3])
 def test_cost_matrix_equals_chunked_tensor_formula(d):
+    # d_inf bit for bit; d_2 within its stated bound (a GEMM identity)
     rng = np.random.default_rng(12 + d)
     grid = TimeGrid(0.5, 64)
     mu = PathEnsemble(grid, np.cumsum(rng.standard_normal((37, 65, d)), axis=1))
     nu = PathEnsemble(grid, np.cumsum(rng.standard_normal((23, 65, d)), axis=1))
-    for metric in PathMetric:
+    for p in (1, 2):
+        assert np.array_equal(pairwise_cost_matrix(mu, nu, PathMetric.d_infinity, p),
+                              _chunked_cost_matrix(mu, nu, PathMetric.d_infinity, p))
+        _assert_within_d_two_bound(pairwise_cost_matrix(mu, nu, PathMetric.d_two, p),
+                                   _chunked_cost_matrix(mu, nu, PathMetric.d_two, p),
+                                   65 * d)
+
+
+@pytest.mark.parametrize("n,m", [(512, 512), (384, 256), (520, 520), (1, 9), (9, 1)])
+def test_cost_matrix_d_inf_is_the_row_wise_value_bit_for_bit(n, m):
+    # the transport bench's three shapes (Euler ensembles on 129 nodes) and
+    # a single path on either side, through the Chebyshev kernel
+    mu, nu = _euler_ensemble(n, 21), _euler_ensemble(m, 22)
+    for p in (1, 2):
+        assert np.array_equal(pairwise_cost_matrix(mu, nu, PathMetric.d_infinity, p),
+                              _chunked_cost_matrix(mu, nu, PathMetric.d_infinity, p))
+
+
+def _random_walks(rng, n, d=1):
+    return np.cumsum(rng.standard_normal((n, 65, d)), axis=1)
+
+
+def test_cost_matrix_d_two_within_stated_bound():
+    rng = np.random.default_rng(23)
+    grid = TimeGrid(0.5, 64)
+    walks = _random_walks(rng, 40)
+    cases = {
+        "euler": (_euler_ensemble(96, 24), _euler_ensemble(80, 25)),
+        "walks": (PathEnsemble(grid, walks), PathEnsemble(grid, _random_walks(rng, 30))),
+        "walks_d3": (PathEnsemble(grid, _random_walks(rng, 30, 3)),
+                     PathEnsemble(grid, _random_walks(rng, 20, 3))),
+        "far_apart": (PathEnsemble(grid, walks),
+                      PathEnsemble(grid, 1e3 + _random_walks(rng, 30))),
+        "near_coincident": (PathEnsemble(grid, walks),
+                            PathEnsemble(grid, walks + 1e-9 * rng.standard_normal(walks.shape))),
+    }
+    for name, (mu, nu) in cases.items():
+        k = mu.paths.shape[1] * mu.paths.shape[2]
         for p in (1, 2):
-            assert np.array_equal(pairwise_cost_matrix(mu, nu, metric, p),
-                                  _chunked_cost_matrix(mu, nu, metric, p))
+            cost = pairwise_cost_matrix(mu, nu, PathMetric.d_two, p)
+            oracle = _chunked_cost_matrix(mu, nu, PathMetric.d_two, p)
+            _assert_within_d_two_bound(cost, oracle, k)
+            if name == "near_coincident":
+                # the 1e-9 pairs sit below tau and are path_metric's values
+                assert np.array_equal(np.diag(cost), np.diag(oracle))
+
+
+def test_cost_matrix_d_two_coincident_paths_exactly_zero():
+    rng = np.random.default_rng(26)
+    grid = TimeGrid(0.5, 128)
+    paths = rng.standard_normal((40, 129))
+    cost = pairwise_cost_matrix(PathEnsemble(grid, paths), PathEnsemble(grid, paths.copy()),
+                                PathMetric.d_two, 1)
+    assert np.all(np.diag(cost) == 0.0) and np.all(cost + np.eye(40) > 0.0)
+    # a fully duplicated ensemble: every entry recomputed, one row of mu at
+    # a time, within the one-row memory bound
+    mu = PathEnsemble(grid, np.repeat(paths[:1], 512, axis=0))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        cost = pairwise_cost_matrix(mu, mu, PathMetric.d_two, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(cost == 0.0)
+    assert peak < 32 * 2**20
+
+
+def test_cost_matrix_d_two_overflowing_identity_falls_back():
+    # the joint mean of 1.5e308 paths overflows, so the GEMM identity is
+    # NaN; those entries are path_metric's exact 0, with no RuntimeWarning
+    grid = TimeGrid(1.0, 4)
+    mu = PathEnsemble(grid, np.full((2, 5), 1.5e308))
+    nu = PathEnsemble(grid, np.full((3, 5), 1.5e308))
+    for p in (1, 2):
+        assert np.array_equal(pairwise_cost_matrix(mu, nu, PathMetric.d_two, p),
+                              np.zeros((2, 3)))
+
+
+def test_cost_matrix_requires_one_grid_and_one_state_dimension():
+    grid = TimeGrid(1.0, 4)
+    scalar = PathEnsemble(grid, np.zeros((2, 5)))
+    for other in (PathEnsemble(grid, np.zeros((2, 5, 3))),
+                  PathEnsemble(TimeGrid(2.0, 4), np.zeros((2, 5)))):
+        for metric in PathMetric:
+            with pytest.raises(ValueError, match=r"\(2, 5, 1\) .* and \(2, 5, \d\)"):
+                pairwise_cost_matrix(scalar, other, metric, 2)
+            with pytest.raises(ValueError, match="one state dimension"):
+                wasserstein_empirical(scalar, other, 2, metric)
+
+
+def test_cost_matrix_rejects_p_outside_one_and_two():
+    grid = TimeGrid(1.0, 4)
+    mu = PathEnsemble(grid, np.ones((2, 5)))
+    for p in (0, 3):
+        for metric in PathMetric:
+            with pytest.raises(ValueError, match="p must be 1 or 2"):
+                pairwise_cost_matrix(mu, mu, metric, p)
+            with pytest.raises(ValueError, match="p must be 1 or 2"):
+                wasserstein_empirical(mu, mu, p, metric)
 
 
 def test_cost_matrix_memory_is_one_row():
