@@ -1,18 +1,15 @@
 """Path-space optimal transport and the closed-form constants.
 
 Empirical Wasserstein distances between path ensembles under the sup and
-L2 metrics, relative entropy between reweightings, and the transportation
-constants of the small- and large-horizon theorems.
+L2 metrics, and the transportation constants of the small- and
+large-horizon theorems.
 """
-
-import numpy as np
 
 from fbmlab import (
     HurstParam,
     PathEnsemble,
     PathMetric,
     TimeGrid,
-    relative_entropy_discrete,
     t1_constant,
     t2_constant_d2,
     t2_constant_dinf,
@@ -34,14 +31,6 @@ nu = PathEnsemble(grid, x2)
 for metric in PathMetric:
     w2 = wasserstein_empirical(mu, nu, 2, metric)
     print(f"  {metric.value:12s} W2 = {w2:.4f} (same-law bias, shrinks with n)")
-
-print("\nRelative entropy of an exponential tilt of the empirical measure:")
-n = mu.n
-scores = x1[:, -1]
-w = np.exp(0.5 * scores)
-w /= w.sum()
-uniform = np.full(n, 1.0 / n)
-print(f"  H(nu | mu) = {relative_entropy_discrete(w, uniform):.4f}")
 
 print("\nTransportation constants (closed form):")
 H, T = 0.75, 0.5

@@ -46,7 +46,6 @@ from .sde import (
 from .transport import (
     PathEnsemble,
     PathMetric,
-    relative_entropy_discrete,
     t1_constant,
     t2_constant_d2,
     t2_constant_dinf,
@@ -77,9 +76,9 @@ __all__ = [
     "estimate_t1_constant", "gaussian_tail_c_delta", "gronwall_coupling_bound",
     "grr_modulus_holds", "grr_xi", "holder_norm", "lemma_esti_int_check",
     "load_config", "operator_kh", "phi_argmax", "phi_link",
-    "relative_entropy_discrete", "sample_fbm_cholesky", "sample_fbm_circulant",
-    "sample_fbm_transfer", "solve_additive", "solve_scalar",
-    "solve_scalar_via_lamperti", "t1_constant", "t2_constant_d2",
-    "t2_constant_dinf", "verify_fernique", "verify_hoeffding_small_time",
-    "wasserstein_empirical", "young_integral_frac", "young_integral_rs",
+    "sample_fbm_cholesky", "sample_fbm_circulant", "sample_fbm_transfer",
+    "solve_additive", "solve_scalar", "solve_scalar_via_lamperti",
+    "t1_constant", "t2_constant_d2", "t2_constant_dinf", "verify_fernique",
+    "verify_hoeffding_small_time", "wasserstein_empirical",
+    "young_integral_frac", "young_integral_rs",
 ]

@@ -113,6 +113,14 @@ class PremiseError(ValueError):
     report, exit 1); raised only by the premise guards."""
 
 
+def _require_holder_window(name: str, beta: float, H: float) -> None:
+    """The premise 1/2 < beta < H of a check on beta-Holder seminorms of fBm
+    of Hurst index H; `name` names the check in the PremiseError."""
+    if not 0.5 < beta < H:
+        raise PremiseError(f"{name} premise violated: need 1/2 < beta < H, "
+                           f"got beta={beta}, H={H}")
+
+
 #: The model every verifier runs: dx = drift_b x dt + sigma dB^H from x0,
 #: with one circulant fBm component as B^H.  sigma = 1, so the sampled fBm
 #: paths are the drivers themselves.
@@ -355,18 +363,15 @@ TAIL_QUANTILES = np.array([0.5, 0.75, 0.9, 0.95, 0.99, 0.995, 0.999])
 
 def time_average(paths: np.ndarray, grid: TimeGrid, clip: float) -> np.ndarray:
     """F(gamma) = (1/T) int V(gamma(t)) dt with V(x) = x clipped to
-    [-clip, clip], per row of an (n_paths, n_nodes) ensemble.
+    [-clip, clip], per row of an (n_paths, n_nodes) array.
 
     V is 1-Lipschitz, so F is 1-Lipschitz under d_inf and
-    (1/sqrt(T))-Lipschitz under d_2.  Taken BLOCK_PATHS rows at a time, so
-    the clipped copy and the trapezoid's temporaries are a block's, not the
-    ensemble's; each row's value is that of the whole-array rule bit for bit.
+    (1/sqrt(T))-Lipschitz under d_2.  The clipped copy and the trapezoid's
+    temporaries are the size of `paths`: its callers are statistics of
+    `shared_pass`, which hands them one task's rows (BLOCK_PATHS at most).
+    Each row's value does not depend on the other rows, bit for bit.
     """
-    out = np.empty(len(paths))
-    for lo in range(0, len(paths), BLOCK_PATHS):
-        block = np.clip(paths[lo:lo + BLOCK_PATHS], -clip, clip)
-        out[lo:lo + BLOCK_PATHS] = np.trapezoid(block, dx=grid.dt, axis=1)
-    return out / grid.t_max
+    return np.trapezoid(np.clip(paths, -clip, clip), dx=grid.dt, axis=1) / grid.t_max
 
 
 def sup_displacement(paths: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -381,12 +386,17 @@ def _tail_report(samples: np.ndarray, denom: float, notes: dict) -> dict:
 
     Centering uses the empirical mean; its one-standard-error uncertainty is
     absorbed by inflating r on the bound side (documented bias control).
+    An empty r-grid (e.g. every sample equal) checks nothing: ArithmeticError.
     """
     n = len(samples)
     centered = samples - samples.mean()
     se_mean = samples.std(ddof=1) / np.sqrt(n)
     r_grid = np.quantile(centered, TAIL_QUANTILES)
     r_grid = np.unique(r_grid[r_grid > 0])
+    if not r_grid.size:  # the small-time records note no metric: theirs is d_inf
+        raise ArithmeticError(f"tail check of {notes['functional']} under "
+                              f"{notes.get('metric', 'd_infinity')} has an empty r-grid: "
+                              f"none of its {n} centred samples is above 0")
     counts = np.array([(centered > r).sum() for r in r_grid])
     emp = counts / n
     upper = clopper_pearson_upper(counts, n)
@@ -492,7 +502,8 @@ def tail_constant_scaling(reports: dict[float, dict]) -> float:
     For each horizon the effective constant C(T) of exp(-r^2 / (2 C)) is
     read off a least-squares fit of -log(empirical tail) against r^2; the
     returned value is the log-log slope of C(T) in T (to be compared with
-    2 - 2H).
+    2 - 2H).  A horizon whose constant is not positive and finite, or has
+    no point to fit, raises ArithmeticError naming the horizon.
     """
     Ts, cs = [], []
     for T, rep in sorted(reports.items()):
@@ -500,9 +511,13 @@ def tail_constant_scaling(reports: dict[float, dict]) -> float:
         mask = (tail > 0) & (r > 0)
         r2 = r[mask] ** 2
         y = -np.log(tail[mask])
-        slope = float(np.sum(r2 * y) / np.sum(r2 * r2))
+        slope = float(np.sum(r2 * y) / np.sum(r2 * r2)) if mask.any() else 0.0
+        c = 1.0 / (2.0 * slope) if slope else np.inf
+        if not 0.0 < c < np.inf:
+            raise ArithmeticError(f"tail constant fit at horizon T={T}: constant {c} from "
+                                  f"{mask.sum()} points with a positive tail at r > 0")
         Ts.append(T)
-        cs.append(1.0 / (2.0 * slope))
+        cs.append(c)
     coef = np.polyfit(np.log(Ts), np.log(cs), 1)
     return float(coef[0])
 
@@ -525,10 +540,7 @@ def fernique_share(H: float, beta: float, T: float, n_samples: int,
     """The ensemble share of verify_fernique: the beta-Holder seminorm per
     path, finished into the Fernique record.  Raises its PremiseError before
     any path is drawn."""
-    if not 0.5 < beta < H:
-        raise PremiseError(
-            f"Fernique premise violated: need 1/2 < beta < H, got beta={beta}, H={H}"
-        )
+    _require_holder_window("Fernique", beta, H)
     alpha = 0.5 * fernique_exponent_radius(H, beta, T)
     grid = TimeGrid(T, n_steps)
 
@@ -585,8 +597,7 @@ def grr_xi(path_values: np.ndarray, grid: TimeGrid, H: float,
     reduction.  path_values is one path (returns a float) or an
     (n_paths, n_nodes) ensemble (returns one xi per path).
     """
-    if not 0.5 < beta < H:
-        raise ValueError(f"need beta < H, got beta={beta}, H={H}")
+    _require_holder_window("GRR", beta, H)
     v = np.asarray(path_values, dtype=float)
     dt = grid.dt
     q = 2.0 / (H - beta)
@@ -767,9 +778,7 @@ def _stability(cfg: ExperimentConfig) -> Plan:
 def _esti_int(cfg: ExperimentConfig) -> Plan:
     H = cfg.get("fbm", "hurst")
     beta = cfg.get("verify", "beta")
-    if not 0.5 < beta < H:
-        raise PremiseError(f"esti-int premise violated: need 1/2 < beta < H, "
-                           f"got beta={beta}, H={H}")
+    _require_holder_window("esti-int", beta, H)
     if cfg.get("grid", "n_steps") < 2:
         raise PremiseError("esti-int premise violated: the window draw needs "
                            f"n_steps >= 2, got {cfg.get('grid', 'n_steps')}")

@@ -99,7 +99,6 @@ class ExperimentConfig:
     """Parsed, validated experiment configuration."""
 
     sections: dict = field(default_factory=dict)
-    source_path: str = ""
 
     def get(self, section: str, key: str):
         return self.sections[section][key]
@@ -187,7 +186,7 @@ def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig
             sections[sec].setdefault(key, default)
     if seed_override is not None:
         sections["experiment"]["seed"] = int(seed_override)
-    cfg = ExperimentConfig(sections=sections, source_path=str(path))
+    cfg = ExperimentConfig(sections=sections)
     _validate(cfg)
     return cfg
 

@@ -114,18 +114,11 @@ def frac_deriv_right_nodes(values: np.ndarray, h: float, alpha: float) -> np.nda
     return frac_deriv_left_nodes((g - g[-1])[::-1], h, alpha)[::-1]
 
 
-def _window(f: GridFunction, a: float, b: float):
-    ia, ib = f.grid.index_of(a), f.grid.index_of(b)
-    if ib <= ia:
-        raise ValueError(f"need a < b on the grid, got a={a}, b={b}")
-    return ia, ib
-
-
 def young_integral_rs(f: GridFunction, g: GridFunction, a: float, b: float) -> float:
     """Left-point Riemann-Stieltjes sum sum f(t_k)(g(t_{k+1}) - g(t_k))."""
     if f.grid != g.grid:
         raise ValueError("f and g must share one grid")
-    ia, ib = _window(f, a, b)
+    ia, ib = f.grid.window(a, b)
     fv = f.values[ia:ib]
     dg = np.diff(g.values[ia:ib + 1])
     return float(fv @ dg)
@@ -142,7 +135,7 @@ def young_integral_frac(f: GridFunction, g: GridFunction,
     """
     if f.grid != g.grid:
         raise ValueError("f and g must share one grid")
-    ia, ib = _window(f, a, b)
+    ia, ib = f.grid.window(a, b)
     h = f.grid.dt
     fv = f.values[ia:ib + 1]
     gv = g.values[ia:ib + 1]

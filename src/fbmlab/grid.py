@@ -62,6 +62,15 @@ class TimeGrid:
             raise ValueError(f"t={t} is not a grid node of {self!r}")
         return idx
 
+    def window(self, a: float, b: float) -> tuple[int, int]:
+        """Node indices (ia, ib) of the window [a, b]: both ends are grid
+        nodes (`index_of`, so up to 1e-9) and a < b; raises ValueError
+        otherwise."""
+        ia, ib = self.index_of(a), self.index_of(b)
+        if ib <= ia:
+            raise ValueError(f"need a < b on the grid, got a={a}, b={b}")
+        return ia, ib
+
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -83,10 +92,6 @@ class GridFunction:
             raise ArithmeticError("GridFunction values contain non-finite entries")
         object.__setattr__(self, "values", vals)
 
-    def __call__(self, t: float) -> float:
-        """Linear interpolation within the grid range."""
-        return float(np.interp(t, self.grid.points, self.values))
-
 
 @dataclass(frozen=True)
 class HolderNorm:
@@ -102,20 +107,15 @@ def holder_norm(
     beta: float,
     window: tuple[float, float] | None = None,
 ) -> HolderNorm:
-    """Discrete sup norm and beta-Holder seminorm over a window [a, b].
+    """Discrete sup norm and beta-Holder seminorm over a window [a, b] that
+    `TimeGrid.window` accepts, the whole grid by default.
 
-    The window endpoints must lie on grid nodes.  The grid computation is a
-    lower bound for the continuum norm (pairs off the grid are not seen).
+    The grid computation is a lower bound for the continuum norm (pairs off
+    the grid are not seen).
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
-    if window is None:
-        a, b = 0.0, grid.t_max
-    else:
-        a, b = window
-    if not (0.0 <= a < b <= grid.t_max + 1e-12):
-        raise ValueError(f"window [{a}, {b}] outside grid range [0, {grid.t_max}]")
-    ia, ib = grid.index_of(a), grid.index_of(b)
+    ia, ib = (0, grid.n_steps) if window is None else grid.window(*window)
     times = grid.points[ia:ib + 1]
     vals = np.asarray(values, dtype=float)[ia:ib + 1]
     v2 = vals if vals.ndim > 1 else vals[:, None]

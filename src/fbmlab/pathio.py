@@ -46,7 +46,7 @@ def _table(path: str, grid: TimeGrid, values: np.ndarray) -> np.ndarray:
     values off the grid or not finite are a ValueError."""
     vals = np.asarray(values, dtype=float).reshape(len(values), -1)
     if vals.shape[0] != grid.n_steps + 1:
-        raise ValueError("values do not match the grid")
+        raise ValueError(f"{path}: values do not match the grid")
     table = np.column_stack([grid.points, vals])
     _require_finite(path, table)
     return table

@@ -85,11 +85,14 @@ class ScalarDiffusion:
 
 @dataclass(frozen=True)
 class SolutionPath:
+    """Solution on the nodes of its grid; a shape off the grid is a
+    ValueError, a non-finite value a numerical failure (ArithmeticError)."""
+
     grid: TimeGrid
     values: np.ndarray          # (n_steps + 1, d)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = _on_grid("solution", self.grid, np.asarray(self.values, dtype=float))
         if not np.all(np.isfinite(vals)):
             raise ArithmeticError("solution path contains non-finite entries")
         object.__setattr__(self, "values", vals)
@@ -103,12 +106,21 @@ class BlowUpError(ArithmeticError):
         self.step = step
 
 
+def _on_grid(name: str, grid: TimeGrid, vals: np.ndarray) -> np.ndarray:
+    """vals, if shaped (n_steps + 1, d), one row per node; ValueError otherwise."""
+    if vals.ndim != 2 or len(vals) != grid.n_steps + 1:
+        raise ValueError(f"{name} values of shape {vals.shape} are not on a grid of "
+                         f"{grid.n_steps + 1} nodes: expected ({grid.n_steps + 1}, d)")
+    return vals
+
+
 def _driver_array(driver) -> tuple[TimeGrid, np.ndarray]:
     if isinstance(driver, FbmPath):
         return driver.grid, driver.values
     if isinstance(driver, tuple) and len(driver) == 2:
         grid, vals = driver
-        return grid, np.asarray(vals, dtype=float).reshape(len(vals), -1)
+        vals = np.asarray(vals, dtype=float).reshape(len(vals), -1)
+        return grid, _on_grid("driver", grid, vals)
     raise TypeError(f"unsupported driver type {type(driver)}")
 
 

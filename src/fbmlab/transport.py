@@ -369,21 +369,6 @@ def _certified_bracket(cost, f, g, eps, kernel):
     return primal, primal - dual
 
 
-def relative_entropy_discrete(nu_weights: np.ndarray, mu_weights: np.ndarray) -> float:
-    """KL divergence sum nu_i log(nu_i / mu_i); +inf if nu is not << mu."""
-    nu = np.asarray(nu_weights, dtype=float)
-    mu = np.asarray(mu_weights, dtype=float)
-    if nu.shape != mu.shape:
-        raise ValueError("weight vectors must have equal length")
-    for name, w in (("nu", nu), ("mu", mu)):
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"{name} weights must be a probability vector")
-    if np.any((nu > 0) & (mu == 0)):
-        return np.inf
-    mask = nu > 0
-    return float(np.sum(nu[mask] * np.log(nu[mask] / mu[mask])))
-
-
 # ---------------------------------------------------------------------------
 # Transportation constants
 # ---------------------------------------------------------------------------

@@ -244,6 +244,33 @@ def test_tail_report_monotone_invariants():
         assert rep["n_samples"] == 4000
 
 
+@pytest.mark.parametrize("notes, named", [
+    ({"functional": "sup_displacement"}, "sup_displacement under d_infinity"),
+    ({"functional": "time_average", "metric": "d_two"}, "time_average under d_two"),
+])
+def test_tail_report_without_thresholds_fails_closed(notes, named):
+    # equal samples leave no centred quantile above 0: the record would
+    # pass with no threshold checked
+    with pytest.raises(ArithmeticError, match=f"tail check of {named} has an empty r-grid"):
+        concentration._tail_report(np.full(50, 2.0), 1.0, notes)
+
+
+def _tail_record(r, tail):
+    return {"r_grid": r, "empirical_tail": tail}
+
+
+@pytest.mark.parametrize("record, message", [
+    (_tail_record([0.5, 1.0], [0.0, 0.0]), "constant inf from 0 points"),
+    (_tail_record([], []), "constant inf from 0 points"),
+    (_tail_record([0.5, 1.0], [1.0, 1.0]), "constant inf from 2 points"),
+], ids=["zero-tails", "empty-grid", "unit-tails"])
+def test_tail_constant_fit_fails_closed(record, message):
+    # a horizon with nothing to fit names itself, not a 0/0 downstream
+    good = _tail_record([0.5, 1.0, 1.5], [0.3, 0.1, 0.02])
+    with pytest.raises(ArithmeticError, match=f"horizon T=2.0: {message}"):
+        concentration.tail_constant_scaling({1.0: good, 2.0: record, 4.0: good})
+
+
 CAMPAIGNS = {
     "fernique": lambda n: verify_fernique(0.75, 0.6, 1.0, n, n_steps=64, seed=5),
     "hoeffding-small": lambda n: verify_hoeffding_small_time(0.75, 1.0, n, 64, seed=5),

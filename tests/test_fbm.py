@@ -311,3 +311,20 @@ def test_components_independent():
     ])
     corr = np.corrcoef(vals[:, 0], vals[:, 1])[0, 1]
     assert abs(corr) < 4.0 / np.sqrt(n)
+
+
+def _factorization_fails(a):
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: covariance_rh(-0.5, 1.0, H75), ValueError, "nonnegative"),
+    (lambda: covariance_rh(0.5, np.array([1.0, -1.0]), H75), ValueError, "nonnegative"),
+    # the cache is bypassed, so the patched factorization is the one run
+    (lambda: cholesky_factor.__wrapped__(TimeGrid(1.0, 8), H75), ArithmeticError,
+     "factorization failed"),
+], ids=["negative-s", "negative-t", "cholesky-failure"])
+def test_guards_fail_closed(monkeypatch, call, error, message):
+    monkeypatch.setattr(np.linalg, "cholesky", _factorization_fails)
+    with pytest.raises(error, match=message):
+        call()

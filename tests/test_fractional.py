@@ -13,6 +13,7 @@ from fbmlab.fbm import (
 from fbmlab.fractional import (
     FracOrder,
     default_frac_order,
+    esti_int_bound,
     frac_deriv_left_nodes,
     frac_deriv_right_nodes,
     lemma_esti_int_check,
@@ -223,3 +224,21 @@ def test_operator_kh_holder_regularity_frozen_ratio():
         num = holder_norm(grid, kr.values, 0.75).seminorm_beta
         worst = max(worst, num / max(np.abs(vals).max(), 1e-12))
     assert worst == pytest.approx(OPERATOR_KH_HOLDER_RATIO, rel=1e-9)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda f, g, h: default_frac_order(0.5), "need 1/2 < beta < 1"),
+    (lambda f, g, h: frac_deriv_left_nodes([1.0], 0.1, 0.3), "at least two nodes"),
+    (lambda f, g, h: young_integral_rs(f, h, 0.0, 1.0), "share one grid"),
+    (lambda f, g, h: young_integral_frac(f, h, FracOrder(0.3), 0.0, 1.0), "share one grid"),
+    (lambda f, g, h: young_integral_rs(f, g, 0.5, 0.5), "need a < b"),
+    (lambda f, g, h: young_integral_frac(f, g, FracOrder(0.3), 0.75, 0.25), "need a < b"),
+    (lambda f, g, h: esti_int_bound(f, g, 1.0, 0.5, 0.0, 1.0), "need 1/2 < beta < 1"),
+], ids=["frac-order-beta", "one-node", "rs-two-grids", "frac-two-grids", "rs-empty-window",
+        "frac-reversed-window", "esti-int-bound-beta"])
+def test_guards_fail_closed(call, message):
+    grid = TimeGrid(1.0, 8)
+    f, g = GridFunction(grid, grid.points), GridFunction(grid, grid.points ** 2)
+    h = GridFunction(TimeGrid(1.0, 16), np.zeros(17))
+    with pytest.raises(ValueError, match=message):
+        call(f, g, h)

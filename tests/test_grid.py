@@ -44,14 +44,6 @@ def test_time_grid_rejects_bad_params():
         TimeGrid(1.0, 4).index_of(0.3)
 
 
-def test_grid_function_interpolates():
-    grid = TimeGrid(1.0, 4)
-    f = GridFunction(grid, grid.points**2)
-    assert f(0.5) == 0.25
-    # midpoint of a cell interpolates linearly
-    assert f(0.375) == pytest.approx(0.5 * (0.25**2 + 0.5**2))
-
-
 def test_grid_function_shape_and_finiteness():
     grid = TimeGrid(1.0, 4)
     with pytest.raises(ValueError):
@@ -208,3 +200,33 @@ def test_nan_node_gives_a_nan_seminorm_and_leaves_other_paths(at):
         assert np.isnan(holder_norm(grid, paths[i], 0.6).seminorm_beta)
         assert np.isnan(holder_norm(grid, paths[i], 0.6, window=window).seminorm_beta)
     assert holder_norm(grid, paths[8], 0.6).seminorm_beta == clean[8]
+
+
+def test_window_is_two_nodes_in_order():
+    grid = TimeGrid(1.0, 4)
+    assert grid.window(0.25, 1.0) == (1, 4)
+    # an end within 1e-9 of a node is that node, inside the range or not
+    assert grid.window(-1e-10, 1.0 + 1e-10) == (0, 4)
+
+
+def test_holder_norm_window_ends_snap_to_the_end_nodes():
+    grid = TimeGrid(0.7, 50)
+    vals = np.cumsum(np.random.default_rng(4).standard_normal(51))
+    assert holder_norm(grid, vals, 0.6, window=(-1e-10, 0.7 + 1e-10)) == holder_norm(
+        grid, vals, 0.6)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g: g.window(0.5, 0.5), "need a < b"),
+    (lambda g: g.window(0.75, 0.25), "need a < b"),
+    (lambda g: g.window(0.25, 0.3), "not a grid node"),
+    (lambda g: g.window(0.0, 1.5), "not a grid node"),
+    (lambda g: holder_norm(g, g.points, 0.6, window=(0.5, 0.25)), "need a < b"),
+    (lambda g: holder_norm(g, g.points, 0.6, window=(-0.25, 0.5)), "not a grid node"),
+    (lambda g: holder_norm(g, g.points, 1.0), "beta must be in"),
+    (lambda g: holder_norm(g, g.points, 0.0), "beta must be in"),
+], ids=["empty-window", "reversed-window", "end-off-grid", "end-past-range",
+        "holder-reversed-window", "holder-start-before-range", "beta-one", "beta-zero"])
+def test_guards_fail_closed(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(TimeGrid(1.0, 4))

@@ -184,6 +184,34 @@ def _write_ini(tmp_path, text, name="c.ini"):
     return str(p)
 
 
+def _write_off_grid(p):
+    write_path_csv(p, TimeGrid(1.0, 4), np.zeros((6, 1)))
+
+
+def _read_non_uniform_csv(p):
+    Path(p).write_text("t,x1\r\n0.0,0.0\r\n0.3,1.0\r\n1.0,2.0\r\n")
+    read_path_csv(p)
+
+
+def _read_future_fbmp(p):
+    table = np.column_stack([np.linspace(0.0, 1.0, 5), np.zeros(5)])
+    Path(p).write_bytes(FBMP_MAGIC + struct.pack("<HII", FBMP_VERSION + 1, 5, 2)
+                        + table.astype("<f8").tobytes())
+    read_path_binary(p)
+
+
+@pytest.mark.parametrize("call, message", [
+    (_write_off_grid, "values do not match the grid"),
+    (_read_non_uniform_csv, "time column is not a uniform grid from 0"),
+    (_read_future_fbmp, f"unsupported FBMP version {FBMP_VERSION + 1}"),
+], ids=["write-off-grid", "non-uniform-time", "fbmp-version"])
+def test_path_io_guards_fail_closed(tmp_path, call, message):
+    # each names the file
+    p = str(tmp_path / "path.dat")
+    with pytest.raises(ValueError, match=f"{re.escape(p)}: {message}"):
+        call(p)
+
+
 def test_config_defaults_and_hash(tmp_path):
     p = _write_ini(tmp_path, "[experiment]\nseed = 7\n")
     cfg = load_config(p)
@@ -821,6 +849,40 @@ def test_cli_pair_error_stops_verify_where_its_rows_are_read(tmp_path, monkeypat
     assert sorted(p.name for p in out.glob("verify_*.json")) == [
         f"verify_{name}.json" for name in
         sorted(["stability", "esti-int", "fernique", "hoeffding-small", "hoeffding-large"])]
+
+
+ZERO_DRIVER_INI = """
+[grid]
+t_max = 0.5
+n_steps = 64
+
+[verify]
+n_paths = 200
+horizons = {horizons}
+"""
+
+
+def _zero_rows(grid, h, seed, paths, component=0):
+    return np.zeros((len(paths), grid.n_steps + 1))
+
+
+@pytest.mark.parametrize("verifier, horizons, functional", [
+    ("hoeffding-small", "1", "time_average under d_infinity"),
+    ("hoeffding-large", "1", "time_average under d_infinity"),
+    ("hoeffding-large", "1,2,4", "time_average under d_infinity"),
+])
+def test_cli_zeroed_drivers_tail_check_exit_3(tmp_path, monkeypatch, capsys, verifier,
+                                               horizons, functional):
+    # every driver path 0: every functional is 0, so no quantile of the
+    # centred samples is above 0 and a tail check would check nothing; the
+    # run is a numerical error naming the functional, not a pass (nor a 0/0
+    # in the large-time fit reported by the report writer)
+    monkeypatch.setattr(fbm, "_circulant_rows", _zero_rows)
+    out = tmp_path / "vrf"
+    ini = _write_ini(tmp_path, ZERO_DRIVER_INI.format(horizons=horizons))
+    assert main(["verify", "--config", ini, "--out", str(out), "--verifier", verifier]) == 3
+    assert f"tail check of {functional} has an empty r-grid" in capsys.readouterr().err
+    assert not list(out.glob("verify_*.json"))
 
 
 def test_cli_phi_link_positive_sign_exit_3(tmp_path, monkeypatch):

@@ -297,3 +297,50 @@ def test_gronwall_recursion_matches_prefix_sums(n):
         for B in (-3.0, -1.0, -0.1, 0.2, 1.0):
             np.testing.assert_allclose(gronwall_coupling_bound(grid, rho, B, 1.5, H75),
                                        prefix_sums(grid, rho, B), rtol=1e-12, atol=0)
+
+
+SIGMA_UNIT = ScalarDiffusion(fn=lambda x: 1.0, sigma1=1.0, sigma2=1.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ScalarDiffusion(fn=lambda x: 1.0, sigma1=2.0, sigma2=1.0), ValueError,
+     "0 < sigma1 <= sigma2"),
+    (lambda: ScalarDiffusion(fn=lambda x: 1.0, sigma1=0.0, sigma2=1.0), ValueError,
+     "0 < sigma1 <= sigma2"),
+    (lambda: solve_additive(0.0, DRIFT_OU, SIGMA_ID, np.zeros(5)), TypeError,
+     "unsupported driver type"),
+    (lambda: solve_scalar(0.0, DRIFT_OU, SIGMA_UNIT, (TimeGrid(1.0, 4), np.zeros((5, 2)))),
+     ValueError, "one-component driver"),
+    (lambda: solve_scalar_via_lamperti(0.0, DRIFT_OU, SIGMA_UNIT,
+                                       (TimeGrid(1.0, 4), np.zeros((5, 2)))),
+     ValueError, "one-component driver"),
+    # an infinite driver increment makes the Lamperti state infinite at step 1
+    (lambda: solve_scalar_via_lamperti(0.0, DRIFT_OU, SIGMA_UNIT,
+                                       (TimeGrid(1.0, 1), np.array([0.0, np.inf]))),
+     BlowUpError, "step 1"),
+], ids=["sigma-bounds-reversed", "sigma1-zero", "driver-type", "scalar-two-components",
+        "lamperti-two-components", "lamperti-infinite-state"])
+def test_guards_fail_closed(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+OFF_GRID = (TimeGrid(1.0, 4), np.linspace(0.0, 1.0, 10))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve_scalar(0.0, DRIFT_OU, SIGMA_UNIT, OFF_GRID),
+    lambda: solve_scalar_via_lamperti(0.0, DRIFT_OU, SIGMA_UNIT, OFF_GRID),
+    lambda: solve_additive(0.0, DRIFT_OU, SIGMA_ID, OFF_GRID),
+], ids=["scalar", "lamperti", "additive"])
+def test_driver_off_its_grid_is_a_value_error(call):
+    # a (grid, values) driver with 10 rows on a 4-step grid would be solved
+    # on the wrong grid (or fail inside a numpy broadcast)
+    with pytest.raises(ValueError, match=re.escape("shape (10, 1) are not on a grid of 5 nodes")):
+        call()
+
+
+@pytest.mark.parametrize("shape", [(7, 3), (4, 1), (5,)])
+def test_solution_path_off_its_grid_is_a_value_error(shape):
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape} are not on a grid of 5 nodes")):
+        SolutionPath(TimeGrid(1.0, 4), np.zeros(shape))

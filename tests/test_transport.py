@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from fbmlab.transport import (
     c_bt,
     pairwise_cost_matrix,
     path_metric,
-    relative_entropy_discrete,
     t1_constant,
     t2_constant_d2,
     t2_constant_dinf,
@@ -397,24 +397,6 @@ def test_empty_ensemble_rejected(shape):
         PathEnsemble(TimeGrid(1.0, 4), np.zeros(shape))
 
 
-def test_relative_entropy_values():
-    assert relative_entropy_discrete([0.5, 0.5], [0.5, 0.5]) == 0.0
-    val = relative_entropy_discrete([0.5, 0.5], [0.25, 0.75])
-    exact = 0.5 * np.log(2.0) + 0.5 * np.log(2.0 / 3.0)
-    assert val == pytest.approx(exact)
-
-
-def test_relative_entropy_absolute_continuity():
-    assert relative_entropy_discrete([0.5, 0.5, 0.0], [0.5, 0.0, 0.5]) == np.inf
-
-
-def test_relative_entropy_validation():
-    with pytest.raises(ValueError):
-        relative_entropy_discrete([0.5, 0.6], [0.5, 0.5])
-    with pytest.raises(ValueError):
-        relative_entropy_discrete([0.5, 0.5], [0.7, 0.2])
-
-
 def test_c_bt_both_signs():
     assert c_bt(-1.0, 1.0) == pytest.approx(1.0 - np.exp(-1.0))
     assert c_bt(2.0, 0.5, sigma1=1.0) == pytest.approx((np.exp(3.0) - 1.0) / 3.0)
@@ -485,3 +467,31 @@ def test_constant_forms_require_parameters():
             t2(0.75, 1.0, -1.0, 1.0)  # no sigma2
     with pytest.raises(TypeError):
         t1_constant(0.75, 0.5, 1.0)  # no lipschitz
+
+
+def _lp_fails(*args, **kwargs):
+    return SimpleNamespace(success=False, message="The problem is infeasible.")
+
+
+def _sinkhorn_overflow():
+    # potentials far above the costs overflow the Gibbs kernel to inf, and
+    # the scalings become 0 and NaN: the level raises at its first check
+    cost = np.zeros((3, 3))
+    with np.errstate(all="ignore"):
+        transport._sinkhorn_level(cost, np.full(3, 1e4), np.zeros(3), 1.0, np.empty_like(cost))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: PathEnsemble(TimeGrid(1.0, 4), np.zeros((3, 6))), ValueError,
+     "do not match the grid"),
+    # 7 vs 11 paths: replication factor 77, so the LP runs
+    (lambda: wasserstein_empirical(PathEnsemble(TimeGrid(1.0, 4), np.zeros((7, 5))),
+                                   PathEnsemble(TimeGrid(1.0, 4), np.ones((11, 5))),
+                                   2, PathMetric.d_infinity), ArithmeticError,
+     "transport LP failed: The problem is infeasible"),
+    (_sinkhorn_overflow, ArithmeticError, "Sinkhorn scalings overflow"),
+], ids=["ensemble-off-grid", "lp-failure", "sinkhorn-overflow"])
+def test_guards_fail_closed(monkeypatch, call, error, message):
+    monkeypatch.setattr(transport.optimize, "linprog", _lp_fails)
+    with pytest.raises(error, match=message):
+        call()
