@@ -33,7 +33,7 @@ from .concentration import (
     shared_pass,
     stability_share,
 )
-from .config import schema_defaults
+from .config import ConfigError, ExperimentConfig, schema_defaults
 from .fbm import HurstParam
 from .grid import TimeGrid
 
@@ -59,6 +59,15 @@ SUPPORTED_SETTINGS = {
                                  "c_delta_values")},
     "grid": schema_defaults("grid", "t_max", "n_steps"),
 }
+
+
+def require_settings(cfg: ExperimentConfig) -> None:
+    """ConfigError (exit 2) unless cfg holds SUPPORTED_SETTINGS and asks for
+    the two pairs the jackknife of the moment constant needs."""
+    cfg.require("calibrate", **SUPPORTED_SETTINGS)
+    if cfg.get("verify", "n_paths") < 2:
+        raise ConfigError("calibrate needs [verify] n_paths >= 2 for the jackknife of the "
+                          f"moment constant, got {cfg.get('verify', 'n_paths')}")
 
 
 def k_alpha_beta(alpha, beta):
@@ -114,9 +123,9 @@ def kappa_analytic() -> float:
 def kappa_empirical(n_pairs: int = 1000, seed: int = 0) -> float:
     """Monte Carlo sweep of (beta - 1/2) |int f dg| / (||g|| (...)).
 
-    f and g are independent fBm paths (reference H and beta, horizon T = 1),
-    the window [a, b] is drawn uniformly over grid-node pairs.  Returns the
-    observed supremum; kappa_hat is this supremum times KAPPA_MARGIN.
+    f and g are independent fBm paths (reference H and beta, horizon T = 1)
+    on windows drawn by `esti_int_sweep`, not uniformly over node pairs.
+    Returns the observed supremum; kappa_hat is this supremum times KAPPA_MARGIN.
     """
     cfg = REFERENCE_CONFIG
     beta = cfg["beta"]

@@ -6,10 +6,11 @@ Subcommands
     verify     run a subset of the verification campaigns, emit JSON/CSV
     calibrate  recompute the calibrated constants with provenance
 
-This module only parses arguments and writes files.  What a command may
-be configured with is checked by ExperimentConfig.require against tables
-kept with the science (concentration.MODEL, calibration.SUPPORTED_SETTINGS)
-and a `--verifier` selection by the name check of the config
+This module only parses arguments and writes files, and compares no
+generator name (`fbm.sample_fbm` picks the sampler [fbm] generator names).
+What a command may be configured with is checked by rules kept with the
+science (concentration.MODEL, calibration.require_settings) and a
+`--verifier` selection by the name check of the config
 (config.parse_verifiers) before any output directory is made; the flag
 belongs to `verify` and is an error on any other command.
 concentration.run_campaign turns the selected verifier names into their
@@ -28,14 +29,7 @@ import sys
 
 from .concentration import MODEL, run_campaign
 from .config import ConfigError, ExperimentConfig, load_config, parse_verifiers
-from .fbm import (
-    STREAM_LAYOUT,
-    HurstParam,
-    sample_fbm_cholesky,
-    sample_fbm_circulant,
-    sample_fbm_circulant_batch,
-    sample_fbm_transfer,
-)
+from .fbm import STREAM_LAYOUT, HurstParam, sample_fbm, sample_fbm_circulant_batch
 from .grid import TimeGrid
 from .pathio import (
     tail_report_csv,
@@ -49,14 +43,6 @@ EXIT_PASS = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-
-def _sample_one(grid, hp, m, seed, generator, path_index=0):
-    if generator == "cholesky":
-        return sample_fbm_cholesky(grid, hp, m, seed, path_index=path_index)
-    if generator == "transfer":
-        return sample_fbm_transfer(grid, hp, m, seed, path_index=path_index)[0]
-    return sample_fbm_circulant(grid, hp, m, seed, path_index=path_index)
 
 
 def _write_paths(out_dir: str, prefix: str, grid: TimeGrid, paths) -> None:
@@ -75,7 +61,7 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: str) -> int:
     n_paths = cfg.get("fbm", "n_paths")
     m = cfg.get("fbm", "components")
     gen = cfg.get("fbm", "generator")
-    paths = (_sample_one(grid, hp, m, seed, gen, path_index=i).values for i in range(n_paths))
+    paths = (sample_fbm(grid, hp, m, seed, gen, path_index=i).values for i in range(n_paths))
     _write_paths(out_dir, "path", grid, paths)
     write_json_report(os.path.join(out_dir, "sample_manifest.json"), {
         "command": "sample", "experiment": cfg.get("experiment", "name"),
@@ -88,8 +74,8 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 def cmd_solve(cfg: ExperimentConfig, out_dir: str) -> int:
-    # solve drives the scalar additive model with circulant fBm only
-    cfg.require("solve", fbm={"components": 1, "generator": "circulant"})
+    # solve drives the scalar additive model with the fBm of the verifiers' MODEL
+    cfg.require("solve", fbm=MODEL["fbm"])
     grid = TimeGrid(cfg.get("grid", "t_max"), cfg.get("grid", "n_steps"))
     hp = HurstParam(cfg.get("fbm", "hurst"))
     seed = cfg.get("experiment", "seed")
@@ -149,8 +135,8 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str,
 
 
 def cmd_calibrate(cfg: ExperimentConfig, out_dir: str) -> int:
-    from .calibration import SUPPORTED_SETTINGS, run_calibration
-    cfg.require("calibrate", **SUPPORTED_SETTINGS)
+    from .calibration import require_settings, run_calibration
+    require_settings(cfg)
     os.makedirs(out_dir, exist_ok=True)
     payload = run_calibration(cfg.get("verify", "n_paths"), cfg.get("experiment", "seed"))
     write_json_report(os.path.join(out_dir, "calibrated_constants.json"), payload)
@@ -187,11 +173,6 @@ def main(argv: list[str] | None = None) -> int:
             "calibrate.ini" if args.command == "calibrate" else "default.ini")
         cfg = load_config(cfg_path, seed_override=args.seed)
         only = None if args.verifier is None else parse_verifiers(args.verifier)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         if args.command == "sample":
             return cmd_sample(cfg, args.out)
         if args.command == "solve":

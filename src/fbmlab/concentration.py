@@ -305,10 +305,13 @@ def estimate_t1_constant(distances: np.ndarray) -> tuple[float, dict[int, float]
     """Plug-in estimator of 2 sup_{k <= T1_K_MAX} (k! E d^{2k} / (2k)!)^{1/k}
     and its jackknife standard error per k.
 
-    distances are i.i.d. draws of d(xi, xi') for independent xi, xi'.
+    distances are i.i.d. draws of d(xi, xi') for independent xi, xi', at
+    least two for the jackknife.
     """
     d = np.asarray(distances, dtype=float)
     n = len(d)
+    if n < 2:
+        raise ValueError(f"the jackknife needs at least 2 distances, got {n}")
 
     def root(m, k):  # (k! m / (2k)!)^{1/k}
         return (special.factorial(k) * m / special.factorial(2 * k)) ** (1.0 / k)
@@ -371,12 +374,14 @@ def time_average(paths: np.ndarray, grid: TimeGrid, clip: float) -> np.ndarray:
     `shared_pass`, which hands them one task's rows (BLOCK_PATHS at most).
     Each row's value does not depend on the other rows, bit for bit.
     """
+    paths = grid.nodes("path", paths, axis=1, ndim=2)
     return np.trapezoid(np.clip(paths, -clip, clip), dx=grid.dt, axis=1) / grid.t_max
 
 
 def sup_displacement(paths: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """F(gamma) = d_inf(gamma, gamma(0)) = sup_t |gamma(t) - gamma(0)| per
     row; 1-Lipschitz under d_inf."""
+    paths = grid.nodes("path", paths, axis=1, ndim=2)
     return path_metric((paths - paths[:, :1])[..., None], grid.dt, PathMetric.d_infinity)
 
 
@@ -598,7 +603,7 @@ def grr_xi(path_values: np.ndarray, grid: TimeGrid, H: float,
     (n_paths, n_nodes) ensemble (returns one xi per path).
     """
     _require_holder_window("GRR", beta, H)
-    v = np.asarray(path_values, dtype=float)
+    v = grid.nodes("path", path_values, axis=-1)
     dt = grid.dt
     q = 2.0 / (H - beta)
     delta = by_blocks(np.atleast_2d(v), lambda block: 2.0 * dt * dt * np.sum(
@@ -716,7 +721,9 @@ def stability_share(grid: TimeGrid, hp: HurstParam, beta: float, drift_b: float,
 def esti_int_sweep(grid: TimeGrid, hp: HurstParam, beta: float,
                    n_pairs: int, seed: int) -> list[BoundReport]:
     """lemma_esti_int_check over independent fBm pairs (f, g), each on a
-    window [a, b] whose grid nodes a < b are drawn at random."""
+    window [t_ia, t_ib]: ia uniform on 0 .. n - 2, then ib uniform on
+    ia + 1 .. n (n = n_steps), so (ia, ib) has probability 1 / ((n - 1)(n - ia)),
+    not uniform over node pairs, and a = t_{n-1} never occurs."""
     f_paths, g_paths = independent_pairs(grid, hp, n_pairs, seed)
     g_seminorms = holder_seminorm_ensemble(grid.points, g_paths, beta).tolist()
     rng = component_rng(role_seed(seed, Role.windows), 0, 0)

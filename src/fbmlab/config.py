@@ -1,7 +1,9 @@
 """Declarative experiment configuration.
 
 INI-style key-value sections, parsed fail-closed: unknown sections or keys
-are errors, so a typo cannot silently fall back to a default.  Every
+are errors, so a typo cannot silently fall back to a default.  Each key's
+type, default and range are one row of `_SCHEMA`; a value out of its range
+is the ConfigError "[sec] key must be <range>, got <value>".  Every
 parsed config is hash-addressable (sha256 over the canonical key-sorted
 serialization); the hash is embedded in every output artifact so results
 can be traced back to the exact configuration that produced them.
@@ -14,7 +16,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-from .fbm import DENSE_MAX_STEPS
+from .fbm import DENSE_MAX_STEPS, GeneratorTag
 
 
 class ConfigError(ValueError):
@@ -50,35 +52,46 @@ def parse_verifiers(text: str) -> list[str]:
     return names
 
 
-# section -> key -> (type, default); default None marks a required key
+def _one_of(values) -> tuple:
+    values = tuple(values)
+    return f"one of {values}", values.__contains__
+
+
+_AT_LEAST_ONE = (">= 1", lambda v: v >= 1)
+_POSITIVE = ("positive", lambda v: v > 0)
+
+# section -> key -> (type, default, range); a range is None or (text, test), and
+# _validate holds every value to it ("must be <text>") and every float to finite
 _SCHEMA = {
     "experiment": {
-        "name": (str, "experiment"),
-        "seed": (int, 0),
+        "name": (str, "experiment", None),
+        "seed": (int, 0, ("in [0, 2**64)", lambda v: 0 <= v < 2**64)),
     },
     "grid": {
-        "t_max": (float, 1.0),
-        "n_steps": (int, 256),
+        "t_max": (float, 1.0, _POSITIVE),
+        "n_steps": (int, 256, _AT_LEAST_ONE),
     },
     "fbm": {
-        "hurst": (float, 0.75),
-        "generator": (str, "circulant"),
-        "n_paths": (int, 1000),
-        "components": (int, 1),
+        "hurst": (float, 0.75, ("in (1/2, 1)", lambda v: 0.5 < v < 1.0)),
+        "generator": (str, "circulant", _one_of(tag.value for tag in GeneratorTag)),
+        "n_paths": (int, 1000, _AT_LEAST_ONE),
+        "components": (int, 1, _AT_LEAST_ONE),
     },
     "sde": {
-        "model": (str, "additive"),
-        "drift_b": (float, -1.0),
-        "sigma": (float, 1.0),
-        "x0": (float, 0.0),
+        # no command simulates the scalar model; the key stays because it
+        # enters config_hash
+        "model": (str, "additive", _one_of(["additive"])),
+        "drift_b": (float, -1.0, None),
+        "sigma": (float, 1.0, None),
+        "x0": (float, 0.0, None),
     },
     "verify": {
-        "verifiers": (str, ",".join(VERIFIER_NAMES)),
-        "beta": (float, 0.6),
-        "n_paths": (int, 20000),
-        "horizons": (str, "1,2,4"),
-        "delta": (float, 0.5),
-        "c_delta_values": (str, "1,2,10,1e6"),
+        "verifiers": (str, ",".join(VERIFIER_NAMES), None),
+        "beta": (float, 0.6, ("in (0, 1)", lambda v: 0.0 < v < 1.0)),
+        "n_paths": (int, 20000, _AT_LEAST_ONE),
+        "horizons": (str, "1,2,4", None),
+        "delta": (float, 0.5, _POSITIVE),
+        "c_delta_values": (str, "1,2,10,1e6", None),
     },
 }
 
@@ -86,12 +99,6 @@ _SCHEMA = {
 def schema_defaults(section: str, *keys: str) -> dict:
     """{key: its default} for keys of one config section."""
     return {key: _SCHEMA[section][key][1] for key in keys}
-
-
-_GENERATORS = ("cholesky", "circulant", "transfer")
-# no command simulates the scalar model; the [sde] model key stays because
-# it enters config_hash
-_MODELS = ("additive",)
 
 
 @dataclass
@@ -162,28 +169,19 @@ def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig
     sections: dict = {}
     for sec, pairs in items.items():
         if sec not in _SCHEMA:
-            raise ConfigError(
-                f"unknown section [{sec}]; known: {', '.join(sorted(_SCHEMA))}"
-            )
+            raise ConfigError(f"unknown section [{sec}]; known: {', '.join(sorted(_SCHEMA))}")
         sections[sec] = {}
         for key, raw in pairs:
             if key not in _SCHEMA[sec]:
-                raise ConfigError(
-                    f"unknown key {key!r} in section [{sec}]; "
-                    f"known: {', '.join(sorted(_SCHEMA[sec]))}"
-                )
-            typ, _default = _SCHEMA[sec][key]
+                raise ConfigError(f"unknown key {key!r} in section [{sec}]; "
+                                  f"known: {', '.join(sorted(_SCHEMA[sec]))}")
+            typ = _SCHEMA[sec][key][0]
             try:
                 sections[sec][key] = typ(raw) if typ is not int else int(raw, 0)
             except ValueError as exc:
-                raise ConfigError(
-                    f"[{sec}] {key} = {raw!r}: expected {typ.__name__}"
-                ) from exc
-    # fill defaults for missing sections/keys
-    for sec, keys in _SCHEMA.items():
-        sections.setdefault(sec, {})
-        for key, (_typ, default) in keys.items():
-            sections[sec].setdefault(key, default)
+                raise ConfigError(f"[{sec}] {key} = {raw!r}: expected {typ.__name__}") from exc
+    for sec, keys in _SCHEMA.items():  # the defaults of the keys not given
+        sections[sec] = {key: row[1] for key, row in keys.items()} | sections.get(sec, {})
     if seed_override is not None:
         sections["experiment"]["seed"] = int(seed_override)
     cfg = ExperimentConfig(sections=sections)
@@ -193,40 +191,15 @@ def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig
 
 def _validate(cfg: ExperimentConfig) -> None:
     for sec, keys in _SCHEMA.items():
-        for key, (typ, _default) in keys.items():
+        for key, (typ, _default, allowed) in keys.items():
             value = cfg.get(sec, key)
             if typ is float and not math.isfinite(value):
-                raise ConfigError(f"[{sec}] {key} must be finite, got {value}")
-    seed = cfg.get("experiment", "seed")
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"[experiment] seed must be in [0, 2**64), got {seed}")
-    h = cfg.get("fbm", "hurst")
-    if not 0.5 < h < 1.0:
-        raise ConfigError(f"[fbm] hurst must be in (1/2, 1), got {h}")
-    gen = cfg.get("fbm", "generator")
-    if gen not in _GENERATORS:
-        raise ConfigError(f"[fbm] generator must be one of {_GENERATORS}, got {gen!r}")
-    if cfg.get("fbm", "components") < 1:
-        raise ConfigError("[fbm] components must be >= 1")
-    model = cfg.get("sde", "model")
-    if model not in _MODELS:
-        raise ConfigError(f"[sde] model must be one of {_MODELS}, got {model!r}")
-    n_steps = cfg.get("grid", "n_steps")
-    if n_steps < 1:
-        raise ConfigError("[grid] n_steps must be >= 1")
-    if gen != "circulant" and n_steps > DENSE_MAX_STEPS:
+                raise ConfigError(f"[{sec}] {key} must be finite, got {value!r}")
+            if allowed is not None and not allowed[1](value):
+                raise ConfigError(f"[{sec}] {key} must be {allowed[0]}, got {value!r}")
+    gen, n_steps = cfg.get("fbm", "generator"), cfg.get("grid", "n_steps")
+    if gen != GeneratorTag.circulant and n_steps > DENSE_MAX_STEPS:
         raise ConfigError(f"[fbm] generator = {gen} builds an (n_steps, n_steps) array, "
                           f"capped at {DENSE_MAX_STEPS} steps; got [grid] n_steps = {n_steps}")
-    if cfg.get("grid", "t_max") <= 0:
-        raise ConfigError("[grid] t_max must be positive")
-    for sec in ("fbm", "verify"):
-        if cfg.get(sec, "n_paths") < 1:
-            raise ConfigError(f"[{sec}] n_paths must be >= 1")
-    beta = cfg.get("verify", "beta")
-    if not 0.0 < beta < 1.0:
-        raise ConfigError(f"[verify] beta must be in (0, 1), got {beta}")
-    delta = cfg.get("verify", "delta")
-    if delta <= 0:
-        raise ConfigError(f"[verify] delta must be positive, got {delta}")
     # parsing validates the verifier names and the number lists
     cfg.verifier_list, cfg.horizon_list, cfg.c_delta_list

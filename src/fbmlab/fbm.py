@@ -14,6 +14,7 @@ grid:
   B_t = int_0^t K(t,s) dW_s, returning the underlying Wiener increments so
   that drift-perturbation experiments can act on W directly.
 
+`sample_fbm` draws one path from the generator a `GeneratorTag` name picks.
 The module also evaluates the Volterra kernel K(t,s), vectorized, in closed
 form through the Gauss hypergeometric function.
 `transfer_from_wiener_increments` is the one place the discretized kernel
@@ -61,7 +62,7 @@ from enum import Enum, IntEnum
 import numpy as np
 from scipy import special
 
-from .grid import BLOCK_PATHS, TimeGrid
+from .grid import BLOCK_PATHS, TimeGrid, require_finite
 
 #: Largest grid for the two (n_steps, n_steps) arrays, `cholesky_factor` and
 #: `transfer_kernel_matrix`: 128 MiB each.
@@ -84,6 +85,8 @@ class HurstParam:
 
 
 class GeneratorTag(str, Enum):
+    """The one list of generator names: `sample_fbm` and [fbm] generator."""
+
     cholesky = "cholesky"
     circulant = "circulant"
     transfer = "transfer"
@@ -101,11 +104,8 @@ class FbmPath:
     generator_tag: GeneratorTag
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[0] != self.grid.n_steps + 1:
-            raise ValueError(f"values shape {vals.shape} inconsistent with grid")
-        if not np.all(np.isfinite(vals)):
-            raise ArithmeticError("fBm path contains non-finite entries")
+        vals = self.grid.nodes("fBm path", self.values, ndim=2)
+        require_finite("fBm path", vals)
         if np.any(vals[0] != 0.0):
             raise ValueError("fBm paths must start at 0")
         object.__setattr__(self, "values", vals)
@@ -362,6 +362,18 @@ def sample_fbm_transfer(grid: TimeGrid, h: HurstParam, m: int, seed: int,
     np.cumsum(dw, axis=0, out=wiener[1:])
     vals = transfer_from_wiener_increments(transfer_kernel_matrix(grid, h), dw)
     return FbmPath(grid=grid, values=vals, generator_tag=GeneratorTag.transfer), wiener
+
+
+def sample_fbm(grid: TimeGrid, h: HurstParam, m: int, seed: int, generator: str,
+               path_index: int = 0) -> FbmPath:
+    """Path `path_index` of `seed` from the sampler that `generator`, a
+    GeneratorTag value, names; any other name is a ValueError."""
+    tag = GeneratorTag(generator)
+    if tag is GeneratorTag.cholesky:
+        return sample_fbm_cholesky(grid, h, m, seed, path_index=path_index)
+    if tag is GeneratorTag.transfer:
+        return sample_fbm_transfer(grid, h, m, seed, path_index=path_index)[0]
+    return sample_fbm_circulant(grid, h, m, seed, path_index=path_index)
 
 
 def transfer_from_wiener_increments(kernel: np.ndarray, dw: np.ndarray) -> np.ndarray:

@@ -114,11 +114,16 @@ def frac_deriv_right_nodes(values: np.ndarray, h: float, alpha: float) -> np.nda
     return frac_deriv_left_nodes((g - g[-1])[::-1], h, alpha)[::-1]
 
 
-def young_integral_rs(f: GridFunction, g: GridFunction, a: float, b: float) -> float:
-    """Left-point Riemann-Stieltjes sum sum f(t_k)(g(t_{k+1}) - g(t_k))."""
+def _shared_window(f: GridFunction, g: GridFunction, a: float, b: float) -> tuple[int, int]:
+    """TimeGrid.window(a, b) on the one grid of f and g (else ValueError)."""
     if f.grid != g.grid:
         raise ValueError("f and g must share one grid")
-    ia, ib = f.grid.window(a, b)
+    return f.grid.window(a, b)
+
+
+def young_integral_rs(f: GridFunction, g: GridFunction, a: float, b: float) -> float:
+    """Left-point Riemann-Stieltjes sum sum f(t_k)(g(t_{k+1}) - g(t_k))."""
+    ia, ib = _shared_window(f, g, a, b)
     fv = f.values[ia:ib]
     dg = np.diff(g.values[ia:ib + 1])
     return float(fv @ dg)
@@ -133,9 +138,7 @@ def young_integral_frac(f: GridFunction, g: GridFunction,
 
     Centering by f(a) keeps the left-derivative integrand bounded at t = a.
     """
-    if f.grid != g.grid:
-        raise ValueError("f and g must share one grid")
-    ia, ib = f.grid.window(a, b)
+    ia, ib = _shared_window(f, g, a, b)
     h = f.grid.dt
     fv = f.values[ia:ib + 1]
     gv = g.values[ia:ib + 1]

@@ -2,7 +2,9 @@
 
 Everything downstream (fBm generation, pathwise solvers, transport metrics)
 indexes into one shared uniform grid on [0, T], and reads cell averages of
-node values from `cell_values`.  Holder quantities are
+node values from `cell_values`.  Node values handed in with a grid pass one
+shape rule, `TimeGrid.nodes` (ValueError), and those a path class keeps one
+finiteness rule, `require_finite` (ArithmeticError).  Holder quantities are
 computed over grid-point pairs only, so they are lower bounds for the
 continuum norms; inequality checks built on them are necessary-condition
 checks.  `lag_reduce` holds the one loop over lags: the Holder seminorm and
@@ -62,6 +64,11 @@ class TimeGrid:
             raise ValueError(f"t={t} is not a grid node of {self!r}")
         return idx
 
+    def nodes(self, what: str, values, axis: int = 0, ndim: int | None = None) -> np.ndarray:
+        """values as a float array with one entry per grid node along `axis`
+        (and `ndim` axes when given); ValueError naming `what` otherwise."""
+        return _on_nodes(what, values, self.n_steps + 1, axis, ndim)
+
     def window(self, a: float, b: float) -> tuple[int, int]:
         """Node indices (ia, ib) of the window [a, b]: both ends are grid
         nodes (`index_of`, so up to 1e-9) and a < b; raises ValueError
@@ -70,6 +77,22 @@ class TimeGrid:
         if ib <= ia:
             raise ValueError(f"need a < b on the grid, got a={a}, b={b}")
         return ia, ib
+
+
+def _on_nodes(what: str, values, n_nodes: int, axis: int, ndim: int | None) -> np.ndarray:
+    """The one node-axis rule behind TimeGrid.nodes, for n_nodes nodes."""
+    vals = np.asarray(values, dtype=float)
+    # shape[axis:][:1] is () when the array has no such axis
+    if vals.shape[axis:][:1] != (n_nodes,) or ndim not in (None, vals.ndim):
+        raise ValueError(f"{what} values of shape {vals.shape} are not on a grid "
+                         f"of {n_nodes} nodes")
+    return vals
+
+
+def require_finite(what: str, values: np.ndarray) -> None:
+    """ArithmeticError (a numerical failure) unless every value is finite."""
+    if not np.all(np.isfinite(values)):
+        raise ArithmeticError(f"{what} contains non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -82,14 +105,8 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.n_steps + 1,):
-            raise ValueError(
-                f"values shape {vals.shape} does not match grid with "
-                f"{self.grid.n_steps + 1} nodes"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ArithmeticError("GridFunction values contain non-finite entries")
+        vals = self.grid.nodes("GridFunction", self.values, ndim=1)
+        require_finite("GridFunction", vals)
         object.__setattr__(self, "values", vals)
 
 
@@ -117,7 +134,7 @@ def holder_norm(
         raise ValueError(f"beta must be in (0, 1), got {beta}")
     ia, ib = (0, grid.n_steps) if window is None else grid.window(*window)
     times = grid.points[ia:ib + 1]
-    vals = np.asarray(values, dtype=float)[ia:ib + 1]
+    vals = grid.nodes("path", values)[ia:ib + 1]
     v2 = vals if vals.ndim > 1 else vals[:, None]
     sup = float(np.linalg.norm(v2, axis=1).max())
     nodes_first = v2 if v2.shape[1] == 1 else v2[:, None, :]
@@ -204,8 +221,10 @@ def by_blocks(paths: np.ndarray, reduce) -> np.ndarray:
 def holder_seminorm_ensemble(times: np.ndarray, paths: np.ndarray, beta: float) -> np.ndarray:
     """beta-Holder seminorm of many scalar paths at once.
 
-    paths has shape (n_paths, n_nodes) on a uniform grid.  Returns one
-    seminorm per path, equal bit for bit to holder_norm on each row.
+    paths has shape (n_paths, n_nodes) on the uniform grid of nodes `times`
+    (else ValueError).  Returns one seminorm per path, equal bit for bit to
+    holder_norm on each row.
     """
+    paths = _on_nodes("path", paths, len(times), 1, 2)
     dt = times[1] - times[0]
     return by_blocks(paths, lambda block: _lag_seminorms(block, dt, beta))

@@ -43,10 +43,10 @@ def _require_finite(path: str, table: np.ndarray) -> None:
 
 def _table(path: str, grid: TimeGrid, values: np.ndarray) -> np.ndarray:
     """The table to write to `path`: time in column 0, then the components;
-    values off the grid or not finite are a ValueError."""
-    vals = np.asarray(values, dtype=float).reshape(len(values), -1)
-    if vals.shape[0] != grid.n_steps + 1:
-        raise ValueError(f"{path}: values do not match the grid")
+    values off the grid (`TimeGrid.nodes`) or not finite are a ValueError
+    naming the file."""
+    vals = grid.nodes(f"{path}:", values)
+    vals = vals.reshape(len(vals), -1)
     table = np.column_stack([grid.points, vals])
     _require_finite(path, table)
     return table

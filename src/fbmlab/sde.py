@@ -33,7 +33,7 @@ from .fbm import (
     transfer_from_wiener_increments,
     transfer_kernel_matrix,
 )
-from .grid import TimeGrid, cell_values
+from .grid import TimeGrid, cell_values, require_finite
 
 
 @dataclass
@@ -86,15 +86,14 @@ class ScalarDiffusion:
 @dataclass(frozen=True)
 class SolutionPath:
     """Solution on the nodes of its grid; a shape off the grid is a
-    ValueError, a non-finite value a numerical failure (ArithmeticError)."""
+    ValueError (`TimeGrid.nodes`), a non-finite value a numerical failure."""
 
     grid: TimeGrid
     values: np.ndarray          # (n_steps + 1, d)
 
     def __post_init__(self):
-        vals = _on_grid("solution", self.grid, np.asarray(self.values, dtype=float))
-        if not np.all(np.isfinite(vals)):
-            raise ArithmeticError("solution path contains non-finite entries")
+        vals = self.grid.nodes("solution", self.values, ndim=2)
+        require_finite("solution path", vals)
         object.__setattr__(self, "values", vals)
 
 
@@ -106,22 +105,23 @@ class BlowUpError(ArithmeticError):
         self.step = step
 
 
-def _on_grid(name: str, grid: TimeGrid, vals: np.ndarray) -> np.ndarray:
-    """vals, if shaped (n_steps + 1, d), one row per node; ValueError otherwise."""
-    if vals.ndim != 2 or len(vals) != grid.n_steps + 1:
-        raise ValueError(f"{name} values of shape {vals.shape} are not on a grid of "
-                         f"{grid.n_steps + 1} nodes: expected ({grid.n_steps + 1}, d)")
-    return vals
-
-
 def _driver_array(driver) -> tuple[TimeGrid, np.ndarray]:
+    """(grid, (n_steps + 1, m) values) of an FbmPath or a (grid, values)
+    tuple; a non-finite driver is left to the Euler loop (BlowUpError)."""
     if isinstance(driver, FbmPath):
         return driver.grid, driver.values
     if isinstance(driver, tuple) and len(driver) == 2:
         grid, vals = driver
-        vals = np.asarray(vals, dtype=float).reshape(len(vals), -1)
-        return grid, _on_grid("driver", grid, vals)
+        return grid, grid.nodes("driver", np.reshape(vals, (len(vals), -1)))
     raise TypeError(f"unsupported driver type {type(driver)}")
+
+
+def _scalar_driver(driver) -> tuple[TimeGrid, np.ndarray]:
+    """(grid, node values) of a one-component driver; ValueError otherwise."""
+    grid, g = _driver_array(driver)
+    if g.shape[1] != 1:
+        raise ValueError("scalar equation needs a one-component driver")
+    return grid, g[:, 0]
 
 
 def _euler(x0, b: Callable, dt: float, noise: np.ndarray,
@@ -167,11 +167,9 @@ def solve_additive(x0, drift: DriftSpec, sigma_t: TimeDiffusion, driver) -> Solu
 def solve_scalar(x0: float, drift: DriftSpec, sigma_x: ScalarDiffusion,
                  driver) -> SolutionPath:
     """Euler solution of the scalar equation dX = b(X) dt + sigma(X) dg."""
-    grid, g = _driver_array(driver)
-    if g.shape[1] != 1:
-        raise ValueError("scalar equation needs a one-component driver")
+    grid, g = _scalar_driver(driver)
     vals = _euler(float(x0), lambda x: float(np.atleast_1d(drift.fn(x))[0]), grid.dt,
-                  np.diff(g[:, 0]), sigma_x.fn)
+                  np.diff(g), sigma_x.fn)
     return SolutionPath(grid=grid, values=vals[:, None])
 
 
@@ -246,13 +244,11 @@ def solve_scalar_via_lamperti(x0: float, drift: DriftSpec,
     Solves dY = b(F^{-1}(Y))/sigma(F^{-1}(Y)) dt + dg with Y_0 = F(x0) and
     maps back X = F^{-1}(Y), each step by _invert_from from (X_k, Y_k).
     """
-    grid, g = _driver_array(driver)
-    if g.shape[1] != 1:
-        raise ValueError("scalar equation needs a one-component driver")
+    grid, g = _scalar_driver(driver)
     x = float(x0)
     y = lamperti_forward(sigma_x, x)
     vals = [x]
-    for k, dw in enumerate(np.diff(g[:, 0]).tolist(), start=1):
+    for k, dw in enumerate(np.diff(g).tolist(), start=1):
         try:  # Python-float arithmetic overflows by raising, not to inf
             z = y + float(np.atleast_1d(drift.fn(x))[0]) / sigma_x.fn(x) * grid.dt + dw
             if not -np.inf < z < np.inf:  # z is inf or nan
@@ -296,7 +292,7 @@ def drift_coupled_pair(x0, drift: DriftSpec, sigma_t: TimeDiffusion,
     `kernel` is redundant: transfer_kernel_matrix is cached per (grid, H).
     It is kept only because the benchmark's pathwise workload passes it.
     """
-    rho = np.asarray(rho, dtype=float).reshape(len(rho), -1)
+    rho = grid.nodes("rho", rho).reshape(len(rho), -1)
     if kernel is None:
         kernel = transfer_kernel_matrix(grid, h)
     b_path = sample_fbm_circulant(grid, h, rho.shape[1], seed, path_index=path_index)
@@ -321,7 +317,7 @@ def gronwall_coupling_bound(grid: TimeGrid, rho: np.ndarray, one_sided_b: float,
     B = one_sided_b
     if B == 0.0:
         raise ValueError("one-sided constant B must be nonzero")
-    rho = np.asarray(rho, dtype=float).reshape(len(rho), -1)
+    rho = grid.nodes("rho", rho).reshape(len(rho), -1)
     r2 = np.sum(cell_values(rho)**2, axis=1)
     c = 2 * B + abs(B)
     dt = grid.dt

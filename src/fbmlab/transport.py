@@ -50,7 +50,7 @@ from scipy import optimize, sparse
 from scipy.spatial import distance
 
 from .fixtures import calibrated_constants
-from .grid import TimeGrid
+from .grid import TimeGrid, require_finite
 from .sde import stability_horizon
 
 EXACT_ASSIGNMENT_CUTOFF = 512
@@ -96,22 +96,20 @@ class PathMetric(str, Enum):
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """i.i.d. collection of at least one path on one grid; a non-finite
-    entry is a numerical failure (ArithmeticError)."""
+    """i.i.d. collection of at least one path on one grid, kept shaped
+    (n_paths, n_nodes, d): a node axis off the grid (`TimeGrid.nodes`) or no
+    path is a ValueError, a non-finite entry a numerical failure."""
 
     grid: TimeGrid
     paths: np.ndarray           # (n_paths, n_nodes) or (n_paths, n_nodes, d)
 
     def __post_init__(self):
-        p = np.asarray(self.paths, dtype=float)
+        p = self.grid.nodes("path ensemble", self.paths, axis=1)
         if p.ndim == 2:
             p = p[:, :, None]
-        if p.shape[1] != self.grid.n_steps + 1:
-            raise ValueError("paths do not match the grid")
         if p.shape[0] == 0:
             raise ValueError("path ensemble needs at least one path")
-        if not np.all(np.isfinite(p)):
-            raise ArithmeticError("path ensemble contains non-finite entries")
+        require_finite("path ensemble", p)
         object.__setattr__(self, "paths", p)
 
     @property

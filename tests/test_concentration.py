@@ -53,6 +53,13 @@ def test_t1_jackknife_errors_positive():
     assert all(e > 0 for e in errs.values())
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_t1_constant_needs_two_distances(n):
+    # the leave-one-out moments divide by n - 1
+    with pytest.raises(ValueError, match="at least 2 distances"):
+        estimate_t1_constant(np.ones(n))
+
+
 def test_clopper_pearson_known_values():
     # 0 successes of n: upper bound 1 - (1 - conf)^{1/n}
     n = 100

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from fbmlab import concentration, sde
+from fbmlab.fbm import FbmPath, HurstParam
 from fbmlab.grid import (
     BLOCK_PATHS,
     GridFunction,
@@ -11,6 +13,8 @@ from fbmlab.grid import (
     holder_seminorm_ensemble,
     lag_reduce,
 )
+from fbmlab.pathio import write_path_csv
+from fbmlab.transport import PathEnsemble
 
 
 def holder_seminorm(times, values, beta):
@@ -230,3 +234,50 @@ def test_holder_norm_window_ends_snap_to_the_end_nodes():
 def test_guards_fail_closed(call, message):
     with pytest.raises(ValueError, match=message):
         call(TimeGrid(1.0, 4))
+
+
+H75 = HurstParam(0.75)
+DRIFT_OU = sde.DriftSpec(fn=lambda x: -x, lipschitz=1.0)
+SIGMA_ID = sde.TimeDiffusion(fn=lambda t: np.eye(1))
+
+# the public entries that take node values beside a grid, as calls (grid, values)
+OFF_GRID_ENTRIES = {
+    "holder_norm": lambda g, v: holder_norm(g, v, 0.6),
+    "holder_seminorm_ensemble": lambda g, v: holder_seminorm_ensemble(g.points, v[None], 0.6),
+    "grr_xi": lambda g, v: concentration.grr_xi(v, g, 0.75, 0.6),
+    "grr_modulus_holds": lambda g, v: concentration.grr_modulus_holds(v, g, 0.6, 1e3),
+    "time_average": lambda g, v: concentration.time_average(v[None], g, clip=10.0),
+    "sup_displacement": lambda g, v: concentration.sup_displacement(v[None], g),
+    "gronwall_coupling_bound": lambda g, v: sde.gronwall_coupling_bound(g, v, -1.0, 1.0, H75),
+    "drift_coupled_pair": lambda g, v: sde.drift_coupled_pair(0.0, DRIFT_OU, SIGMA_ID, v, H75,
+                                                              g, seed=3),
+}
+
+
+@pytest.mark.parametrize("n_values", [5, 20])
+@pytest.mark.parametrize("entry", list(OFF_GRID_ENTRIES))
+def test_public_entries_refuse_values_off_the_grid(entry, n_values):
+    # 5 or 20 values on 9 nodes were truncated, read past the grid or failed
+    # inside numpy; they are the one shape error of TimeGrid.nodes
+    with pytest.raises(ValueError, match="are not on a grid of 9 nodes"):
+        OFF_GRID_ENTRIES[entry](TimeGrid(1.0, 8), np.linspace(0.0, 1.0, n_values))
+
+
+@pytest.mark.parametrize("call, values, message", [
+    (lambda g, v, _: GridFunction(g, v), np.zeros(6), "GridFunction values of shape (6,)"),
+    (lambda g, v, _: FbmPath(g, v, "circulant"), np.zeros((6, 1)),
+     "fBm path values of shape (6, 1)"),
+    (lambda g, v, _: sde.SolutionPath(g, v), np.zeros((6, 1)),
+     "solution values of shape (6, 1)"),
+    (lambda g, v, _: PathEnsemble(g, v), np.zeros((3, 6)),
+     "path ensemble values of shape (3, 6)"),
+    (lambda g, v, _: sde.solve_additive(0.0, DRIFT_OU, SIGMA_ID, (g, v)), np.zeros(6),
+     "driver values of shape (6, 1)"),
+    (lambda g, v, out: write_path_csv(str(out / "p.csv"), g, v), np.zeros((6, 1)),
+     "{out}/p.csv: values of shape (6, 1)"),
+], ids=["grid-function", "fbm-path", "solution-path", "path-ensemble", "tuple-driver",
+        "write-path-csv"])
+def test_values_off_the_grid_give_the_one_shape_message(tmp_path, call, values, message):
+    with pytest.raises(ValueError) as info:
+        call(TimeGrid(1.0, 4), values, tmp_path)
+    assert str(info.value) == message.format(out=tmp_path) + " are not on a grid of 5 nodes"

@@ -201,7 +201,7 @@ def _read_future_fbmp(p):
 
 
 @pytest.mark.parametrize("call, message", [
-    (_write_off_grid, "values do not match the grid"),
+    (_write_off_grid, re.escape("values of shape (6, 1) are not on a grid of 5 nodes")),
     (_read_non_uniform_csv, "time column is not a uniform grid from 0"),
     (_read_future_fbmp, f"unsupported FBMP version {FBMP_VERSION + 1}"),
 ], ids=["write-off-grid", "non-uniform-time", "fbmp-version"])
@@ -268,12 +268,16 @@ FLOAT_KEYS = [("grid", "t_max"), ("fbm", "hurst"), ("sde", "drift_b"), ("sde", "
                          + [("verify", "delta", "0"), ("verify", "delta", "-1"),
                             ("grid", "t_max", "0"), ("grid", "t_max", "-1"),
                             ("grid", "n_steps", "0"), ("verify", "beta", "0"),
-                            ("verify", "beta", "1")])
+                            ("verify", "beta", "1"), ("fbm", "hurst", "0.5"),
+                            ("fbm", "hurst", "1.0"), ("fbm", "components", "0"),
+                            ("sde", "model", "scalar"), ("fbm", "generator", "wavelet"),
+                            ("verify", "n_paths", "0")])
 def test_config_rejects_non_finite_floats_and_non_positive_delta(tmp_path, section, key, raw):
-    # every float key is checked at load, and so are the bounds of t_max,
-    # n_steps and beta: exit 2 and nothing written
+    # every float key is checked at load, and so is the range of each
+    # schema row: "[sec] key must be <range>, got <value>", exit 2 and
+    # nothing written
     ini = _write_ini(tmp_path, f"[{section}]\n{key} = {raw}\n")
-    with pytest.raises(ConfigError, match=key):
+    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} must be ") + ".+, got "):
         load_config(ini)
     out = tmp_path / "vrf"
     assert main(["verify", "--config", ini, "--out", str(out)]) == 2
@@ -787,6 +791,16 @@ def test_cli_calibrate_rejects_keys_it_does_not_read(tmp_path, capsys, text, mes
     assert main(["calibrate", "--config", _write_ini(tmp_path, text), "--out", str(out)]) == 2
     assert not out.exists()
     assert f"calibrate supports {message}" in capsys.readouterr().err
+
+
+def test_cli_calibrate_needs_two_pairs(tmp_path, capsys):
+    # the jackknife of the moment constant needs two pairs: one is a config
+    # error naming the key, not a numerical failure after a run
+    out = tmp_path / "cal"
+    ini = _write_ini(tmp_path, "[verify]\nn_paths = 1\n")
+    assert main(["calibrate", "--config", ini, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "[verify] n_paths >= 2" in capsys.readouterr().err
 
 
 def test_cli_calibrate_rejects_shipped_negative_control(tmp_path, capsys):

@@ -483,7 +483,7 @@ def _sinkhorn_overflow():
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: PathEnsemble(TimeGrid(1.0, 4), np.zeros((3, 6))), ValueError,
-     "do not match the grid"),
+     "are not on a grid of 5 nodes"),
     # 7 vs 11 paths: replication factor 77, so the LP runs
     (lambda: wasserstein_empirical(PathEnsemble(TimeGrid(1.0, 4), np.zeros((7, 5))),
                                    PathEnsemble(TimeGrid(1.0, 4), np.ones((11, 5))),
